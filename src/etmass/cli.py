@@ -23,7 +23,7 @@ from . import density as dens
 from . import massprime as mp
 from . import massquartic as mq
 from . import oracle as orc
-from .padic import GuardError, LocalField, quad_extend
+from .padic import GuardError, LocalField, PrecisionError, quad_extend
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +127,6 @@ def split_label(label: str):
     return label, ""
 
 
-class _Fail(Exception):
-    pass
-
-
 def _validate(cond, message):
     if not cond:
         raise ValueError(message)
@@ -156,7 +152,7 @@ def _run(fn):
     except GuardError as exc:
         click.echo(f"guard exceeded: {exc}", err=True)
         sys.exit(3)
-    except (ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError, PrecisionError, ZeroDivisionError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 
@@ -388,7 +384,6 @@ _SUITES = {
 def check(suite, max_size):
     """Run built-in consistency suites."""
     names = list(_SUITES) if suite == "all" else [suite]
-    failed = False
     guard = []
 
     def body():

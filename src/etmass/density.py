@@ -33,7 +33,7 @@ from math import factorial
 
 from .massprime import partition_count, premass_ell_total
 from .massquartic import premass4
-from .padic import LocalField
+from .padic import LocalField, prime_factors
 
 
 SUPPORTED_DEGREES = (3, 4, 5)
@@ -55,22 +55,6 @@ def primes_up_to(bound: int) -> tuple:
         if flags[m]:
             flags[m * m :: m] = bytearray(len(flags[m * m :: m]))
     return tuple(m for m in range(2, bound + 1) if flags[m])
-
-
-def prime_factors(n: int) -> set:
-    """The set of primes dividing |n| (trial division)."""
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def rational_valuation(r: Fraction, p: int) -> int:
@@ -202,7 +186,7 @@ def archimedean_mass(n: int, all_positive: bool = True, place: str = "real") -> 
     )
 
 
-def local_profile_at_prime(gens, p: int, n: int):
+def local_profile_at_prime(gens, p: int):
     """Embed rational generators into Q_p exactly.
 
     Returns (F, embedded) where F is the local field Q_p and each
@@ -239,7 +223,7 @@ def local_mass(n: int, p: int, gens=(), algo: str = "auto") -> Fraction:
     """The exact local mass m_{A,p} = ((q-1)/q) * premass at p."""
     if not gens:
         return full_local_factor(n, p)
-    F, embedded = local_profile_at_prime(gens, p, n)
+    F, embedded = local_profile_at_prime(gens, p)
     if n == 4:
         pre = premass4(F, embedded, algo=algo).total
     else:

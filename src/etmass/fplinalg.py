@@ -1,74 +1,42 @@
 """Dense exact linear algebra over prime fields.
 
 Matrices live in numpy int64 arrays with entries reduced into
-``{0, ..., p-1}``.  The Gaussian-elimination kernel exists twice: a
-numba ``@njit``-compiled version (used by default when numba is
-importable) and a pure-Python fallback on the same numpy buffers.
-Set the environment variable ``ETMASS_PURE=1`` to force the fallback.
+``{0, ..., p-1}``, and one Gauss-Jordan kernel does all the elimination.
+The matrices met here are tiny (side about [E:Q_p] + 2 for the largest
+field E in play), so the kernel works row by row on numpy slices.
 
 Everything here is exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def _modinv(a: int, p: int) -> int:
-    # Fermat: a^(p-2) mod p, binary powering (p prime, a nonzero mod p).
-    a %= p
-    r = 1
-    e = p - 2
-    while e > 0:
-        if e & 1:
-            r = (r * a) % p
-        a = (a * a) % p
-        e >>= 1
-    return r
-
-
-def _rowreduce_py(A, p, npiv, piv_out):
+def _rowreduce(A, p, npiv, piv_out):
     """Reduced row echelon form in place on the first `npiv` columns.
 
     Row operations act on the full width of ``A`` (so callers may
     augment).  Pivot column indices are written to ``piv_out``; the
     return value is the rank.
     """
-    m, ncols = A.shape
+    m = A.shape[0]
     r = 0
     for c in range(npiv):
-        pr = -1
-        for i in range(r, m):
-            if A[i, c] != 0:
-                pr = i
-                break
-        if pr < 0:
+        nz = np.flatnonzero(A[r:, c])
+        if not nz.size:
             continue
+        pr = r + int(nz[0])
         if pr != r:
-            for j in range(ncols):
-                t = A[pr, j]
-                A[pr, j] = A[r, j]
-                A[r, j] = t
+            A[[r, pr]] = A[[pr, r]]
         piv = A[r, c]
         if piv != 1:
-            inv = 1
-            a = piv % p
-            e = p - 2
-            while e > 0:
-                if e & 1:
-                    inv = (inv * a) % p
-                a = (a * a) % p
-                e >>= 1
-            for j in range(ncols):
-                A[r, j] = (A[r, j] * inv) % p
+            A[r] = (A[r] * pow(int(piv), -1, p)) % p
         for i in range(m):
             if i != r and A[i, c] != 0:
-                t = A[i, c]
-                for j in range(ncols):
-                    A[i, j] = (A[i, j] - t * A[r, j]) % p
+                A[i] = (A[i] - A[i, c] * A[r]) % p
         piv_out[r] = c
         r += 1
         if r == m:
@@ -76,22 +44,9 @@ def _rowreduce_py(A, p, npiv, piv_out):
     return r
 
 
-_PURE = os.environ.get("ETMASS_PURE", "") == "1"
-_rowreduce = None
-if not _PURE:
-    try:
-        from numba import njit
-
-        _rowreduce = njit(cache=True)(_rowreduce_py)
-    except Exception:  # pragma: no cover - numba unavailable
-        _rowreduce = None
-if _rowreduce is None:
-    _rowreduce = _rowreduce_py
-
-
 def backend_name() -> str:
-    """Return which elimination backend is active ("numba" or "pure")."""
-    return "pure" if _rowreduce is _rowreduce_py else "numba"
+    """Name of the one elimination backend, for recording with results."""
+    return "pure"
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,7 @@ from .unitgroups import (
     filtration_profile,
     strat_gens,
 )
-from .padic import INF
-
-
-def _check_prime(n: int) -> None:
-    if n < 2 or any(n % d == 0 for d in range(2, 1 + int(n**0.5))):
-        raise ValueError(f"{n} is not prime")
+from .padic import INF, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +363,8 @@ def premass_ell_total(F, ell: int, gens=()) -> MassReport:
     1 - 1/ell), and the middle discriminant layers (unconstrained, since
     those algebras split enough to have full norm groups).
     """
-    _check_prime(ell)
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
     q = Fraction(F.q)
     s = strat_gens(F, gens, ell)
     part_unram = Fraction(1, ell) if not s.A1 else Fraction(0)

@@ -16,7 +16,6 @@ constructed by :func:`quad_extend`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 INF = float("inf")
 
@@ -27,6 +26,26 @@ class PrecisionError(ArithmeticError):
 
 class GuardError(RuntimeError):
     """A requested computation exceeds a configured size guard."""
+
+
+def prime_factors(n: int) -> set:
+    """The set of primes dividing |n| (trial division)."""
+    n = abs(n)
+    out = set()
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and prime_factors(n) == {n}
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +169,7 @@ class ResidueField:
         return _poly_mulmod(x, y, self._red, self.p, self.f)
 
     def pow(self, x, n):
-        if not any(x):
+        if x == self.zero:
             return self.one if n == 0 else self.zero
         n %= self.q - 1
         acc, r = self.one, x
@@ -174,10 +193,10 @@ class ResidueField:
         return (n % self.p,) + (0,) * (self.f - 1)
 
     def is_zero(self, x):
-        return not any(x)
+        return x == self.zero
 
     def is_square(self, x):
-        if not any(x):
+        if x == self.zero:
             return True
         if self.p == 2:
             return True
@@ -199,9 +218,9 @@ class ResidueField:
         return tuple(c % self.p for c in v)
 
 
-class QuadResidueField:
+class QuadResidueField(ResidueField):
     """Degree-2 extension of a residue field: y^2 = a*y + b, elements
-    are pairs over the base.  Same duck-typed interface."""
+    are pairs over the base.  Same interface as :class:`ResidueField`."""
 
     def __init__(self, base, a, b):
         self.base = base
@@ -235,18 +254,6 @@ class QuadResidueField:
         im = B.add(B.add(B.mul(x0, y1), B.mul(x1, y0)), B.mul(self.a, cross))
         return (re, im)
 
-    def pow(self, x, n):
-        if x == self.zero:
-            return self.one if n == 0 else self.zero
-        n %= self.q - 1
-        acc, r = self.one, x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, r)
-            r = self.mul(r, r)
-            n >>= 1
-        return acc
-
     def inv(self, x):
         B = self.base
         x0, x1 = x
@@ -255,21 +262,8 @@ class QuadResidueField:
         ninv = B.inv(nrm)
         return (B.mul(conj[0], ninv), B.mul(conj[1], ninv))
 
-    def pth_root(self, x):
-        return self.pow(x, self.q // self.p)
-
     def from_int(self, n):
         return (self.base.from_int(n), self.base.zero)
-
-    def is_zero(self, x):
-        return x == self.zero
-
-    def is_square(self, x):
-        if self.is_zero(x):
-            return True
-        if self.p == 2:
-            return True
-        return self.pow(x, (self.q - 1) // 2) == self.one
 
     def elements(self):
         for x0 in self.base.elements():
@@ -349,11 +343,76 @@ def _check_same_field(x, y):
         raise ValueError("elements of different fields")
 
 
-class LocalField:
+class PadicField:
+    """Methods shared by :class:`LocalField` and :class:`QuadExt`.
+
+    They use only the element interface each field supplies (``add``,
+    ``neg``, ``mul``, ``inv``, ``shift``, ``val``, ``val_lower``,
+    ``residue``, ``one``, ``from_int``, ``from_rational``); ``base`` is
+    the field below, or None for a base field.
+    """
+
+    base = None
+
+    def coerce(self, x):
+        if isinstance(x, Elt):
+            if x.field is self:
+                return x
+            if x.field is self.base:
+                return self.embed(x)
+            raise ValueError("element of a different field")
+        if isinstance(x, int):
+            return self.from_int(x)
+        if isinstance(x, Fraction):
+            return self.from_rational(x)
+        raise TypeError(f"cannot coerce {x!r}")
+
+    def power(self, x, n):
+        if n < 0:
+            return self.power(self.inv(x), -n)
+        acc, r = self.one(), x
+        while n:
+            if n & 1:
+                acc = self.mul(acc, r)
+            r = self.mul(r, r)
+            n >>= 1
+        return acc
+
+    def is_zero(self, x):
+        if x.exact:
+            return True
+        try:
+            self.val(x)
+        except PrecisionError:
+            return True
+        return False
+
+    def digit(self, x, k):
+        """Residue of x / pi^k (requires v(x) >= k)."""
+        return self.residue(self.shift(x, -k))
+
+    def congruent(self, x, y, t):
+        """Whether x == y modulo pi^t (raises if precision cannot decide)."""
+        d = x - y
+        if d.exact:
+            return True
+        if min(x.prec, y.prec) < t:
+            raise PrecisionError(f"precision below congruence level {t}")
+        return self.val_lower(d) >= t
+
+    def unit_eq(self, x, y):
+        """Equality as field values at the shared known precision."""
+        d = x - y
+        if d.exact:
+            return True
+        return self.val_lower(d) >= min(x.prec, y.prec)
+
+
+class LocalField(PadicField):
     """A finite extension of the p-adic rationals, e.f presentation."""
 
-    def __init__(self, p, e, f, prec=None, seed=0, _skip_checks=False):
-        if p < 2 or any(p % d == 0 for d in range(2, 1 + int(p**0.5))):
+    def __init__(self, p, e, f, prec=None, seed=0):
+        if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if e < 1 or f < 1:
             raise ValueError("e and f must be >= 1")
@@ -383,7 +442,7 @@ class LocalField:
         u0 = tuple(coeffs) if any(coeffs) else self.rf.one
         self.u0 = tuple(int(c) for c in u0)
         self.u0_inv = self._w_inv(self.u0)
-        self.base = None
+        self._pu0 = self._w_mul(self._w_int(p), self.u0)  # pi^e = p*u0
         self.kind = "base"
         # pi^{-1} = pi^(e-1) / (p * u0): integral numerator, one p denominator
         num = [self._w_zero()] * e
@@ -478,23 +537,10 @@ class LocalField:
             return self.zero()
         return self.from_int(r.numerator) / self.from_int(r.denominator)
 
-    def coerce(self, x):
-        if isinstance(x, Elt):
-            if x.field is self:
-                return x
-            raise ValueError("element of a different field")
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, Fraction):
-            return self.from_rational(x)
-        raise TypeError(f"cannot coerce {x!r}")
-
     def pi(self):
         vec = [self._w_zero()] * self.e
         if self.e == 1:
-            vec[0] = self._w_int(self.p)
-            # when e = 1 pi is p times the inverse unit? X - p*u0: pi = p*u0
-            vec[0] = self._w_mul(self._w_int(self.p), self.u0)
+            vec[0] = self._pu0
         else:
             vec[1] = self._w_one()
         return self._mk(vec, 0, self.e * self.K)
@@ -541,35 +587,27 @@ class LocalField:
         vec, s = x.data
         return self._mk(tuple(self._w_neg(w) for w in vec), s, x.prec, x.exact)
 
-    def mul(self, x, y):
-        _check_same_field(x, y)
-        (xv, xs), (yv, ys) = x.data, y.data
-        conv = [self._w_zero()] * (2 * self.e - 1)
+    def _vec_mul(self, xv, yv):
+        """Product of two pi-adic digit vectors, as a digit vector."""
+        e = self.e
+        conv = [self._w_zero()] * (2 * e - 1)
         for i, wi in enumerate(xv):
             if any(wi):
                 for j, wj in enumerate(yv):
                     if any(wj):
                         conv[i + j] = self._w_add(conv[i + j], self._w_mul(wi, wj))
         # reduce pi^(e+k) = p*u0*pi^k
-        out = list(conv[: self.e])
-        pw = self._w_mul(self._w_int(self.p), self.u0)
-        for k in range(self.e, 2 * self.e - 1):
+        out = conv[:e]
+        for k in range(e, 2 * e - 1):
             if any(conv[k]):
-                out[k - self.e] = self._w_add(out[k - self.e], self._w_mul(pw, conv[k]))
-        prec = min(x.prec + self.val_lower(y), y.prec + self.val_lower(x))
-        return self._mk(tuple(out), xs + ys, prec, x.exact or y.exact)
+                out[k - e] = self._w_add(out[k - e], self._w_mul(self._pu0, conv[k]))
+        return out
 
-    def power(self, x, n):
-        if n < 0:
-            return self.power(self.inv(x), -n)
-        acc = self.one()
-        r = x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, r)
-            r = self.mul(r, r)
-            n >>= 1
-        return acc
+    def mul(self, x, y):
+        _check_same_field(x, y)
+        (xv, xs), (yv, ys) = x.data, y.data
+        prec = min(x.prec + self.val_lower(y), y.prec + self.val_lower(x))
+        return self._mk(self._vec_mul(xv, yv), xs + ys, prec, x.exact or y.exact)
 
     def val_lower(self, x):
         """A lower bound for the valuation (exact unless digits exhausted)."""
@@ -590,29 +628,12 @@ class LocalField:
     def val(self, x):
         if x.exact:
             return INF
-        vec, s = x.data
-        best = None
-        for i, w in enumerate(vec):
-            vp = self._w_vp(w)
-            if vp < self.K:
-                cand = self.e * vp + i
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            raise PrecisionError("all stored digits vanish")
-        v = best - self.e * s
+        # _mk caps prec at e*(K - pshift), the value val_lower reports
+        # once every digit has vanished, so that case fails here too
+        v = self.val_lower(x)
         if v >= x.prec:
             raise PrecisionError("valuation at or beyond known precision")
         return v
-
-    def is_zero(self, x):
-        if x.exact:
-            return True
-        try:
-            self.val(x)
-            return False
-        except PrecisionError:
-            return True
 
     def shift(self, x, k):
         """Multiply by pi^k (k may be negative)."""
@@ -622,28 +643,16 @@ class LocalField:
             return x
         vec, s = x.data
         if k > 0:
-            pw = self._w_mul(self._w_int(self.p), self.u0)
             out = list(vec)
             for _ in range(k):
                 carry = out[self.e - 1]
-                out = [self._w_mul(pw, carry)] + out[: self.e - 1]
+                out = [self._w_mul(self._pu0, carry)] + out[: self.e - 1]
             return self._mk(tuple(out), s, x.prec + k)
         # negative: multiply by (pi^(e-1) * u0^{-1} / p) |k| times
         out = x
         for _ in range(-k):
             vec, s = out.data
-            conv = [self._w_zero()] * (2 * self.e - 1)
-            for i, wi in enumerate(vec):
-                if any(wi):
-                    for j, wj in enumerate(self._piinv_vec):
-                        if any(wj):
-                            conv[i + j] = self._w_add(conv[i + j], self._w_mul(wi, wj))
-            red = list(conv[: self.e])
-            pw = self._w_mul(self._w_int(self.p), self.u0)
-            for kk in range(self.e, 2 * self.e - 1):
-                if any(conv[kk]):
-                    red[kk - self.e] = self._w_add(red[kk - self.e], self._w_mul(pw, conv[kk]))
-            out = self._mk(tuple(red), s + 1, out.prec - 1)
+            out = self._mk(self._vec_mul(vec, self._piinv_vec), s + 1, out.prec - 1)
         return out
 
     def normalize_pshift(self, x):
@@ -665,7 +674,8 @@ class LocalField:
         u = self.normalize_pshift(self.shift(x, -v))
         vec, s = u.data
         if s != 0:
-            raise ArithmeticError("unit part is not p-integral")
+            # a p-denominator beyond p^K left the unit part without digits
+            raise PrecisionError("unit part is not p-integral")
         # Newton inverse in O_F: y <- y(2 - u y)
         r = self.residue(u)
         y = self.lift(self.rf.inv(r))
@@ -686,33 +696,13 @@ class LocalField:
             raise ArithmeticError("element is not integral")
         return self._w_res(vec[0])
 
-    def digit(self, x, k):
-        """Residue of x / pi^k (requires v(x) >= k)."""
-        return self.residue(self.shift(x, -k))
-
-    def congruent(self, x, y, t):
-        """Whether x == y modulo pi^t (raises if precision cannot decide)."""
-        d = x - y
-        if d.exact:
-            return True
-        if min(x.prec, y.prec) < t:
-            raise PrecisionError(f"precision below congruence level {t}")
-        return self.val_lower(d) >= t
-
-    def unit_eq(self, x, y):
-        """Equality as field values at the shared known precision."""
-        d = x - y
-        if d.exact:
-            return True
-        return self.val_lower(d) >= min(x.prec, y.prec)
-
 
 # ---------------------------------------------------------------------------
 # quadratic extensions
 # ---------------------------------------------------------------------------
 
 
-class QuadExt:
+class QuadExt(PadicField):
     """E = F(sqrt(d)) with O_E = O_F + O_F*rho, rho^2 = a*rho + b."""
 
     def __init__(self, base, kind, a, b, d, disc_val):
@@ -770,19 +760,6 @@ class QuadExt:
     def from_rational(self, r):
         return self.embed(self.base.from_rational(r))
 
-    def coerce(self, x):
-        if isinstance(x, Elt):
-            if x.field is self:
-                return x
-            if x.field is self.base:
-                return self.embed(x)
-            raise ValueError("element of a different field")
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, Fraction):
-            return self.from_rational(x)
-        raise TypeError(f"cannot coerce {x!r}")
-
     def pi(self):
         if self.kind == "ramified":
             return self.rho()
@@ -823,17 +800,6 @@ class QuadExt:
         re = x0 * y0 + self.b * cross
         im = x0 * y1 + x1 * y0 + self.a * cross
         return self._mk(re, im)
-
-    def power(self, x, n):
-        if n < 0:
-            return self.power(self.inv(x), -n)
-        acc, r = self.one(), x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, r)
-            r = self.mul(r, r)
-            n >>= 1
-        return acc
 
     def conj(self, x):
         x0, x1 = x.data
@@ -898,15 +864,6 @@ class QuadExt:
             raise PrecisionError("valuation at or beyond known precision")
         return v
 
-    def is_zero(self, x):
-        try:
-            self.val(x)
-            return False
-        except PrecisionError:
-            return True
-        except Exception:
-            return x.exact
-
     def shift(self, x, k):
         if k == 0 or x.exact:
             return x
@@ -923,7 +880,6 @@ class QuadExt:
         for _ in range(-k):
             x0, x1 = out.data
             r0, r1 = self._rhoinv
-            cross0 = x1  # (x0 + x1 rho)(r0 + r1 rho)
             re = x0 * r0 + self.b * (x1 * r1)
             im = x0 * r1 + x1 * r0 + self.a * (x1 * r1)
             out = self._mk(re, im)
@@ -941,23 +897,6 @@ class QuadExt:
             # v_E(x1 * rho) is odd, so the residue comes from x0 alone
             return B.residue(x0)
         return (B.residue(x0), B.residue(x1))
-
-    def digit(self, x, k):
-        return self.residue(self.shift(x, -k))
-
-    def congruent(self, x, y, t):
-        d = x - y
-        if d.exact:
-            return True
-        if min(x.prec, y.prec) < t:
-            raise PrecisionError(f"precision below congruence level {t}")
-        return self.val_lower(d) >= t
-
-    def unit_eq(self, x, y):
-        d = x - y
-        if d.exact:
-            return True
-        return self.val_lower(d) >= min(x.prec, y.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,9 +964,3 @@ def disc_val_quadratic(F, u):
     if c == 2 * F.e:
         return 0
     return 2 * F.e - c + 1
-
-
-@lru_cache(maxsize=None)
-def field_construct(p, e, f, prec=None, seed=0):
-    """Deterministic field descriptor; identical inputs share an object."""
-    return LocalField(p, e, f, prec=prec, seed=seed)

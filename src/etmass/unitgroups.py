@@ -16,11 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from sympy import factorint
 
 from .fplinalg import FpMatrix, in_colspan
 from .fplinalg import rank as fp_rank
-from .padic import INF
+from .padic import INF, is_prime, prime_factors
 
 
 def ceil_frac(a: int, b: int) -> int:
@@ -306,7 +305,7 @@ def residue_generator(F):
     """A generator of the multiplicative group of the residue field."""
     rf = F.rf
     q = F.q
-    primes = list(factorint(q - 1)) if q > 2 else []
+    primes = sorted(prime_factors(q - 1))
     for x in rf.elements():
         if rf.is_zero(x):
             continue
@@ -562,7 +561,7 @@ def filtration_profile(F, gens, n: int) -> FiltrationProfile:
     principal units are all n-th powers, so only the level-0 unit part
     survives.
     """
-    if n < 2 or any(n % d == 0 for d in range(2, 1 + int(n**0.5))):
+    if not is_prime(n):
         raise ValueError(f"n = {n} is not prime")
     s = strat_gens(F, gens, n)
     if n == F.p:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etmass import cli
 from etmass.padic import GuardError, LocalField
@@ -124,6 +126,18 @@ def test_mass_validation_errors(runner):
     assert res.exit_code == 2
     res = invoke(runner, "mass", "--p", "2", "--n", "4", "--symbol", "(7)")
     assert res.exit_code == 2
+    # zero or precision-exhausting generators
+    for p, n, gens in [
+        ("2", "3", "pi-pi"),
+        ("2", "4", "pi-pi"),
+        ("2", "3", "pi**100000"),
+        ("2", "3", "1/0"),
+        ("2", "4", "pi/0"),
+        ("3", "3", "3**-40"),
+    ]:
+        res = invoke(runner, "mass", "--p", p, "--n", n, "--gens", gens)
+        assert res.exit_code == 2, gens
+        assert res.stderr.startswith("error:"), gens
 
 
 def test_mass_guard_maps_to_exit_3(runner, monkeypatch):
@@ -243,3 +257,35 @@ def test_check_failure_exit_code(runner, monkeypatch):
     res = invoke(runner, "check", "--suite", "serre")
     assert res.exit_code == 1
     assert "FAIL" in res.output
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the mass command
+# ---------------------------------------------------------------------------
+
+
+_ATOMS = st.one_of(st.integers(-40, 40).map(str), st.sampled_from(["pi", "u"]))
+
+_EXPRS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.builds("({}){}({})".format, inner, st.sampled_from(["+", "-", "*", "/"]), inner),
+        st.builds("({})**{}".format, inner, st.integers(-50, 50)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    ef=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+    n=st.integers(1, 6),
+    gens=st.lists(_EXPRS, max_size=2),
+)
+def test_mass_fuzz_exits_cleanly(p, ef, n, gens):
+    e, f = ef
+    args = ["mass", "--p", str(p), "--e", str(e), "--f", str(f), "--n", str(n), "--gens", ",".join(gens)]
+    res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code in (0, 2, 3), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)

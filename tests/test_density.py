@@ -105,11 +105,11 @@ def test_archimedean_mass_values():
 
 
 def test_local_profile_at_prime():
-    F, (x,) = dens.local_profile_at_prime((Fraction(2),), 2, 3)
+    F, (x,) = dens.local_profile_at_prime((Fraction(2),), 2)
     assert F.val(x) == 1
-    F, (x,) = dens.local_profile_at_prime((Fraction(9, 5),), 5, 3)
+    F, (x,) = dens.local_profile_at_prime((Fraction(9, 5),), 5)
     assert F.val(x) == -1
-    F, (x,) = dens.local_profile_at_prime((Fraction(7),), 3, 3)
+    F, (x,) = dens.local_profile_at_prime((Fraction(7),), 3)
     assert F.val(x) == 0
     assert F.residue(x) == F.rf.from_int(1)
 

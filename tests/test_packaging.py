@@ -1,0 +1,41 @@
+"""Every import in the library is from the standard library or declared."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def declared_dependencies():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower() for d in deps}
+
+
+def imported_packages(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            yield "etmass" if node.level else node.module.split(".")[0]
+
+
+def test_imports_are_stdlib_or_declared():
+    allowed = set(sys.stdlib_module_names) | {"etmass"} | declared_dependencies()
+    sources = sorted((ROOT / "src" / "etmass").glob("*.py"))
+    assert sources
+    undeclared = {
+        (path.name, name)
+        for path in sources
+        for name in imported_packages(path)
+        if name.lower() not in allowed
+    }
+    assert not undeclared

@@ -174,6 +174,7 @@ def test_quadratic_construction(p, e, f, d, kind, disc):
     E = quad_extend(F, F.from_int(d))
     assert E.kind == kind
     assert E.disc_val == disc
+    assert E.is_zero(E.zero())
     # sqrt(d) exists in E: x^2 = d for some x
     # For ramified with rho^2 = a rho + b the element sqrt(d) is
     # recoverable, but it is simpler to check the minimal polynomial:
