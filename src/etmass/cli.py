@@ -23,7 +23,7 @@ from . import density as dens
 from . import massprime as mp
 from . import massquartic as mq
 from . import oracle as orc
-from .padic import GuardError, LocalField, PrecisionError, quad_extend
+from .padic import INF, GuardError, LocalField, PrecisionError, quad_extend
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +86,23 @@ def parse_local_expr(F, text: str):
 
 
 def parse_local_gens(F, text: str):
+    """Comma-separated generators, each nonzero with a known valuation.
+
+    A failing generator raises ValueError naming it.
+    """
     text = text.strip()
     if not text:
         return ()
-    return tuple(parse_local_expr(F, tok) for tok in text.split(","))
+    out = []
+    for tok in text.split(","):
+        try:
+            x = parse_local_expr(F, tok)
+            if F.val(x) == INF:
+                raise ValueError("must be nonzero")
+        except (PrecisionError, ZeroDivisionError, ValueError) as exc:
+            raise ValueError(f"generator {tok.strip()!r}: {exc}") from None
+        out.append(x)
+    return tuple(out)
 
 
 def parse_rational_gens(text: str):

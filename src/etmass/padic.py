@@ -2,10 +2,12 @@
 
 A base field F is presented as an unramified extension of the p-adic
 rationals (generator ``u``, lexicographically-first irreducible
-modulus) extended by an Eisenstein binomial ``X^e - p*u0``.  Elements
-are pi-adic expansions with coefficients in the unramified subring,
-each coefficient held modulo a large power of p; every element carries
-its own known absolute precision in v_F units.
+modulus) extended by an Eisenstein binomial ``X^e - p*u0``.  An
+element is a flat vector of e*f integers modulo p^K, its coefficients
+on the monomials u^j * pi^i, over a power of p; every element carries
+its own known absolute precision in v_F units.  Each field builds a
+product table for these monomials once, so a product is a single pass
+over the table, and each element caches its valuation bound.
 
 Quadratic extensions E = F(sqrt(d)) are realised relatively: the ring
 of integers is O_F + O_F*rho with rho^2 = a*rho + b, so towers of
@@ -16,6 +18,7 @@ constructed by :func:`quad_extend`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 INF = float("inf")
 
@@ -142,6 +145,8 @@ class ResidueField:
     the generator (the basis used for all F_p-coordinate vectors).
     """
 
+    _generator = None
+
     def __init__(self, p, f, modulus=None):
         self.p = p
         self.f = f
@@ -184,6 +189,17 @@ class ResidueField:
         if not any(x):
             raise ZeroDivisionError
         return self.pow(x, self.q - 2)
+
+    def generator(self):
+        """A generator of the multiplicative group, found once per field."""
+        if self._generator is None:
+            primes = sorted(prime_factors(self.q - 1))
+            self._generator = next(
+                x
+                for x in self.elements()
+                if not self.is_zero(x) and all(self.pow(x, (self.q - 1) // r) != self.one for r in primes)
+            )
+        return self._generator
 
     def pth_root(self, x):
         # Frobenius is bijective; its inverse is y -> y^(q/p).
@@ -291,13 +307,14 @@ class Elt:
     marks the genuine zero element.
     """
 
-    __slots__ = ("field", "data", "prec", "exact")
+    __slots__ = ("field", "data", "prec", "exact", "vlow")
 
     def __init__(self, field, data, prec, exact=False):
         self.field = field
         self.data = data
         self.prec = prec
         self.exact = exact
+        self.vlow = None  # val_lower, filled in on first use
 
     # arithmetic delegates to the field
     def __add__(self, other):
@@ -409,7 +426,19 @@ class PadicField:
 
 
 class LocalField(PadicField):
-    """A finite extension of the p-adic rationals, e.f presentation."""
+    """A finite extension of the p-adic rationals, e.f presentation.
+
+    An element's payload is ``(vec, pshift)`` and stands for
+    vec / p^pshift.  ``vec`` is one flat tuple of e*f ints in [0, p^K):
+    index i*f + j holds the coefficient of u^j * pi^i.  These e*f
+    monomials are a basis of the ring R = O_F / p^K, and the product
+    table ``_table``, built once per field, lists every (a, b, c, t)
+    with basis_a * basis_b = sum of t * basis_c in R (u reduced by the
+    modulus, pi^e = p*u0).  A product is then one pass over the table
+    and one reduction mod p^K; a shift by pi^k is a product with a
+    vector cached on the field.  ``val_lower`` reads v_p of the
+    coefficients and is cached on the element.
+    """
 
     def __init__(self, p, e, f, prec=None, seed=0):
         if not is_prime(p):
@@ -441,94 +470,118 @@ class LocalField(PadicField):
             t //= p
         u0 = tuple(coeffs) if any(coeffs) else self.rf.one
         self.u0 = tuple(int(c) for c in u0)
-        self.u0_inv = self._w_inv(self.u0)
-        self._pu0 = self._w_mul(self._w_int(p), self.u0)  # pi^e = p*u0
         self.kind = "base"
-        # pi^{-1} = pi^(e-1) / (p * u0): integral numerator, one p denominator
-        num = [self._w_zero()] * e
-        num[e - 1] = self.u0_inv
-        self._piinv_vec = tuple(num)
+        self._n = e * f
+        self._zero_vec = (0,) * self._n
+        self._one_vec = (1,) + self._zero_vec[1:]
+        self.u0_inv = self._w_inv(self.u0)
+        self._table = self._product_table()
+        self._shift_vecs = {}
 
     def __repr__(self):
         return f"Q_{self.p}({self.e},{self.f})"
 
-    # ---- unramified-subring (W) arithmetic: tuples of f ints mod p^K ----
-
-    def _w_zero(self):
-        return (0,) * self.f
-
-    def _w_one(self):
-        return (1,) + (0,) * (self.f - 1)
-
-    def _w_int(self, n):
-        return (n % self.pK,) + (0,) * (self.f - 1)
-
-    def _w_add(self, x, y):
-        return tuple((a + b) % self.pK for a, b in zip(x, y))
-
-    def _w_neg(self, x):
-        return tuple((-a) % self.pK for a in x)
+    # ---- unramified-subring (W) arithmetic, for field structure: ----
+    # ---- tuples of f ints mod p^K                                 ----
 
     def _w_mul(self, x, y):
         if self.f == 1:
             return ((x[0] * y[0]) % self.pK,)
         return _poly_mulmod(x, y, self._wred, self.pK, self.f)
 
-    def _w_vp(self, x):
-        v = self.K
-        for a in x:
-            if a:
-                av = 0
-                while a % self.p == 0:
-                    a //= self.p
-                    av += 1
-                if av < v:
-                    v = av
-        return v
-
-    def _w_res(self, x):
-        return tuple(a % self.p for a in x)
-
-    def _w_lift(self, r):
-        return tuple(int(a) for a in r)
+    def _w_pow(self, x, n):
+        acc = self._one_vec[: self.f]
+        while n:
+            if n & 1:
+                acc = self._w_mul(acc, x)
+            x = self._w_mul(x, x)
+            n >>= 1
+        return acc
 
     def _w_inv(self, x):
-        r = self.rf.inv(self._w_res(x))
-        y = self._w_lift(r)
-        # Newton: y <- y(2 - xy), quadratic convergence mod p^K
-        steps = 1
-        while (1 << steps) < self.K:
-            steps += 1
-        for _ in range(steps + 1):
-            t = self._w_mul(x, y)
-            two_minus = self._w_add(self._w_int(2), self._w_neg(t))
-            y = self._w_mul(y, two_minus)
-        return y
+        if self.f == 1:
+            return (pow(x[0], -1, self.pK),)
+        y = tuple(int(a) for a in self.rf.inv(tuple(a % self.p for a in x)))
+        return self._newton_inv(self._w_mul, x, y, self._one_vec[: self.f])
 
-    def _w_divp(self, x, k):
-        # exact division by p^k
-        pk = self.p**k
-        out = []
-        for a in x:
-            if a % pk:
-                raise ArithmeticError("inexact division by p")
-            out.append(a // pk)
-        return tuple(out)
+    def _newton_inv(self, mul, x, y, one):
+        """Newton y <- y(2 - xy) from y with xy = 1 mod pi until xy is
+        exactly one: the error 1 - xy squares each step, so it vanishes
+        mod p^K within log2(e*K) steps, and the inverse mod p^K is unique."""
+        pK = self.pK
+        for _ in range((self.e * self.K).bit_length() + 2):
+            t = mul(x, y)
+            if t == one:
+                return y
+            y = mul(y, ((2 - t[0]) % pK,) + tuple([-a % pK for a in t[1:]]))
+        raise ArithmeticError("Newton inverse did not converge")
+
+    def _product_table(self):
+        """Every (a, b, c, t) with t != 0 the basis_c-coefficient of basis_a * basis_b."""
+        e, f = self.e, self.f
+        upow = [tuple(int(j == k) for j in range(f)) for k in range(f)] + self._wred
+        pu0 = self._w_mul((self.p,) + (0,) * (f - 1), self.u0)  # pi^e = p*u0
+        table = []
+        for a in range(self._n):
+            ia, ja = divmod(a, f)
+            for b in range(self._n):
+                ib, jb = divmod(b, f)
+                w, i = upow[ja + jb], ia + ib
+                if i >= e:
+                    w, i = self._w_mul(pu0, w), i - e
+                table.extend((a, b, i * f + j, t) for j, t in enumerate(w) if t)
+        return tuple(table)
+
+    def _shift_vec(self, k, ds):
+        """The integral vector of pi^k * p^ds, i.e. pi^(k + e*ds) * u0^-ds."""
+        vec = self._shift_vecs.get((k, ds))
+        if vec is None:
+            q, r = divmod(k + self.e * ds, self.e)
+            c = q - ds  # pi^(qe + r) = (p*u0)^q pi^r
+            w = self._w_pow(self.u0 if c >= 0 else self.u0_inv, abs(c))
+            w = tuple(a * pow(self.p, q, self.pK) % self.pK for a in w)
+            vec = self._zero_vec[: r * self.f] + w + self._zero_vec[(r + 1) * self.f :]
+            self._shift_vecs[(k, ds)] = vec
+        return vec
+
+    def _vec_mul(self, xv, yv):
+        """Product of two coefficient vectors in R."""
+        pK = self.pK
+        if self._n == 1:
+            return ((xv[0] * yv[0]) % pK,)
+        acc = [0] * self._n
+        for a, b, c, t in self._table:
+            acc[c] += xv[a] * yv[b] * t
+        return tuple([c % pK for c in acc])
+
+    def _vp(self, c):
+        """v_p of a nonzero int."""
+        if self.p == 2:
+            return (c & -c).bit_length() - 1
+        v = 0
+        while c % self.p == 0:
+            c //= self.p
+            v += 1
+        return v
 
     # ---- element construction ----
 
     def _mk(self, vec, pshift, prec, exact=False):
         cap = self.e * (self.K - pshift)
-        return Elt(self, (tuple(vec), pshift), min(prec, cap), exact)
+        return Elt(self, (vec, pshift), min(prec, cap), exact)
+
+    def _from_w(self, w):
+        """The element with constant pi-digit w (f ints)."""
+        return self._mk(tuple(w) + self._zero_vec[self.f :], 0, self.e * self.K)
 
     def zero(self):
-        return self._mk([self._w_zero()] * self.e, 0, self.e * self.K, exact=True)
+        return self._mk(self._zero_vec, 0, self.e * self.K, exact=True)
 
     def one(self):
         return self.from_int(1)
 
     def from_int(self, n):
-        vec = [self._w_int(n)] + [self._w_zero()] * (self.e - 1)
+        vec = (n % self.pK,) + self._zero_vec[1:]
         return self._mk(vec, 0, self.e * self.K, exact=(n == 0))
 
     def from_rational(self, r):
@@ -538,70 +591,38 @@ class LocalField(PadicField):
         return self.from_int(r.numerator) / self.from_int(r.denominator)
 
     def pi(self):
-        vec = [self._w_zero()] * self.e
-        if self.e == 1:
-            vec[0] = self._pu0
-        else:
-            vec[1] = self._w_one()
-        return self._mk(vec, 0, self.e * self.K)
+        return self._mk(self._shift_vec(1, 0), 0, self.e * self.K)
 
     def ugen(self):
         if self.f == 1:
             return self.one()
-        vec = [self._w_lift(self.rf.from_coords([0, 1] + [0] * (self.f - 2)))] + [self._w_zero()] * (self.e - 1)
-        return self._mk(vec, 0, self.e * self.K)
+        return self._from_w(self.rf.from_coords([0, 1] + [0] * (self.f - 2)))
 
     def residue_lifts(self):
         """Elements lifting the F_p-coordinate basis of the residue field."""
-        out = []
-        for j in range(self.f):
-            coords = [0] * self.f
-            coords[j] = 1
-            vec = [self._w_lift(self.rf.from_coords(coords))] + [self._w_zero()] * (self.e - 1)
-            out.append(self._mk(vec, 0, self.e * self.K))
-        return out
+        return [self._from_w(int(j == k) for k in range(self.f)) for j in range(self.f)]
 
     def lift(self, r):
         """A field element reducing to the residue element r."""
-        vec = [self._w_lift(r)] + [self._w_zero()] * (self.e - 1)
-        return self._mk(vec, 0, self.e * self.K)
+        return self._from_w(int(a) for a in r)
 
     # ---- arithmetic ----
 
     def add(self, x, y):
         _check_same_field(x, y)
         (xv, xs), (yv, ys) = x.data, y.data
-        s = max(xs, ys)
-        if xs < s:
-            xv = self._scale_p(xv, s - xs)
-        if ys < s:
-            yv = self._scale_p(yv, s - ys)
-        vec = tuple(self._w_add(a, b) for a, b in zip(xv, yv))
+        pK, s = self.pK, max(xs, ys)
+        if xs == ys:
+            vec = tuple([(a + b) % pK for a, b in zip(xv, yv)])
+        else:  # bring both over the larger p-denominator
+            mx, my = self.p ** (s - xs), self.p ** (s - ys)
+            vec = tuple([(a * mx + b * my) % pK for a, b in zip(xv, yv)])
         return self._mk(vec, s, min(x.prec, y.prec), exact=x.exact and y.exact)
-
-    def _scale_p(self, vec, k):
-        pk = self.p**k
-        return tuple(tuple((a * pk) % self.pK for a in w) for w in vec)
 
     def neg(self, x):
         vec, s = x.data
-        return self._mk(tuple(self._w_neg(w) for w in vec), s, x.prec, x.exact)
-
-    def _vec_mul(self, xv, yv):
-        """Product of two pi-adic digit vectors, as a digit vector."""
-        e = self.e
-        conv = [self._w_zero()] * (2 * e - 1)
-        for i, wi in enumerate(xv):
-            if any(wi):
-                for j, wj in enumerate(yv):
-                    if any(wj):
-                        conv[i + j] = self._w_add(conv[i + j], self._w_mul(wi, wj))
-        # reduce pi^(e+k) = p*u0*pi^k
-        out = conv[:e]
-        for k in range(e, 2 * e - 1):
-            if any(conv[k]):
-                out[k - e] = self._w_add(out[k - e], self._w_mul(self._pu0, conv[k]))
-        return out
+        pK = self.pK
+        return self._mk(tuple([-a % pK for a in vec]), s, x.prec, x.exact)
 
     def mul(self, x, y):
         _check_same_field(x, y)
@@ -611,19 +632,24 @@ class LocalField(PadicField):
 
     def val_lower(self, x):
         """A lower bound for the valuation (exact unless digits exhausted)."""
+        v = x.vlow
+        if v is not None:
+            return v
         if x.exact:
-            return x.prec  # exact zero: effectively +inf but bounded use
-        vec, s = x.data
-        best = None
-        for i, w in enumerate(vec):
-            vp = self._w_vp(w)
-            if vp < self.K:
-                cand = self.e * vp + i
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            return self.e * (self.K - s)
-        return best - self.e * s
+            v = x.prec  # exact zero: effectively +inf but bounded use
+        else:
+            vec, s = x.data
+            e, f = self.e, self.f
+            v = e * self.K
+            for i in range(e):
+                if v <= i:
+                    break
+                g = vec[i] if f == 1 else gcd(*vec[i * f : (i + 1) * f])
+                if g:
+                    v = min(v, e * self._vp(g) + i)
+            v -= e * s
+        x.vlow = v
+        return v
 
     def val(self, x):
         if x.exact:
@@ -636,65 +662,51 @@ class LocalField(PadicField):
         return v
 
     def shift(self, x, k):
-        """Multiply by pi^k (k may be negative)."""
-        if k == 0:
-            return x
-        if x.exact:
+        """Multiply by pi^k (k may be negative).
+
+        The p-denominator grows by one per pi^-1 (pi^-1 = pi^(e-1)/(p*u0))
+        and, for k > 0, falls by one per pi^e = p*u0 while it is positive.
+        """
+        if k == 0 or x.exact:
             return x
         vec, s = x.data
-        if k > 0:
-            out = list(vec)
-            for _ in range(k):
-                carry = out[self.e - 1]
-                out = [self._w_mul(self._pu0, carry)] + out[: self.e - 1]
-            return self._mk(tuple(out), s, x.prec + k)
-        # negative: multiply by (pi^(e-1) * u0^{-1} / p) |k| times
-        out = x
-        for _ in range(-k):
-            vec, s = out.data
-            out = self._mk(self._vec_mul(vec, self._piinv_vec), s + 1, out.prec - 1)
-        return out
+        ds = -min(k // self.e, s) if k > 0 else -k
+        return self._mk(self._vec_mul(vec, self._shift_vec(k, ds)), s + ds, x.prec + k)
 
     def normalize_pshift(self, x):
         """Clear the p-denominator when the element is p-integral."""
         vec, s = x.data
         if s == 0:
             return x
-        k = min(self._w_vp(w) for w in vec)
-        k = min(k, s)
+        g = gcd(*vec)
+        k = min(self._vp(g) if g else self.K, s)
         if k == 0:
             return x
-        vec2 = tuple(self._w_divp(w, k) for w in vec)
-        return Elt(self, (vec2, s - k), x.prec, x.exact)
+        pk = self.p**k
+        return Elt(self, (tuple(a // pk for a in vec), s - k), x.prec, x.exact)
 
     def inv(self, x):
         if x.exact:
             raise ZeroDivisionError("inverse of zero")
         v = self.val(x)
         u = self.normalize_pshift(self.shift(x, -v))
-        vec, s = u.data
+        uv, s = u.data
         if s != 0:
             # a p-denominator beyond p^K left the unit part without digits
             raise PrecisionError("unit part is not p-integral")
-        # Newton inverse in O_F: y <- y(2 - u y)
-        r = self.residue(u)
-        y = self.lift(self.rf.inv(r))
-        steps = 1
-        while (1 << steps) < self.e * self.K:
-            steps += 1
-        two = self.from_int(2)
-        for _ in range(steps + 1):
-            y = self.mul(y, self.add(two, self.neg(self.mul(u, y))))
-        yv, ys = y.data
-        y = self._mk(yv, ys, x.prec - 2 * v)
-        return self.shift(y, -v)
+        # start from the exact inverse of the constant pi-digit, which is
+        # the whole inverse when e = 1
+        yv = self._w_inv(uv[: self.f]) + self._zero_vec[self.f :]
+        if self.e > 1:
+            yv = self._newton_inv(self._vec_mul, uv, yv, self._one_vec)
+        return self.shift(self._mk(yv, 0, x.prec - 2 * v), -v)
 
     def residue(self, x):
         x = self.normalize_pshift(x)
         vec, s = x.data
         if s > 0:
             raise ArithmeticError("element is not integral")
-        return self._w_res(vec[0])
+        return tuple(a % self.p for a in vec[: self.f])
 
 
 # ---------------------------------------------------------------------------

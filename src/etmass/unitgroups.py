@@ -19,7 +19,7 @@ import numpy as np
 
 from .fplinalg import FpMatrix, in_colspan
 from .fplinalg import rank as fp_rank
-from .padic import INF, is_prime, prime_factors
+from .padic import INF, is_prime
 
 
 def ceil_frac(a: int, b: int) -> int:
@@ -300,18 +300,9 @@ def w_size(F, i) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def residue_generator(F):
     """A generator of the multiplicative group of the residue field."""
-    rf = F.rf
-    q = F.q
-    primes = sorted(prime_factors(q - 1))
-    for x in rf.elements():
-        if rf.is_zero(x):
-            continue
-        if all(rf.pow(x, (q - 1) // r) != rf.one for r in primes):
-            return x
-    raise ArithmeticError("no generator found")  # pragma: no cover
+    return F.rf.generator()
 
 
 def dlog_mod(F, r, ell: int) -> int:

@@ -124,6 +124,7 @@ def test_mass_validation_errors(runner):
     assert res.exit_code == 2
     res = invoke(runner, "mass", "--p", "2", "--n", "4", "--gens", "0")
     assert res.exit_code == 2
+    assert "generator '0'" in res.stderr
     res = invoke(runner, "mass", "--p", "2", "--n", "4", "--symbol", "(7)")
     assert res.exit_code == 2
     # zero or precision-exhausting generators
@@ -138,6 +139,11 @@ def test_mass_validation_errors(runner):
         res = invoke(runner, "mass", "--p", p, "--n", n, "--gens", gens)
         assert res.exit_code == 2, gens
         assert res.stderr.startswith("error:"), gens
+        assert repr(gens) in res.stderr, res.stderr
+    # the failing generator of a list is the one named
+    res = invoke(runner, "mass", "--p", "2", "--n", "3", "--gens", "-1, 1/0")
+    assert res.exit_code == 2
+    assert "'1/0'" in res.stderr and "'-1'" not in res.stderr
 
 
 def test_mass_guard_maps_to_exit_3(runner, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the Euler-product density assembly."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from etmass import density as dens
 from etmass.massprime import premass_ell_total
 from etmass.massquartic import premass4
-from etmass.padic import LocalField
+from etmass.padic import LocalField, QuadExt
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +205,15 @@ def test_is_power_pathological():
         dens.is_power_pathological(0)
     with pytest.raises(NotImplementedError):
         dens.is_power_pathological(8, "Q(i)")
+
+
+def test_density_runs_leave_no_fields():
+    # per-prime fields die with the run: no module cache keeps them alive
+    def live_fields():
+        gc.collect()
+        return sum(isinstance(o, (LocalField, QuadExt)) for o in gc.get_objects())
+
+    before = live_fields()
+    for _ in range(2):
+        dens.euler_density(dens.GlobalSpec(3, (Fraction(2),), 2000))
+    assert live_fields() - before < 10

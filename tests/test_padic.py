@@ -1,9 +1,13 @@
 """Tests for exact p-adic field arithmetic and quadratic extensions."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etmass.padic import (
     INF,
@@ -115,6 +119,26 @@ def test_shift_and_inverse_roundtrip(p, e, f):
         assert F.unit_eq(x * F.power(F.pi(), 4), a)
 
 
+def test_shift_up_lowers_pshift():
+    # 2^-35 carries p-denominator 35 > K; multiplying by pi^40 must spend
+    # that denominator rather than push the digits past p^K
+    F = LocalField(2, 1, 1)
+    assert F.K == 34
+    x = F.shift(F.shift(F.one(), -35), 40)
+    assert F.val(x) == 5
+    assert F.unit_eq(x, F.power(F.pi(), 5))
+
+
+def test_inverse_of_pshift_beyond_K():
+    F = LocalField(2, 1, 1)
+    x = F.power(F.pi(), -35)
+    assert F.val(x) == -35
+    y = F.inv(x)
+    # pi^35 lies below the field's p^K window: known to be 0 mod pi^34
+    assert F.unit_eq(y, F.power(F.pi(), 35))
+    assert F.congruent(y, F.zero(), F.e * F.K)
+
+
 def test_rational_coercion():
     F = LocalField(3, 1, 1)
     x = F.from_rational(Fraction(7, 5))
@@ -143,11 +167,147 @@ def test_precision_growth_consistency():
     assert results[0] == results[1]
 
 
+# Kernel golden test: a seeded op sequence per field, hashed over each
+# result's valuation and its first GOLDEN_DIGITS pi-adic digits.  The
+# hashes were recorded with the tuple-of-W-tuples kernel that preceded the
+# flat coefficient vector, so any change of representation must keep them.
+GOLDEN_DIGITS = 6
+GOLDEN = {
+    (2, 1, 1): "d64734997a41ec87",
+    (2, 2, 1): "951c834bcdba875d",
+    (2, 1, 2): "e5e3cfbacac9cdc5",
+    (2, 3, 2): "4e42160b2c50941f",
+    (3, 1, 1): "cd7edf30838731f3",
+    (3, 2, 1): "1ca7462deff07fa1",
+    (5, 1, 2): "45c1620e8413087a",
+    (7, 1, 1): "74ab169342e7f547",
+}
+
+
+def golden_element(F, rng):
+    x = F.zero()
+    for k in range(4):
+        coords = [rng.randrange(F.p) for _ in range(F.f)]
+        x = x + F.mul(F.power(F.pi(), k), F.lift(F.rf.from_coords(coords)))
+    if F.val_lower(x) > 0:
+        x = x + F.one()
+    return F.shift(x, rng.randint(-3, 3))
+
+
+def golden_sequence(F, seed):
+    """Thirty results of mul, add, neg, shift +-k, inv, power, from_rational
+    and normalize_pshift; half the steps chain on the previous result."""
+    rng = random.Random(seed)
+    prev = F.one()
+    out = []
+    for step in range(30):
+        x = prev if rng.random() < 0.5 else golden_element(F, rng)
+        y = golden_element(F, rng)
+        op = step % 8
+        if op == 0:
+            z = F.mul(x, y)
+        elif op == 1:
+            z = F.add(x, y)
+        elif op == 2:
+            z = F.neg(x)
+        elif op == 3:
+            k = rng.randint(1, 5)
+            z = F.shift(F.shift(x, k), -rng.randint(0, 2 * k))
+        elif op == 4:
+            z = F.inv(x)
+        elif op == 5:
+            z = F.power(y, rng.choice([-3, -2, 2, 3, 5]))
+        elif op == 6:
+            r = Fraction(rng.randint(1, 99) * rng.choice([-1, 1]), rng.randint(1, 99))
+            z = F.mul(x, F.from_rational(r))
+        else:
+            z = F.normalize_pshift(F.shift(x, -rng.randint(1, 4)))
+        out.append(z)
+        if -6 <= F.val(z) <= 6:
+            prev = z
+    return out
+
+
+@pytest.mark.parametrize("p,e,f", FIELDS)
+def test_kernel_golden_digits(p, e, f):
+    F = LocalField(p, e, f)
+    h = hashlib.sha256()
+    for z in golden_sequence(F, 1000 * p + 10 * e + f):
+        v = F.val(z)
+        assert z.prec >= v + GOLDEN_DIGITS
+        h.update(repr((v, expansion_digits(F, F.shift(z, -v), GOLDEN_DIGITS))).encode())
+    assert h.hexdigest()[:16] == GOLDEN[(p, e, f)]
+
+
 def test_congruence_raises_beyond_precision():
     F = LocalField(2, 1, 1)
     x = F.pi()
     with pytest.raises(PrecisionError):
         F.congruent(x, F.zero(), F.e * F.K + 100)
+
+
+@st.composite
+def field_elements(draw, F):
+    """pi^k times a unit with up to six pi-adic digits (k in -4..4)."""
+    q = F.q
+    digits = [draw(st.integers(1, q - 1))] + draw(st.lists(st.integers(0, q - 1), max_size=5))
+    x = F.zero()
+    for k, d in enumerate(digits):
+        coords = [(d // F.p**j) % F.p for j in range(F.f)]
+        x = x + F.mul(F.power(F.pi(), k), F.lift(F.rf.from_coords(coords)))
+    return F.shift(x, draw(st.integers(-4, 4)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_kernel_identities(data):
+    F = LocalField(*data.draw(st.sampled_from(FIELDS)))
+    x, y, z = (data.draw(field_elements(F)) for _ in range(3))
+    k = data.draw(st.integers(-8, 8))
+    checks = [
+        (F.mul(F.mul(x, y), z), F.mul(x, F.mul(y, z))),
+        (F.mul(x, F.add(y, z)), F.add(F.mul(x, y), F.mul(x, z))),
+        (F.mul(x, F.inv(x)), F.one()),
+        (F.shift(F.shift(x, k), -k), x),
+    ]
+    for lhs, rhs in checks:
+        assert lhs.prec >= F.val(lhs) + 8  # the comparison is not vacuous
+        assert F.unit_eq(lhs, rhs)
+    assert F.val(F.mul(x, y)) == F.val(x) + F.val(y)
+
+
+def vp_fraction(r, p):
+    v, num, den = 0, r.numerator, r.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-5, 5), st.booleans()),
+             min_size=2, max_size=2),
+)
+def test_kernel_matches_fraction_arithmetic(p, parts):
+    # on Q_p (e = f = 1, u0 = 1) an element (vec, pshift) is the rational
+    # vec[0] / p^pshift known modulo p^prec
+    F = LocalField(p, 1, 1)
+    a, b = (Fraction(n, d) for n, d, _, _ in parts)
+    # valuations exactly k in -5..5, so the known precision stays ample
+    a, b = (r * Fraction(p) ** (k - vp_fraction(r, p)) * (-1 if neg else 1)
+            for r, (_, _, k, neg) in zip((a, b), parts))
+    x, y = F.from_rational(a), F.from_rational(b)
+    for z, r in ((x, a), (F.mul(x, y), a * b), (F.inv(x), 1 / a), (F.inv(F.mul(x, y)), 1 / (a * b))):
+        assert F.val(z) == vp_fraction(r, p)
+        assert z.prec >= F.val(z) + 8
+        vec, s = z.data
+        diff = Fraction(vec[0], p**s) - r
+        assert diff == 0 or vp_fraction(diff, p) >= z.prec
 
 
 # ---------------------------------------------------------------------------
