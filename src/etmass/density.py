@@ -21,6 +21,12 @@ sum_{p>B} p^{-2} <= sum_{m>B} 1/(m(m-1)) = 1/B telescopes.
 The proportion lim N(X; A)/N(X) is enclosed via the product of the
 per-prime ratios m_{A,p}/m_p, each of which lies in (0, 1].
 
+The finite products are exact: the factors are multiplied in a
+balanced tree (``exact_product``), so the big gcds of ``Fraction``
+multiplication fall on operands of equal size rather than on one
+ever-growing running product.  The result is the same reduced
+``Fraction`` a sequential product gives.
+
 Everything is a ``Fraction``; decimal rendering is display-only.
 """
 
@@ -33,7 +39,7 @@ from math import factorial
 
 from .massprime import partition_count, premass_ell_total
 from .massquartic import premass4
-from .padic import LocalField, prime_factors
+from .padic import LocalField, prime_factors, trial_divide
 
 
 SUPPORTED_DEGREES = (3, 4, 5)
@@ -123,9 +129,21 @@ class GlobalSpec:
         if any(g == 0 for g in gens):
             raise ValueError("generators must be nonzero")
         object.__setattr__(self, "gens", gens)
+        # Only primes up to the bound are tried: a cofactor left over is
+        # prime when it is below (B+1)^2 and otherwise has a prime factor
+        # above B, either way a prime the bound must clear.
+        bound = self.prime_bound
         bad = set()
         for g in gens:
-            bad |= prime_factors(g.numerator) | prime_factors(g.denominator)
+            for m in (g.numerator, g.denominator):
+                found, rest = trial_divide(m, bound)
+                bad |= found
+                if rest >= (bound + 1) ** 2:
+                    raise ValueError(
+                        f"generator {g} has a prime factor above the prime bound {bound}"
+                    )
+                if rest > 1:
+                    bad.add(rest)
         floor = max([self.n] + sorted(bad)) + 1
         if self.prime_bound < floor:
             raise ValueError(
@@ -208,14 +226,18 @@ def local_profile_at_prime(gens, p: int):
 
 
 def full_local_factor(n: int, p: int) -> Fraction:
-    """The unconstrained (full-norm-group) local mass factor at p."""
-    q = Fraction(p)
+    """The unconstrained (full-norm-group) local mass factor at p.
+
+    1 - p^-3, 1 + p^-2 - p^-3 - p^-4 and 1 + p^-2 - p^-4 - p^-5 for
+    n = 3, 4, 5, over p^n; each numerator is -1 mod p, so the fraction
+    is already reduced.
+    """
     if n == 3:
-        return 1 - q**-3
+        return Fraction(p**3 - 1, p**3)
     if n == 4:
-        return 1 + q**-2 - q**-3 - q**-4
+        return Fraction(p**4 + p**2 - p - 1, p**4)
     if n == 5:
-        return 1 + q**-2 - q**-4 - q**-5
+        return Fraction(p**5 + p**3 - p - 1, p**5)
     raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
 
 
@@ -242,6 +264,28 @@ def tail_constant(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def exact_product(factors) -> Fraction:
+    """The exact product of ``Fraction``s, multiplied in a balanced tree.
+
+    A binary-counter stack of (partial product, factor count): each
+    factor is pushed, and the top two entries merge while they cover
+    equally many factors, so at most log2(N) + 1 partial products are
+    held.  Every merge is an ordinary ``Fraction`` product of reduced
+    operands, so the result is the reduced product.
+    """
+    stack = []
+    for x in factors:
+        count = 1
+        while stack and stack[-1][1] == count:
+            x = stack.pop()[0] * x
+            count *= 2
+        stack.append((x, count))
+    out = Fraction(1)
+    for x, _ in reversed(stack):
+        out = x * out
+    return out
+
+
 def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
     """Enclose the density coefficient and the proportion for ``spec``.
 
@@ -256,16 +300,17 @@ def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
         raise ValueError(
             f"prime bound {bound} is below the tail guard C_{n} = {c_n}"
         )
-    per_prime = tuple(
-        (p, local_mass(n, p, spec.gens, algo=algo)) for p in primes_up_to(bound)
-    )
-    finite = Fraction(1)
-    ratio = Fraction(1)
-    for p, m in per_prime:
+    per_prime = []
+    ratios = []
+    for p in primes_up_to(bound):
         full = full_local_factor(n, p)
+        m = local_mass(n, p, spec.gens, algo=algo) if spec.gens else full
         assert 0 < m <= full, (p, m, full)
-        finite *= m
-        ratio *= m / full
+        per_prime.append((p, m))
+        if m != full:
+            ratios.append(m / full)
+    finite = exact_product(m for _, m in per_prime)
+    ratio = exact_product(ratios)
 
     arch = archimedean_mass(n, all_positive=all(g > 0 for g in spec.gens))
     arch_ratio = arch / archimedean_mass(n, all_positive=True)
@@ -286,7 +331,7 @@ def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
         coeff_hi=point / (1 - slack),
         prop_lo=prop_lo,
         prop_hi=prop_hi,
-        per_prime=per_prime,
+        per_prime=tuple(per_prime),
     )
 
 

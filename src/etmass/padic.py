@@ -31,17 +31,27 @@ class GuardError(RuntimeError):
     """A requested computation exceeds a configured size guard."""
 
 
-def prime_factors(n: int) -> set:
-    """The set of primes dividing |n| (trial division)."""
+def trial_divide(n: int, limit: int | None = None):
+    """Divide the primes d <= limit out of |n|, stopping once d*d > cofactor.
+
+    Returns (the primes found, the cofactor).  The cofactor is 1 or a
+    prime whenever it is below (limit + 1)**2, and always with no limit.
+    """
     n = abs(n)
     out = set()
     d = 2
-    while d * d <= n:
+    while d * d <= n and (limit is None or d <= limit):
         if n % d == 0:
             out.add(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
+    return out, n
+
+
+def prime_factors(n: int) -> set:
+    """The set of primes dividing |n| (trial division)."""
+    out, n = trial_divide(n)
     if n > 1:
         out.add(n)
     return out
@@ -177,6 +187,8 @@ class ResidueField:
         if x == self.zero:
             return self.one if n == 0 else self.zero
         n %= self.q - 1
+        if self.f == 1:
+            return (pow(x[0], n, self.p),)
         acc, r = self.one, x
         while n:
             if n & 1:

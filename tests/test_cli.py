@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -191,6 +192,33 @@ def test_density_validation_errors(runner):
     assert res.exit_code == 2
     res = invoke(runner, "density", "--n", "3", "--gens", "0", "--prime-bound", "50")
     assert res.exit_code == 2
+    # a generator with a prime factor far above the bound is refused
+    # without factoring it
+    big = "1000000000000000000000000000057"
+    res = invoke(runner, "density", "--n", "3", "--gens", big, "--prime-bound", "1000")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:") and big in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (
+            ("--n", "3", "--gens", "", "--prime-bound", "20000"),
+            "32ed505ed3f4f66d595a2b7695152bc38cd7b4b653bd97b79efddab4c78686c7",
+        ),
+        (
+            ("--n", "5", "--gens", "-2/3,11/7", "--prime-bound", "3000"),
+            "e044fdb29a7890a56cfd59da1b0d9886891e2c0f15583483c1a17446bb8c4a55",
+        ),
+    ],
+    ids=["n3-plain", "n5-gens"],
+)
+def test_density_golden_output(runner, args, digest):
+    # SHA-256 of the whole stdout, recorded from the sequential product
+    res = invoke(runner, "density", *args)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

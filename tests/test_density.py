@@ -4,6 +4,8 @@ import gc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etmass import density as dens
 from etmass.massprime import premass_ell_total
@@ -67,6 +69,25 @@ def test_global_spec_validation():
     assert spec.gens == (Fraction(-4, 9),)
 
 
+def test_global_spec_trial_division_stops_at_the_bound():
+    # a 31-digit generator is refused at once, not factored
+    big = 10**30 + 57
+    for g in (big, Fraction(3, big), 1009 * 1013):
+        with pytest.raises(ValueError, match=f"generator {g} has a prime factor above"):
+            dens.GlobalSpec(3, (g,), 1000)
+    # a cofactor below (B+1)^2 is a prime the bound must clear
+    with pytest.raises(ValueError, match="prime_bound must be at least 1010"):
+        dens.GlobalSpec(3, (Fraction(2 * 1009, 3),), 1000)
+    with pytest.raises(ValueError, match="prime_bound must be at least 954"):
+        dens.GlobalSpec(3, (953,), 30)
+    with pytest.raises(ValueError, match="prime_bound must be at least 32"):
+        dens.GlobalSpec(3, (29 * 31,), 30)
+    with pytest.raises(ValueError, match="generator 961 has a prime factor above"):
+        dens.GlobalSpec(3, (31 * 31,), 30)
+    spec = dens.GlobalSpec(3, (Fraction(-2 * 1009, 1013),), 1014)
+    assert spec.gens == (Fraction(-2018, 1013),)
+
+
 def test_density_interval_validation():
     one = Fraction(1)
     with pytest.raises(ValueError):
@@ -116,7 +137,7 @@ def test_local_profile_at_prime():
 
 
 def test_full_local_factor_forms():
-    for p in (2, 3, 97):
+    for p in dens.primes_up_to(2000):
         q = Fraction(p)
         assert dens.full_local_factor(3, p) == 1 - q**-3
         assert dens.full_local_factor(4, p) == 1 + q**-2 - q**-3 - q**-4
@@ -153,6 +174,59 @@ def test_tail_constant_values():
 # ---------------------------------------------------------------------------
 # assembled intervals
 # ---------------------------------------------------------------------------
+
+
+_small = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+_large = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+_nonzero = st.one_of(_small, _large).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.one_of(_small, _large), max_size=300),
+        # factors that cancel across the whole list
+        st.lists(_nonzero, max_size=150).flatmap(
+            lambda xs: st.permutations(xs + [1 / x for x in xs])
+        ),
+    )
+)
+def test_exact_product_equals_sequential_product(factors):
+    want = Fraction(1)
+    for x in factors:
+        want *= x
+    got = dens.exact_product(factors)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_exact_product_short_lists():
+    assert dens.exact_product([]) == 1
+    assert dens.exact_product(iter([Fraction(3, 4)])) == Fraction(3, 4)
+    assert dens.exact_product([Fraction(2, 3), Fraction(3, 2), Fraction(0)]) == 0
+
+
+@pytest.mark.parametrize("n,gens,bound", [(3, (), 5000), (4, ("-10/3",), 2000)])
+def test_euler_density_matches_sequential_product(n, gens, bound):
+    # the interval ends rebuilt from per_prime with one running product
+    spec = dens.GlobalSpec(n, gens, bound)
+    di = dens.euler_density(spec)
+    finite = ratio = Fraction(1)
+    for p, m in di.per_prime:
+        finite *= m
+        ratio *= m / dens.full_local_factor(n, p)
+    arch = dens.archimedean_mass(n, all_positive=all(g > 0 for g in spec.gens))
+    point = arch * finite / 2
+    slack = Fraction(dens.tail_constant(n), bound)
+    assert di.coeff_lo == point * (1 - slack)
+    assert di.coeff_hi == point / (1 - slack)
+    prop = arch / dens.archimedean_mass(n) * ratio
+    if gens:
+        assert prop < 1
+        assert di.prop_hi == prop
+        assert di.prop_lo == prop * (1 - slack)
+    else:
+        assert di.prop_lo == di.prop_hi == prop == 1
 
 
 def test_cubic_trivial_anchor():

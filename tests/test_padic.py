@@ -70,6 +70,31 @@ def test_residue_zero_powers():
     assert rf.pow(rf.zero, 0) == rf.one
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_prime_field_pow_matches_square_and_multiply(p):
+    # GF(p) powers go through the built-in pow; check them against
+    # square-and-multiply in the field's own multiplication
+    rf = ResidueField(p, 1)
+
+    def reference(x, n):
+        if x == rf.zero:
+            return rf.one if n == 0 else rf.zero
+        n %= rf.q - 1
+        acc, r = rf.one, x
+        while n:
+            if n & 1:
+                acc = rf.mul(acc, r)
+            r = rf.mul(r, r)
+            n >>= 1
+        return acc
+
+    for x in rf.elements():
+        for n in (0, 1, -1, rf.q - 2, 10**30):
+            assert rf.pow(x, n) == reference(x, n), (x, n)
+        if x != rf.zero:
+            assert rf.mul(x, rf.pow(x, -1)) == rf.one
+
+
 def test_square_detection_matches_enumeration():
     rf = ResidueField(5, 2)
     squares = {rf.mul(x, x) for x in rf.elements()}
