@@ -19,14 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
 from .fplinalg import FpMatrix, colspan_intersect, kernel_basis
 from .massprime import MassReport, count_Cp
-from .padic import GuardError, disc_val_quadratic, quad_extend
+from .padic import GuardError, disc_val_quadratic, field_cache, quad_extend
 from .unitgroups import (
     c_alpha,
     class_vec,
@@ -63,7 +62,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@field_cache
 def _hilbert_gram(F):
     """Gram matrix of the Hilbert pairing on a square-class basis.
 
@@ -871,7 +870,7 @@ def premass4_wild(F, gens=(), symbol: str = "(1^4)", algo: str = "auto") -> Mass
             return acc
 
         con = by_group(counts_14(F, gens_c, algo=algo))
-        free = by_group(counts_14(F, (), algo=algo))
+        free = by_group(counts_14(F, (), algo=algo)) if gens_c else con
         s4 = Fraction(1, q**3) - sum(free.values())
         assert s4 >= 0
         return MassReport(

@@ -17,10 +17,38 @@ constructed by :func:`quad_extend`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import wraps
 from math import gcd
 
 INF = float("inf")
+
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
+def field_cache(fn):
+    """Memoise ``fn(F)`` in the field's own ``__dict__``.
+
+    The value lives and dies with its field, unlike an ``lru_cache``
+    keyed on the field, which keeps every field alive.  ``cache_info()``
+    counts hits and misses over all fields, as ``lru_cache`` does.
+    """
+    key = f"_cache_{fn.__module__}.{fn.__qualname__}"
+    counts = [0, 0]  # hits, misses
+
+    @wraps(fn)
+    def cached(F):
+        d = F.__dict__
+        if key in d:
+            counts[0] += 1
+            return d[key]
+        counts[1] += 1
+        value = d[key] = fn(F)
+        return value
+
+    cached.cache_info = lambda: CacheInfo(*counts)
+    return cached
 
 
 class PrecisionError(ArithmeticError):
@@ -749,9 +777,7 @@ class QuadExt(PadicField):
             self.prec = base.prec
         self.q = self.p**self.f
         self.seed = getattr(base, "seed", 0)
-        # rho^{-1} = (rho - a)/b
-        binv = base.inv(b)
-        self._rhoinv = (base.mul(base.neg(a), binv), binv)
+        self._rho_pows = {}  # k -> rho^k, for ramified shifts
 
     def __repr__(self):
         return f"{self.base!r}[sqrt,{self.kind[:3]}]"
@@ -889,25 +915,32 @@ class QuadExt(PadicField):
         return v
 
     def shift(self, x, k):
+        """Multiply by pi^k: pi^k of the base on each half when E/F is
+        unramified, one product with rho^k when it is ramified."""
         if k == 0 or x.exact:
             return x
         if self.kind == "unramified":
             x0, x1 = x.data
             return self._mk(self.base.shift(x0, k), self.base.shift(x1, k))
-        if k > 0:
-            out = x
-            rho = self.rho()
-            for _ in range(k):
-                out = self.mul(out, rho)
-            return out
-        out = x
-        for _ in range(-k):
-            x0, x1 = out.data
-            r0, r1 = self._rhoinv
-            re = x0 * r0 + self.b * (x1 * r1)
-            im = x0 * r1 + x1 * r0 + self.a * (x1 * r1)
-            out = self._mk(re, im)
-        return out
+        return self.mul(x, self._rho_power(k))
+
+    def _rho_power(self, k):
+        """rho^k with its p-denominators cleared, built once per k from
+        rho or rho^-1 = (rho - a)/b and kept on the field."""
+        pows = self._rho_pows
+        if k not in pows:
+            s = 1 if k > 0 else -1
+            if s not in pows:
+                if s == 1:
+                    pows[s] = self.rho()
+                else:
+                    B = self.base
+                    binv = B.inv(self.b)
+                    pows[s] = self.normalize_pshift(self._mk(B.mul(B.neg(self.a), binv), binv))
+            for j in range(2 * s, k + s, s):
+                if j not in pows:
+                    pows[j] = self.normalize_pshift(self.mul(pows[j - s], pows[s]))
+        return pows[k]
 
     def normalize_pshift(self, x):
         x0, x1 = x.data

@@ -7,19 +7,28 @@ U^(i) = 1 + pi^i O and the wild "level" c_alpha of a unit, computed by a
 digit-by-digit reduction.  Everything here works uniformly over the base
 fields and the relative quadratic extensions from :mod:`etmass.padic`,
 because only the generic element interface is used.
+
+Field structure is built once per field and kept on the field itself
+(:func:`etmass.padic.field_cache`), so it dies with the field.  The
+unit-class basis (:class:`UnitClassBasis`) stores, besides its elements
+and their levels, the inverse of each level element 1 + pi^i u (made
+on first use), and for a field containing mu_p the top-level data: the
+residue u* outside the image of phi, the matrix [phi | u*] and 1/p.
+Reading the class coordinates of an element then costs a fixed number
+of products per level: each digit is stripped by multiplying with
+stored inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .fplinalg import FpMatrix, in_colspan
 from .fplinalg import rank as fp_rank
-from .padic import INF, is_prime
+from .padic import INF, field_cache, is_prime
 
 
 def ceil_frac(a: int, b: int) -> int:
@@ -31,14 +40,14 @@ def ceil_frac(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@field_cache
 def _pi_e_over_p_residue(F):
     """Residue of pi^e / p, a unit of O_F (e the absolute ramification)."""
     x = F.mul(F.power(F.pi(), F.e), F.inv(F.from_int(F.p)))
     return F.residue(x)
 
 
-@lru_cache(maxsize=None)
+@field_cache
 def phi_matrix(F) -> FpMatrix:
     """Matrix of y |-> y + (pi^e/p) * y^p on the residue field over F_p.
 
@@ -64,7 +73,7 @@ def phi_preimage(F, r):
     return F.rf.from_coords([int(c) for c in sol])
 
 
-@lru_cache(maxsize=None)
+@field_cache
 def contains_mu_p(F) -> bool:
     """Whether F contains the p-th roots of unity."""
     p = F.p
@@ -117,7 +126,7 @@ def _c_alpha_unit(F, m):
                 continue
             return i, lam
         if top_exact and i == T:
-            r = _top_digit(F, m)
+            r = _top_digit(F, m, F.inv(F.from_int(p)))
             y = phi_preimage(F, r)
             if y is None:
                 return T, lam
@@ -136,10 +145,11 @@ def _c_alpha_unit(F, m):
     return INF, lam
 
 
-def _top_digit(F, m):
-    """Residue of (m - 1) / (pi^{e/(p-1)} p), for m = 1 mod pi^{pe/(p-1)}."""
+def _top_digit(F, m, pinv):
+    """Residue of (m - 1) / (pi^{e/(p-1)} p), for m = 1 mod pi^{pe/(p-1)};
+    ``pinv`` is 1/p in F."""
     t = F.shift(m - F.one(), -(F.e // (F.p - 1)))
-    return F.residue(F.mul(t, F.inv(F.from_int(F.p))))
+    return F.residue(F.mul(t, pinv))
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +165,34 @@ class UnitClassBasis:
     come blocks of f elements 1 + pi^i u at each prime-to-p level i; if
     mu_p is contained in F there is a final element at the top level
     pe/(p-1).  ``levels`` records the level of each basis element.
+
+    ``inverses`` maps j to the inverse of ``elems[j]``; :meth:`inverse`
+    fills it on first use, since most fields never strip every level.
+    When mu_p is in F, ``top_aug`` is the matrix [phi | u*] over F_p,
+    whose last column is the residue u* of the top element, and ``pinv``
+    is 1/p; otherwise both are None.
     """
 
     field: object
     elems: tuple
     levels: tuple
+    inverses: dict
+    top_aug: FpMatrix | None
+    pinv: object
 
     @property
     def dim(self) -> int:
         return len(self.elems)
 
+    def inverse(self, j):
+        """The inverse of ``elems[j]``, computed once."""
+        inv = self.inverses.get(j)
+        if inv is None:
+            inv = self.inverses[j] = self.field.inv(self.elems[j])
+        return inv
 
-@lru_cache(maxsize=None)
+
+@field_cache
 def unit_basis(F) -> UnitClassBasis:
     p, e = F.p, F.e
     ceil_top = ceil_frac(p * e, p - 1)
@@ -177,20 +203,20 @@ def unit_basis(F) -> UnitClassBasis:
     for i in range(1, ceil_top):
         if i % p == 0:
             continue
-        pik = F.power(F.pi(), i)
         for u in lifts:
-            elems.append(one + F.mul(pik, u))
+            elems.append(one + F.shift(u, i))
             levels.append(i)
+    top_aug = pinv = None
     if contains_mu_p(F):
         # top element 1 + p pi^{e/(p-1)} u* with [u*] outside im(phi)
         ustar = _non_phi_value(F)
-        top = one + F.mul(
-            F.mul(F.from_int(p), F.power(F.pi(), e // (p - 1))), F.lift(ustar)
-        )
-        elems.append(top)
+        elems.append(one + F.shift(F.mul(F.from_int(p), F.lift(ustar)), e // (p - 1)))
         levels.append((p * e) // (p - 1))
+        col = np.array(F.rf.coords(ustar), dtype=np.int64).reshape(-1, 1)
+        top_aug = FpMatrix(p, np.hstack([phi_matrix(F).arr, col]))
+        pinv = F.inv(F.from_int(p))
     assert p ** len(elems) == quotient_size(F, INF)
-    return UnitClassBasis(F, tuple(elems), tuple(levels))
+    return UnitClassBasis(F, tuple(elems), tuple(levels), {}, top_aug, pinv)
 
 
 def _non_phi_value(F):
@@ -208,12 +234,14 @@ def _non_phi_value(F):
 
 
 def p_class_coords(F, alpha) -> np.ndarray:
-    """Coordinates of [alpha] in F^x / F^{x p} on the unit-class basis."""
+    """Coordinates of [alpha] in F^x / F^{x p} on the unit-class basis.
+
+    A prime-to-p level costs one digit and, per unit of each digit
+    coordinate, one product with a stored basis inverse."""
     basis = unit_basis(F)
     p, e = F.p, F.e
     T = (p * e) // (p - 1)
-    top_exact = e % (p - 1) == 0
-    has_top = basis.levels[-1] == T and top_exact and contains_mu_p(F)
+    ceil_top = ceil_frac(p * e, p - 1)
     out = np.zeros(basis.dim, dtype=np.int64)
     alpha = F.normalize_pshift(alpha)
     v = F.val(alpha)
@@ -223,39 +251,23 @@ def p_class_coords(F, alpha) -> np.ndarray:
     m = F.shift(alpha, -v) if v else alpha
     one = F.one()
     rf = F.rf
-    lifts = F.residue_lifts()
     pos = 1  # write position in the coordinate vector
     for i in range(T + 1):
         if i % p != 0:
-            if i >= ceil_frac(p * e, p - 1):
+            if i >= ceil_top:
                 break
-            r = F.digit(m - one, i)
-            lam = rf.coords(r)
-            if any(lam):
-                pik = F.power(F.pi(), i)
-                prod = one
-                for j, lj in enumerate(lam):
-                    if lj:
-                        prod = F.mul(prod, F.power(one + F.mul(pik, lifts[j]), lj))
-                m = F.mul(m, F.inv(prod))
+            lam = rf.coords(F.digit(m - one, i))
+            for j, lj in enumerate(lam):
+                for _ in range(lj):
+                    m = F.mul(m, basis.inverse(pos + j))
             out[pos : pos + rf.f] = lam
             pos += rf.f
             continue
-        if top_exact and i == T:
-            if not has_top:
+        if i == T and e % (p - 1) == 0:
+            if basis.top_aug is None:
                 break
-            r = _top_digit(F, m)
-            ustar = F.rf.coords(F.residue(F.lift(_non_phi_value(F))))
-            aug = FpMatrix(
-                p,
-                np.hstack(
-                    [
-                        phi_matrix(F).arr,
-                        np.array(ustar, dtype=np.int64).reshape(-1, 1),
-                    ]
-                ),
-            )
-            sol = in_colspan(aug, np.array(rf.coords(r), dtype=np.int64))
+            r = _top_digit(F, m, basis.pinv)
+            sol = in_colspan(basis.top_aug, np.array(rf.coords(r), dtype=np.int64))
             if sol is None:  # pragma: no cover - phi + u* spans everything
                 raise ArithmeticError("top-level digit not decomposable")
             out[pos] = int(sol[-1])
@@ -478,7 +490,7 @@ def sqrt_exact(F, w):
     return F.shift(y, v // 2)
 
 
-@lru_cache(maxsize=None)
+@field_cache
 def norm_class_matrix(E) -> FpMatrix:
     """Matrix of the norm-induced map E^x/E^{x2} -> F^x/F^{x2}.
 

@@ -1,5 +1,6 @@
 """Tests for the quartic pre-mass module."""
 
+import gc
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,7 @@ from etmass import massquartic as mq
 from etmass import oracle as orc
 from etmass import unitgroups as ug
 from etmass.massprime import count_Cp
-from etmass.padic import GuardError, LocalField, disc_val_quadratic, quad_extend
+from etmass.padic import GuardError, LocalField, QuadExt, disc_val_quadratic, quad_extend
 
 from test_padic import random_unit
 
@@ -572,3 +573,16 @@ def test_wild_symbol_validation():
         mq.premass4_wild(Q2, (), "(3 1)")
     with pytest.raises(ValueError):
         mq.premass4_wild(LocalField(3, 1, 1), (), "(1^4)")
+
+
+def test_premass4_leaves_no_fields():
+    # unit bases, norm-class matrices and Hilbert Gram matrices live on
+    # their fields, so the towers premass4 builds die with the call
+    def live_fields():
+        gc.collect()
+        return sum(isinstance(o, (LocalField, QuadExt)) for o in gc.get_objects())
+
+    before = live_fields()
+    for _ in range(2):
+        mq.premass4(LocalField(2, 1, 2), (-1,))
+    assert live_fields() - before < 10

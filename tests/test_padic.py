@@ -1,8 +1,11 @@
 """Tests for exact p-adic field arithmetic and quadratic extensions."""
 
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from etmass.padic import (
     PrecisionError,
     ResidueField,
     disc_val_quadratic,
+    field_cache,
     quad_extend,
 )
 
@@ -439,3 +443,150 @@ def test_norm_transitivity_down_tower():
         assert F.val(tot) == 0
     # totally ramified of degree 4: v_F(N_{L/F}(pi_L)) = 1
     assert F.val(E.norm(L.norm(L.pi()))) == 1
+
+
+# ---------------------------------------------------------------------------
+# shifts and golden digits over quadratic extensions
+# ---------------------------------------------------------------------------
+
+
+def quad_fields():
+    """Every QUAD_CASES extension, plus a ramified tower over a ramified
+    QuadExt: Q_2(sqrt(-1))(sqrt(pi))."""
+    out = {}
+    for p, e, f, d, _, _ in QUAD_CASES:
+        F = LocalField(p, e, f)
+        out[(p, e, f, d)] = quad_extend(F, F.from_int(d))
+    E = out[(2, 1, 1, -1)]
+    out["tower"] = quad_extend(E, E.pi())
+    return out
+
+
+def loop_shift(E, x, k):
+    """Multiplication by pi^k = rho^k on a ramified QuadExt, one rho or
+    rho^-1 = (rho - a)/b product per step: the reference for ``shift``."""
+    B = E.base
+    binv = B.inv(E.b)
+    rhoinv = E._mk(B.mul(B.neg(E.a), binv), binv)
+    step = E.rho() if k > 0 else rhoinv
+    out = x
+    for _ in range(abs(k)):
+        out = E.mul(out, step)
+    return out
+
+
+def test_ramified_shift_matches_step_loop():
+    rng = np.random.default_rng(11)
+    for key, E in quad_fields().items():
+        if E.kind != "ramified":
+            continue
+        for _ in range(4):
+            x = E.mul(random_unit(E, rng), E.power(E.pi(), int(rng.integers(0, 4))))
+            for k in range(-12, 13):
+                got, ref = E.shift(x, k), loop_shift(E, x, k)
+                assert E.val(got) == E.val(x) + k, (key, k)
+                assert got.prec >= ref.prec, (key, k)
+                assert E.unit_eq(got, ref), (key, k)
+
+
+def quad_golden_element(E, rng):
+    x = E.zero()
+    for k in range(4):
+        coords = [rng.randrange(E.p) for _ in range(E.rf.f)]
+        x = x + E.mul(E.power(E.pi(), k), E.lift(E.rf.from_coords(coords)))
+    if E.val_lower(x) > 0:
+        x = x + E.one()
+    return E.shift(x, rng.randint(-3, 3))
+
+
+def quad_golden_sequence(E, seed):
+    """Thirty results of mul, add, shift +-k (k up to 12), inv, power and
+    normalize_pshift; half the steps chain on the previous result."""
+    rng = random.Random(seed)
+    prev = E.one()
+    out = []
+    for step in range(30):
+        x = prev if rng.random() < 0.5 else quad_golden_element(E, rng)
+        y = quad_golden_element(E, rng)
+        op = step % 6
+        if op == 0:
+            z = E.mul(x, y)
+        elif op == 1:
+            z = E.add(x, E.neg(y))
+        elif op == 2:
+            k = rng.randint(1, 12)
+            z = E.shift(E.shift(x, k), -rng.randint(0, k + 6))
+        elif op == 3:
+            z = E.inv(x)
+        elif op == 4:
+            z = E.power(y, rng.choice([-3, -2, 2, 3, 5]))
+        else:
+            z = E.normalize_pshift(E.shift(x, -rng.randint(1, 8)))
+        out.append(z)
+        if -4 <= E.val(z) <= 4:
+            prev = E.normalize_pshift(z)
+    return out
+
+
+# recorded with the per-step ramified shift, before shifts by rho^k
+QUAD_GOLDEN = {
+    (2, 1, 1, -1): "a9927d2d412348a2",
+    (2, 1, 1, 2): "9cc575ab95ed23e0",
+    (2, 1, 1, -2): "c4dbd2030c7e7d46",
+    (2, 1, 1, 3): "0eecca7fcb9279d0",
+    (2, 1, 1, 5): "d0b646cb55c67cbd",
+    (3, 1, 1, 3): "0e752dab91759a5f",
+    (3, 1, 1, 2): "72d2f56bc172b69a",
+    (5, 1, 1, 10): "1ae9bd49e1db9a25",
+    (5, 1, 1, 2): "d56d1942687bd847",
+    "tower": "8df7df8400e33ca8",
+}
+
+
+def test_quad_golden_digits():
+    for i, (key, E) in enumerate(quad_fields().items()):
+        h = hashlib.sha256()
+        for z in quad_golden_sequence(E, 7919 + i):
+            v = E.val(z)
+            assert z.prec >= v + GOLDEN_DIGITS
+            h.update(repr((v, expansion_digits(E, E.shift(z, -v), GOLDEN_DIGITS))).encode())
+        assert h.hexdigest()[:16] == QUAD_GOLDEN.get(key), (key, h.hexdigest()[:16])
+
+
+# ---------------------------------------------------------------------------
+# per-field caches
+# ---------------------------------------------------------------------------
+
+
+class Token:
+    """A weakly referenceable cached value."""
+
+
+def test_field_cache_counts_like_lru_cache():
+    def build(F):
+        return Token()
+
+    mine, ref = field_cache(build), lru_cache(maxsize=None)(build)
+    assert mine.__wrapped__ is build and mine.__name__ == "build"
+    F, G = LocalField(2, 1, 1), LocalField(2, 1, 1)
+    E = quad_extend(F, F.from_int(-1))
+    for K in (F, G, F, E, F, G, E, E):
+        assert (mine(K) is mine(F)) == (K is F)
+        ref(K), ref(F)
+    assert tuple(mine.cache_info()) == tuple(ref.cache_info())[:2] == (13, 3)
+
+
+def test_field_cache_dies_with_its_field():
+    @field_cache
+    def build(F):
+        return Token()
+
+    F = LocalField(3, 1, 1)
+    G = LocalField(3, 1, 1)
+    value = build(F)
+    assert build(G) is not value  # equal fields never share an entry
+    fref, vref = weakref.ref(F), weakref.ref(value)
+    del F, value
+    gc.collect()
+    assert fref() is None and vref() is None
+    assert build.cache_info() == (0, 2)
