@@ -4,7 +4,7 @@ S_n number fields (n = 3, 4, 5)."""
 
 __version__ = "0.1.0"
 
-from .density import DensityInterval, GlobalSpec, euler_density, local_mass
+from .density import DensityInterval, GlobalSpec, euler_density, local_mass, tame_local_mass
 from .massprime import premass_ell_total
 from .massquartic import premass4
 from .padic import GuardError, LocalField, quad_extend
@@ -19,5 +19,6 @@ __all__ = [
     "premass4",
     "premass_ell_total",
     "quad_extend",
+    "tame_local_mass",
     "__version__",
 ]

@@ -320,7 +320,7 @@ def _suite_serre():
     return True, f"{len(fields)} base fields"
 
 
-def _suite_identity(cases=200):
+def _suite_identity(cases):
     rng = random.Random(7)
     for _ in range(cases):
         p = rng.choice([2, 3, 5, 7, 11, 13])
@@ -393,8 +393,14 @@ _SUITES = {
     default="all",
     show_default=True,
 )
-@click.option("--max-size", type=int, default=None, help="cap on enumeration sizes")
-def check(suite, max_size):
+@click.option(
+    "--cases",
+    type=click.IntRange(min=1),
+    default=200,
+    show_default=True,
+    help="number of random (p, q, t) cases in the identity suite",
+)
+def check(suite, cases):
     """Run built-in consistency suites."""
     names = list(_SUITES) if suite == "all" else [suite]
     guard = []
@@ -402,10 +408,7 @@ def check(suite, max_size):
     def body():
         for name in names:
             fn = _SUITES[name]
-            if name == "identity" and max_size is not None:
-                ok, detail = fn(cases=max_size)
-            else:
-                ok, detail = fn()
+            ok, detail = fn(cases=cases) if name == "identity" else fn()
             status = "ok" if ok else "FAIL"
             click.echo(f"{name}: {status} ({detail})")
             if not ok:

@@ -21,6 +21,13 @@ sum_{p>B} p^{-2} <= sum_{m>B} 1/(m(m-1)) = 1/B telescopes.
 The proportion lim N(X; A)/N(X) is enclosed via the product of the
 per-prime ratios m_{A,p}/m_p, each of which lies in (0, 1].
 
+The local masses come from two paths.  At a tame prime p, one not
+dividing n, ``tame_local_mass`` evaluates the closed forms from
+integers alone: each generator's valuation, p mod n and the
+power-residue symbols of its unit part.  Only at the wild primes p | n
+(3 for n = 3, 2 for n = 4, 5 for n = 5) does ``local_mass`` build Q_p
+and run the local pre-mass machinery.
+
 The finite products are exact: the factors are multiplied in a
 balanced tree (``exact_product``), so the big gcds of ``Fraction``
 multiplication fall on operands of equal size rather than on one
@@ -35,11 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import combinations
+from math import factorial, gcd
 
 from .massprime import partition_count, premass_ell_total
-from .massquartic import premass4
-from .padic import LocalField, prime_factors, trial_divide
+from .massquartic import premass4, tame_coefficients
+from .padic import LocalField, PrecisionError, prime_factors, trial_divide
 
 
 SUPPORTED_DEGREES = (3, 4, 5)
@@ -217,9 +225,13 @@ def local_profile_at_prime(gens, p: int):
     F = LocalField(p, 1, 1)
     embedded = []
     for g in gens:
-        x = F.from_rational(g)
         v = rational_valuation(g, p)
-        if F.val(x) != v:
+        try:
+            x = F.from_rational(g)
+            ok = F.val(x) == v
+        except PrecisionError:
+            ok = False
+        if not ok:
             raise ValueError(f"generator {g} exceeds the working precision at {p}")
         embedded.append(x)
     return F, tuple(embedded)
@@ -242,15 +254,126 @@ def full_local_factor(n: int, p: int) -> Fraction:
 
 
 def local_mass(n: int, p: int, gens=(), algo: str = "auto") -> Fraction:
-    """The exact local mass m_{A,p} = ((q-1)/q) * premass at p."""
+    """The exact local mass m_{A,p} = ((q-1)/q) * premass at p.
+
+    The general path, valid at every prime: it builds Q_p, embeds the
+    generators and runs the local pre-mass formulas.  ``euler_density``
+    uses it only at the wild primes p | n and takes ``tame_local_mass``
+    elsewhere.  Each generator is first divided by the n-th power
+    p^(n*floor(v/n)), which is a norm from every degree-n algebra, so
+    the embedded valuations lie in [0, n) however large the input's.
+    """
     if not gens:
         return full_local_factor(n, p)
+    gens = tuple(Fraction(g) for g in gens)
+    gens = tuple(g / Fraction(p) ** (n * (rational_valuation(g, p) // n)) for g in gens)
     F, embedded = local_profile_at_prime(gens, p)
     if n == 4:
         pre = premass4(F, embedded, algo=algo).total
     else:
         pre = premass_ell_total(F, n, embedded).total
     return Fraction(p - 1, p) * pre
+
+
+def _tame_rank_case(pairs, p: int) -> int:
+    """How <gens> sits in Q_p^x / Q_p^{x ell}, for a prime ell | p - 1.
+
+    ``pairs`` holds one (a, chi) per generator: a = v mod ell and chi
+    the ell-th power residue symbol u^((p-1)/ell) mod p of its unit part
+    u, so its class is the vector (a, log chi).  Two classes are
+    dependent exactly when chi_j^(a_i) == chi_i^(a_j) mod p.  Returns 0
+    when every class is trivial, 1 when the classes span one line
+    through a class of valuation prime to ell (``strat_gens`` finds no
+    A0 and one A1), and 2 otherwise.
+    """
+    if all(a == 0 and chi == 1 for a, chi in pairs):
+        return 0
+    if any(a for a, _ in pairs) and all(
+        pow(cj, ai, p) == pow(ci, aj, p) for (ai, ci), (aj, cj) in combinations(pairs, 2)
+    ):
+        return 1
+    return 2
+
+
+def tame_local_mass(n: int, p: int, gens=()) -> Fraction:
+    """The local mass m_{A,p} at a prime p not dividing n, from integers.
+
+    Equal to ``local_mass(n, p, gens)``, but no local field is built.
+    Write each generator as p^v * u with u a p-adic unit; the mass
+    depends only on each v mod n, on p mod n and on the power-residue
+    symbols of u mod p.  The pre-mass is summed as one integer
+    numerator over ell * p^(ell-1) for n = ell = 3, 5 and over 8 * p^3
+    for n = 4, and the mass is returned as a single ``Fraction``.
+    """
+    if n not in SUPPORTED_DEGREES:
+        raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
+    if n % p == 0:
+        raise ValueError(f"{p} divides the degree {n}: the mass there is wild")
+    gens = tuple(Fraction(g) for g in gens)
+    if any(g == 0 for g in gens):
+        raise ValueError("generators must be nonzero")
+    if not gens:
+        return full_local_factor(n, p)
+    return _tame_mass(n, p, [(g.numerator, g.denominator) for g in gens])
+
+
+def _tame_mass(n: int, p: int, fracs) -> Fraction:
+    """``tame_local_mass`` on nonzero generators given as (numerator,
+    denominator) pairs, for a prime p not dividing n."""
+    units = []  # (v, u mod p) with g = p^v * u
+    for num, den in fracs:
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        units.append((v, num * pow(den, -1, p) % p))
+    q = p
+    if n == 4:
+        # (v mod 4, dlog u mod g4), the dlog read off against whichever
+        # primitive 4th root of unity is the smaller residue
+        g4 = gcd(4, q - 1)
+        images = []
+        for v, u in units:
+            chi = pow(u, (q - 1) // g4, q)
+            b = 0 if chi == 1 else g4 // 2 if chi == q - 1 else 1 if chi < q - chi else 3
+            images.append((v % 4, b))
+        k22, k14 = tame_coefficients(frozenset(images), g4)
+        squares = {(a % 2, b % 2) for a, b in images} - {(0, 0)}
+        if not squares:
+            k1212 = 4
+        elif len(squares) == 1 and next(iter(squares))[0]:
+            k1212 = 3
+        else:
+            k1212 = 2
+        # over 8 q^3: epi, (4), (2 2), (1^2 1^2), (2^2), (1^4)
+        total = (
+            q * (5 * q * q + 8 * q + 8)
+            + (2 * q**3 if all(a == 0 for a, _ in images) else 0)
+            + (q**3 if all(a % 2 == 0 for a, _ in images) else 0)
+            + (k1212 + k22) * q
+            + k14
+        )
+        return Fraction((q - 1) * total, 8 * q**4)
+    ell = n
+    top = q ** (ell - 1)
+    vals = [v % ell for v, _ in units]
+    if (q - 1) % ell:
+        ram = ell  # every unit is an ell-th power: q^(1-ell)
+    else:
+        k = (q - 1) // ell
+        case = _tame_rank_case([(a, pow(u, k, q)) for a, (_, u) in zip(vals, units)], q)
+        ram = (ell, 1, 0)[case]  # q^(1-ell), q^(1-ell)/ell, 0
+    # over ell q^(ell-1): unramified, totally ramified, epi, layers
+    total = (
+        (0 if any(vals) else top)
+        + ram
+        + (ell - 1) * top
+        + ell * sum(partition_count(d, ell - d) * q ** (ell - 1 - d) for d in range(1, ell - 1))
+    )
+    return Fraction((q - 1) * total, ell * q**ell)
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +412,9 @@ def exact_product(factors) -> Fraction:
 def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
     """Enclose the density coefficient and the proportion for ``spec``.
 
-    The finite product over p <= B is exact.  The tail multiplier lies
+    Each local mass at p <= B is exact: ``tame_local_mass`` at p prime
+    to n, ``local_mass`` (a ``LocalField`` per call) at p | n.  The
+    finite product over p <= B is exact.  The tail multiplier lies
     in [1 - C_n/B, 1/(1 - C_n/B)] since each omitted factor is within
     C_n/p^2 of 1 and sum_{p>B} p^{-2} <= 1/B; the tail of the ratio
     product lies in [1 - C_n/B, 1] since each ratio is in (0, 1].
@@ -300,11 +425,17 @@ def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
         raise ValueError(
             f"prime bound {bound} is below the tail guard C_{n} = {c_n}"
         )
+    fracs = [(g.numerator, g.denominator) for g in spec.gens]
     per_prime = []
     ratios = []
     for p in primes_up_to(bound):
         full = full_local_factor(n, p)
-        m = local_mass(n, p, spec.gens, algo=algo) if spec.gens else full
+        if not spec.gens:
+            m = full
+        elif n % p:
+            m = _tame_mass(n, p, fracs)
+        else:
+            m = local_mass(n, p, spec.gens, algo=algo)
         assert 0 < m <= full, (p, m, full)
         per_prime.append((p, m))
         if m != full:

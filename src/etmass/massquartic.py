@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "counts_14",
     "counts_12E_C4",
     "premass4_tame",
+    "tame_coefficients",
     "premass4_wild",
     "premass4",
 ]
@@ -708,17 +710,26 @@ def _unique_value(values):
     return vals.pop()
 
 
-def _premass_22_odd(F, gens_c):
-    q = F.q
-    g4 = gcd(4, q - 1)
-    S = _abar4_closure(_abar4_images(F, gens_c, g4), g4)
-    twoM = _abar4_two_m(g4)
+@lru_cache(maxsize=1024)
+def tame_coefficients(images: frozenset, g4: int) -> tuple:
+    """The integers (k22, k14) of the tame (2^2) and (1^4) closed forms.
 
-    def value(strat):
+    Over F with odd residue characteristic the two pre-masses are
+    k22/(8 q^2) and k14/(8 q^3).  ``images`` is the set of generator images
+    (v mod 4, dlog mod g4) in F^x/F^{x4}, g4 = gcd(4, q - 1), and the
+    pair depends on nothing else, so it is memoised on that key.  The
+    dlog may be taken against any primitive g4-th root of unity: another
+    choice maps the image set by an automorphism, which fixes the pair.
+    """
+    S = _abar4_closure(images, g4)
+    twoM = _abar4_two_m(g4)
+    strata = _abar4_strata(S, g4)
+
+    def value22(strat):
         A0, A1, A2 = strat
         a0_sq = all(x in twoM for x in A0)
         if a0_sq and not A1 and not A2:
-            return Fraction(1, 2 * q * q)
+            return 4
         if (
             a0_sq
             and not A1
@@ -728,42 +739,35 @@ def _premass_22_odd(F, gens_c):
                 for y in A2
             )
         ):
-            return Fraction(1, 4 * q * q)
-        return Fraction(0)
+            return 2
+        return 0
 
-    return _unique_value(value(s) for s in _abar4_strata(S, g4))
+    if g4 == 4:
 
-
-def _premass_14_odd(F, gens_c):
-    q = F.q
-    g4 = gcd(4, q - 1)
-    S = _abar4_closure(_abar4_images(F, gens_c, g4), g4)
-    twoM = _abar4_two_m(g4)
-    strata = _abar4_strata(S, g4)
-
-    if q % 4 == 1:
-
-        def value(strat):
+        def value14(strat):
             A0, A1, A2 = strat
             if S == frozenset({(0, 0)}):
-                return Fraction(1, q**3)
+                return 8
             if not A0 and not A1 and len(A2) == 1 and A2[0] in twoM:
-                return Fraction(1, 2 * q**3)
+                return 4
             if not A0 and not A2 and len(A1) == 1:
-                return Fraction(1, 4 * q**3)
-            return Fraction(0)
+                return 2
+            return 0
 
     else:
 
-        def value(strat):
+        def value14(strat):
             A0, A1, A2 = strat
             if S <= twoM:
-                return Fraction(1, q**3)
+                return 8
             if not A0 and not A2 and len(A1) == 1:
-                return Fraction(1, 2 * q**3)
-            return Fraction(0)
+                return 4
+            return 0
 
-    return _unique_value(value(s) for s in strata)
+    return (
+        _unique_value(value22(s) for s in strata),
+        _unique_value(value14(s) for s in strata),
+    )
 
 
 def _abar4_images(F, gens_c, g4):
@@ -804,8 +808,10 @@ def premass4_tame(F, gens=()) -> MassReport:
         else:
             v1212 = Fraction(1, 4 * q * q)
         parts.append(("(1^2 1^2)", v1212))
-        parts.append(("(2^2)", _premass_22_odd(F, gens_c)))
-        parts.append(("(1^4)", _premass_14_odd(F, gens_c)))
+        g4 = gcd(4, q - 1)
+        k22, k14 = tame_coefficients(frozenset(_abar4_images(F, gens_c, g4)), g4)
+        parts.append(("(2^2)", Fraction(k22, 8 * q * q)))
+        parts.append(("(1^4)", Fraction(k14, 8 * q**3)))
     return MassReport(tuple(parts))
 
 

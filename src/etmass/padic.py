@@ -868,6 +868,9 @@ class QuadExt(PadicField):
     def inv(self, x):
         if x.exact:
             raise ZeroDivisionError("inverse of zero")
+        # p-denominators on the halves would add up in the norm's
+        # products and eat the precision window
+        x = self.normalize_pshift(x)
         n = self.norm(x)
         ninv = self.base.inv(n)
         c = self.conj(x)

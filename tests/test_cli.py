@@ -201,6 +201,18 @@ def test_density_validation_errors(runner):
 
 
 @pytest.mark.parametrize(
+    "n,gens,reduced", [("3", 7**60, 1), ("3", 3**61, 3), ("4", 7**60, 1), ("4", 2**81, 2)]
+)
+def test_density_huge_valuations(runner, n, gens, reduced):
+    # valuations far beyond the working precision, at a tame and at the
+    # wild prime: the generator differs from ``reduced`` by an n-th power
+    res = invoke(runner, "density", "--n", n, "--gens", str(gens), "--prime-bound", "1000")
+    assert res.exit_code == 0, res.stderr
+    want = invoke(runner, "density", "--n", n, "--gens", str(reduced), "--prime-bound", "1000")
+    assert json.loads(res.stdout)["per_prime"] == json.loads(want.stdout)["per_prime"]
+
+
+@pytest.mark.parametrize(
     "args,digest",
     [
         (
@@ -282,7 +294,7 @@ def test_check_suites_pass(runner, suite):
 
 
 def test_check_identity_with_case_cap(runner):
-    res = invoke(runner, "check", "--suite", "identity", "--max-size", "20")
+    res = invoke(runner, "check", "--suite", "identity", "--cases", "20")
     assert res.exit_code == 0
 
 

@@ -1,6 +1,7 @@
 """Tests for the Euler-product density assembly."""
 
 import gc
+import random
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,76 @@ def test_local_mass_constrained_is_smaller():
             full = dens.local_mass(n, p, ())
             cut = dens.local_mass(n, p, (Fraction(p),))
             assert 0 < cut < full
+
+
+def _tame_classes(n, seed):
+    """Seeded generator classes, each a function of the prime p: p prime
+    to or dividing a numerator or a denominator, negative, n-th powers,
+    and two-generator sets of rank one and two."""
+    rng = random.Random(seed)
+    x, y, z, w = (Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(4))
+    return [
+        lambda p: (x,),
+        lambda p: (-y,),
+        lambda p: (p * x,),
+        lambda p: (-z / p**2,),
+        lambda p: ((p * w) ** n * p**n,),
+        lambda p: (x, -y),
+        lambda p: (p * z, -p * w),
+        lambda p: (p * y, (p * y) ** 2 * w**n),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tame_local_mass_matches_local_field_path(n):
+    # every tame p <= 10^4 against the Q_p construction; above 2000 each
+    # prime takes two of the classes in turn
+    classes = _tame_classes(n, 101 * n)
+    for i, p in enumerate(dens.primes_up_to(10_000)):
+        if n % p == 0:
+            continue
+        todo = classes if p <= 2000 else (classes[i % 8], classes[(i + 3) % 8])
+        for make in todo:
+            gens = make(p)
+            assert dens.tame_local_mass(n, p, gens) == dens.local_mass(n, p, gens), (p, gens)
+
+
+def test_tame_local_mass_validation():
+    assert dens.tame_local_mass(4, 7, ()) == dens.full_local_factor(4, 7)
+    with pytest.raises(ValueError):
+        dens.tame_local_mass(3, 3, (Fraction(2),))
+    with pytest.raises(ValueError):
+        dens.tame_local_mass(4, 2, (Fraction(-1),))
+    with pytest.raises(ValueError):
+        dens.tame_local_mass(5, 7, (Fraction(0),))
+    with pytest.raises(ValueError):
+        dens.tame_local_mass(6, 7, (Fraction(2),))
+
+
+def test_euler_density_builds_local_fields_only_at_wild_primes(monkeypatch):
+    built = []
+    init = LocalField.__init__
+
+    def counting_init(self, p, *args, **kwargs):
+        built.append(p)
+        init(self, p, *args, **kwargs)
+
+    monkeypatch.setattr(LocalField, "__init__", counting_init)
+    for n, gens in [(3, ("19/7",)), (4, ("-10/3",)), (5, ("-2/3", "11/7"))]:
+        built.clear()
+        dens.euler_density(dens.GlobalSpec(n, gens, 3000))
+        assert built and {p for p in built if n % p} == set(), (n, sorted(set(built)))
+
+
+def test_huge_valuations_leave_per_prime_masses_unchanged():
+    # g * r^n has the local masses of g; at the wild prime dividing r the
+    # valuation reaches 60 to 100, far beyond the working precision
+    for n in (3, 4, 5):
+        for g in (Fraction(19, 7), Fraction(-10, 3)):
+            want = dens.euler_density(dens.GlobalSpec(n, (g,), 100)).per_prime
+            for r in (2**20, 3**20, 5**20, 7**20):
+                got = dens.euler_density(dens.GlobalSpec(n, (g * r**n,), 100)).per_prime
+                assert got == want, (n, g, r)
 
 
 def test_tail_constant_values():

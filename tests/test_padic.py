@@ -402,6 +402,18 @@ def test_quadratic_norm_valuation():
         assert F.val(E.norm(x)) == factor
 
 
+def test_quad_inverse_clears_p_denominators_first():
+    # both halves carry p-denominator 10: taken into the norm as they
+    # stand they would cost the inverse nearly all its precision
+    F = LocalField(5, 1, 1)
+    E = quad_extend(F, F.from_int(2))
+    y = E.mul(E.shift(E.one() + E.rho(), -10), E.shift(E.one(), 13))
+    assert E.val(y) == 3 and [h.data[1] for h in y.data] == [10, 10]
+    z = E.inv(y)
+    assert z.prec >= 10
+    assert E.congruent(E.mul(y, z), E.one(), 10)
+
+
 def test_square_input_rejected():
     F = LocalField(2, 1, 1)
     with pytest.raises(ValueError):
