@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from .fplinalg import FpMatrix, colspan_intersect, kernel_basis
 from .massprime import MassReport, count_Cp
 from .padic import GuardError, disc_val_quadratic, field_cache, quad_extend
@@ -71,24 +69,28 @@ def _hilbert_gram(F):
     Entry (i, j) is the F_2 exponent of (b_i, b_j)_F, i.e. 1 exactly
     when b_i is *not* a norm from F(sqrt(b_j)).  The pairing is
     symmetric and bilinear, so this matrix determines every symbol.
+    Returned as a tuple of row tuples.
     """
     basis = square_class_basis(F)
-    n = len(basis)
-    H = np.zeros((n, n), dtype=np.int64)
-    for j, bj in enumerate(basis):
+    cols = []
+    for bj in basis:
         E = quad_extend(F, bj)
-        for i, bi in enumerate(basis):
-            H[i, j] = 0 if norm_class_contains(E, bi) else 1
-    assert np.array_equal(H, H.T), "Hilbert pairing must be symmetric"
-    H.setflags(write=False)
+        cols.append(tuple(0 if norm_class_contains(E, bi) else 1 for bi in basis))
+    H = tuple(zip(*cols))
+    assert H == tuple(cols), "Hilbert pairing must be symmetric"
     return H
+
+
+def _gram_apply(F, v):
+    """The F_2 vector H v for the Hilbert Gram matrix H of F."""
+    return tuple(sum(h * x for h, x in zip(row, v)) % 2 for row in _hilbert_gram(F))
 
 
 def hilbert2(F, a, b) -> int:
     """The quadratic Hilbert symbol (a, b)_F, returned as +1 or -1."""
-    va = class_vec(F, F.coerce(a), 2) % 2
-    vb = class_vec(F, F.coerce(b), 2) % 2
-    exp = int(va @ _hilbert_gram(F) @ vb) % 2
+    va = class_vec(F, F.coerce(a), 2)
+    hb = _gram_apply(F, class_vec(F, F.coerce(b), 2))
+    exp = sum(x * y for x, y in zip(va, hb)) % 2
     return -1 if exp else 1
 
 
@@ -184,9 +186,9 @@ def omega_small_disc(F, E, with_state: bool = False):
     out = E.normalize_pshift(E.mul(E.mul(omega2, E.embed(nn)), E.inv(E.mul(g, g))))
     assert E.congruent(out, E.one(), 4 * e + 3 - 3 * m1)
     assert disc_val_quadratic(E, out) == 3 * m1 - 2
-    assert np.array_equal(
-        p_class_coords(F, E.norm(out)), p_class_coords(F, d)
-    ), "norm class of omega must be the class of d"
+    assert p_class_coords(F, E.norm(out)) == p_class_coords(F, d), (
+        "norm class of omega must be the class of d"
+    )
 
     if with_state:
         return OmegaState(d, a, b, omega, lam, omega1, omega2, lam2, r2, s2, qq, nn, out)
@@ -224,7 +226,7 @@ def choose_omega(F, E):
         omega = E.normalize_pshift(E.shift(beta, -(v - v % 2)))
         expected = m1 + 2 * e
     assert disc_val_quadratic(E, omega) == expected
-    assert np.array_equal(p_class_coords(F, E.norm(omega)), p_class_coords(F, d))
+    assert p_class_coords(F, E.norm(omega)) == p_class_coords(F, d)
     return omega
 
 
@@ -280,41 +282,37 @@ class NormClassSet:
 
 def _nec_rows(F, gens4):
     """Constraint rows over F_2: row_alpha . x = target_alpha."""
-    H = _hilbert_gram(F)
-    rows = [np.asarray((H @ p_class_coords(F, g)) % 2, dtype=np.int64) for g in gens4]
-    return rows
+    return [_gram_apply(F, p_class_coords(F, g)) for g in gens4]
 
 
 def _nec_brute(F, rows, targets, levels):
     dim = len(levels)
     if F.e * F.f > 12:
         raise GuardError("brute square-class enumeration limited to [F:Q_2] <= 12")
-    n = 1 << dim
-    X = ((np.arange(n)[:, None] >> np.arange(dim)[None, :]) & 1).astype(np.int64)
-    ok = np.ones(n, dtype=bool)
-    for r, t in zip(rows, targets):
-        ok &= (X @ r) % 2 == t
-    lev = np.asarray(levels, dtype=np.int64)
-    big = 10 * (2 * F.e + 2)
-    cls_level = np.where(X.astype(bool), lev[None, :], big).min(axis=1)
-    total = int(ok.sum())
-    sizes = tuple(int((ok & (cls_level >= c)).sum()) for c in range(2 * F.e + 1))
-    return total, sizes
+    # a class x is a bitmask, bit j for coordinate j; r.x is the parity
+    # of the bits shared with row r
+    masks = [sum(1 << j for j, c in enumerate(r) if c) for r in rows]
+    ok = [
+        x
+        for x in range(1 << dim)
+        if all((x & m).bit_count() % 2 == t for m, t in zip(masks, targets))
+    ]
+    sizes = []
+    for c in range(2 * F.e + 1):
+        # x lies in the image of U^(c) when it has no coordinate below c
+        low = sum(1 << j for j, lv in enumerate(levels) if lv < c)
+        sizes.append(sum(1 for x in ok if not x & low))
+    return len(ok), tuple(sizes)
 
 
 def _span_size(dim, base_rows, extra_rows, coord_cols):
     """2^dim of {x : r.x = 0 for all rows} intersected with a coordinate
     subspace (all columns when coord_cols is None)."""
-    all_rows = list(base_rows) + list(extra_rows)
-    if all_rows:
-        M = FpMatrix(2, np.array(all_rows, dtype=np.int64))
-        K = kernel_basis(M)
-    else:
-        K = FpMatrix(2, np.eye(dim, dtype=np.int64))
+    K = kernel_basis(FpMatrix.make(2, list(base_rows) + list(extra_rows), dim))
     if coord_cols is not None:
         if not coord_cols:
             return 1  # only the trivial class
-        C = FpMatrix(2, np.eye(dim, dtype=np.int64)[:, coord_cols])
+        C = FpMatrix.from_columns(2, [[int(i == j) for i in range(dim)] for j in coord_cols], dim)
         K = colspan_intersect(K, C)
     return 1 << K.cols
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .fplinalg import FpMatrix, in_colspan, span_contains
 from .padic import GuardError, disc_val_quadratic, quad_extend
 from .unitgroups import (
+    class_dim,
     class_vec,
     dlog_mod,
     norm_class_contains,
@@ -94,7 +93,7 @@ def enum_cp_characters(F, gens=(), max_size=DEFAULT_MAX_SIZE):
         ]
         cond = max(unit_levels) + 1 if unit_levels else 0
         flags = tuple(
-            sum(int(c) * int(g) for c, g in zip(chi, gv)) % p == 0 for gv in gvecs
+            sum(c * g for c, g in zip(chi, gv)) % p == 0 for gv in gvecs
         )
         out.append(
             CpExtension(
@@ -243,9 +242,9 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
                 d = F.mul(d, b)
         E = quad_extend(F, d)
         d_class = p_class_coords(F, d)
-        im_cols = [p_class_coords(E, E.embed(b)) for b in fb.elems]
-        M_im = FpMatrix(2, np.array(im_cols, dtype=np.int64).T)
         eb = unit_basis(E)
+        im_cols = [p_class_coords(E, E.embed(b)) for b in fb.elems]
+        M_im = FpMatrix.from_columns(2, im_cols, eb.dim)
         e_EF = 2 if E.kind == "ramified" else 1
         f_EF = 2 // e_EF
         betas = [solve_norm_equation(E, g) for g in gens]
@@ -257,7 +256,7 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
             delta_class = p_class_coords(E, delta)
             if span_contains(M_im, delta_class):
                 group = "V4"
-            elif np.array_equal(p_class_coords(F, E.norm(delta)), d_class):
+            elif p_class_coords(F, E.norm(delta)) == d_class:
                 group = "C4"
             else:
                 group = "D4"
@@ -368,13 +367,11 @@ def cyclic_quartic_towers(F):
     out = []
     f_reps = _square_class_product_reps(F)
     for E in quadratic_extensions(F):
-        fcols = np.array(
-            [class_vec(E, E.embed(g), 2) for g in f_reps], dtype=np.int64
-        ).T
-        M = FpMatrix(2, fcols)
+        fcols = [class_vec(E, E.embed(g), 2) for g in f_reps]
+        M = FpMatrix.from_columns(2, fcols, class_dim(E, 2))
         for d in _square_class_product_reps(E):
             ratio = E.mul(E.conj(d), E.inv(d))
-            if np.any(class_vec(E, ratio, 2)):
+            if any(class_vec(E, ratio, 2)):
                 continue  # not Galois over F
             if in_colspan(M, class_vec(E, d, 2)) is not None:
                 continue  # biquadratic
@@ -409,12 +406,16 @@ def extend_conjugation(K):
     return sigma
 
 
-def _twist_eigenvalue(p, chi, conj_matrix):
-    """The t with chi o sigma = t * chi, or None when not stable."""
-    chis = (chi @ conj_matrix) % p
+def _twist_eigenvalue(p, chi, conj_images):
+    """The t with chi o sigma = t * chi, or None when not stable.
+
+    ``conj_images[j]`` is the class vector of sigma of the j-th basis
+    element, so (chi o sigma)_j is chi dotted with it.
+    """
+    chis = [sum(c * x for c, x in zip(chi, img)) % p for img in conj_images]
     j0 = next(j for j in range(len(chi)) if chi[j])
-    t = int(chis[j0]) * pow(int(chi[j0]), -1, p) % p
-    if np.any((t * chi - chis) % p):
+    t = chis[j0] * pow(chi[j0], -1, p) % p
+    if any((t * c - s) % p for c, s in zip(chi, chis)):
         return None
     return t
 
@@ -456,14 +457,11 @@ def enum_wild_totally_ramified(F, max_size=DEFAULT_MAX_SIZE):
             v_disc = 2 * E.disc_val + (E.f // F.f) * K.disc_val
             resolvents.append((K, extend_conjugation(K), 4, v_disc, K.f // F.f))
     for K, sigma, d, v_disc_k, f_rel in resolvents:
-        basis = unit_basis(K)
-        conj_matrix = np.array(
-            [p_class_coords(K, sigma(b)) for b in basis.elems], dtype=np.int64
-        ).T
+        conj_images = [p_class_coords(K, sigma(b)) for b in unit_basis(K).elems]
         for r in enum_cp_characters(K, max_size=max_size):
             if r.cond == 0:
                 continue
-            t = _twist_eigenvalue(p, np.array(r.chi, dtype=np.int64), conj_matrix)
+            t = _twist_eigenvalue(p, r.chi, conj_images)
             if t is None:
                 continue
             order, tk = 1, t

@@ -85,8 +85,42 @@ def prime_factors(n: int) -> set:
     return out
 
 
+# psi_13, the least strong pseudoprime to all of the first 13 prime bases:
+# below it, Miller-Rabin on those bases decides primality (Sorenson and
+# Webster, Math. Comp. 86 (2017)).
+MR_PROVEN_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n > 1 and prime_factors(n) == {n}
+    """Whether n is prime, proven for every n below ``MR_PROVEN_BOUND``.
+
+    Raises ValueError from that bound on, where no proof is implemented.
+    """
+    if n < 2:
+        return False
+    if n >= MR_PROVEN_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: proven only below {MR_PROVEN_BOUND}"
+        )
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .fplinalg import FpMatrix, in_colspan
 from .fplinalg import rank as fp_rank
 from .padic import INF, field_cache, is_prime
@@ -62,15 +60,15 @@ def phi_matrix(F) -> FpMatrix:
         y = rf.from_coords(v)
         img = rf.add(y, rf.mul(c0, rf.pow(y, F.p)))
         cols.append(rf.coords(img))
-    return FpMatrix(F.p, np.array(cols, dtype=np.int64).T)
+    return FpMatrix.from_columns(F.p, cols, rf.f)
 
 
 def phi_preimage(F, r):
     """A residue element y with phi(y) = r, or None if r is not a value."""
-    sol = in_colspan(phi_matrix(F), np.array(F.rf.coords(r), dtype=np.int64))
+    sol = in_colspan(phi_matrix(F), F.rf.coords(r))
     if sol is None:
         return None
-    return F.rf.from_coords([int(c) for c in sol])
+    return F.rf.from_coords(sol)
 
 
 @field_cache
@@ -212,8 +210,8 @@ def unit_basis(F) -> UnitClassBasis:
         ustar = _non_phi_value(F)
         elems.append(one + F.shift(F.mul(F.from_int(p), F.lift(ustar)), e // (p - 1)))
         levels.append((p * e) // (p - 1))
-        col = np.array(F.rf.coords(ustar), dtype=np.int64).reshape(-1, 1)
-        top_aug = FpMatrix(p, np.hstack([phi_matrix(F).arr, col]))
+        phi = phi_matrix(F)
+        top_aug = FpMatrix.make(p, [r + (u,) for r, u in zip(phi.data, F.rf.coords(ustar))])
         pinv = F.inv(F.from_int(p))
     assert p ** len(elems) == quotient_size(F, INF)
     return UnitClassBasis(F, tuple(elems), tuple(levels), {}, top_aug, pinv)
@@ -224,16 +222,14 @@ def _non_phi_value(F):
     M = phi_matrix(F)
     rf = F.rf
     for j in range(rf.f):
-        v = np.zeros(rf.f, dtype=np.int64)
+        v = [0] * rf.f
         v[j] = 1
         if in_colspan(M, v) is None:
-            coords = [0] * rf.f
-            coords[j] = 1
-            return rf.from_coords(coords)
+            return rf.from_coords(v)
     raise ArithmeticError("phi is surjective; no such element")
 
 
-def p_class_coords(F, alpha) -> np.ndarray:
+def p_class_coords(F, alpha) -> tuple:
     """Coordinates of [alpha] in F^x / F^{x p} on the unit-class basis.
 
     A prime-to-p level costs one digit and, per unit of each digit
@@ -242,7 +238,7 @@ def p_class_coords(F, alpha) -> np.ndarray:
     p, e = F.p, F.e
     T = (p * e) // (p - 1)
     ceil_top = ceil_frac(p * e, p - 1)
-    out = np.zeros(basis.dim, dtype=np.int64)
+    out = [0] * basis.dim
     alpha = F.normalize_pshift(alpha)
     v = F.val(alpha)
     if v is INF:
@@ -267,10 +263,10 @@ def p_class_coords(F, alpha) -> np.ndarray:
             if basis.top_aug is None:
                 break
             r = _top_digit(F, m, basis.pinv)
-            sol = in_colspan(basis.top_aug, np.array(rf.coords(r), dtype=np.int64))
+            sol = in_colspan(basis.top_aug, rf.coords(r))
             if sol is None:  # pragma: no cover - phi + u* spans everything
                 raise ArithmeticError("top-level digit not decomposable")
-            out[pos] = int(sol[-1])
+            out[pos] = sol[-1]
             break
         # p | i, i < pe/(p-1): invisible level, strip a p-th root
         r = F.digit(m - one, i)
@@ -278,7 +274,7 @@ def p_class_coords(F, alpha) -> np.ndarray:
         if not rf.is_zero(y):
             u = one + F.shift(F.lift(y), i // p)
             m = F.mul(m, F.inv(F.power(u, p)))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +339,7 @@ def class_dim(F, ell: int) -> int:
     return 2 if (F.q - 1) % ell == 0 else 1
 
 
-def class_vec(F, alpha, ell: int) -> np.ndarray:
+def class_vec(F, alpha, ell: int) -> tuple:
     """Coordinates of [alpha] in F^x / F^{x ell}; index 0 is v(alpha) mod ell."""
     if ell == F.p:
         return p_class_coords(F, alpha)
@@ -351,9 +347,9 @@ def class_vec(F, alpha, ell: int) -> np.ndarray:
     if v is INF:
         raise ValueError("alpha must be nonzero")
     if (F.q - 1) % ell != 0:
-        return np.array([v % ell], dtype=np.int64)
+        return (v % ell,)
     u = F.shift(alpha, -v) if v else alpha
-    return np.array([v % ell, dlog_mod(F, F.residue(u), ell)], dtype=np.int64)
+    return (v % ell, dlog_mod(F, F.residue(u), ell))
 
 
 @dataclass(frozen=True)
@@ -402,21 +398,20 @@ def strat_gens(F, gens, ell: int) -> StratGens:
         v = F.val(g)
         if v != v % ell:
             g = F.normalize_pshift(F.shift(g, v % ell - v))
-        vec = class_vec(F, g, ell) % ell
+        vec = class_vec(F, g, ell)
         elt = g
         for pe_elt, pv, pc in pivots:
-            c = int(vec[pc])
+            c = vec[pc]
             if c:
-                vec = (vec - c * pv) % ell
+                vec = [(a - c * b) % ell for a, b in zip(vec, pv)]
                 elt = F.mul(elt, F.power(pe_elt, ell - c))
-        nz = np.flatnonzero(vec)
-        if nz.size == 0:
+        pc = next((j for j, x in enumerate(vec) if x), None)
+        if pc is None:
             continue
-        pc = int(nz[0])
-        s = pow(int(vec[pc]), -1, ell)
+        s = pow(vec[pc], -1, ell)
         if s != 1:
             elt = F.power(elt, s)
-            vec = (s * vec) % ell
+            vec = [s * x % ell for x in vec]
         # normalize the valuation immediately: 1 on the uniformizer
         # pivot, 0 on unit pivots
         v = F.val(elt)
@@ -429,12 +424,7 @@ def strat_gens(F, gens, ell: int) -> StratGens:
     for elt, vec, pc in pivots:
         (A1 if pc == 0 else A0).append(elt)
     order = A0 + A1
-    mat = FpMatrix(
-        ell,
-        np.array([class_vec(F, e_, ell) % ell for e_ in order], dtype=np.int64).T
-        if order
-        else np.zeros((class_dim(F, ell), 0), dtype=np.int64),
-    )
+    mat = FpMatrix.from_columns(ell, [class_vec(F, e_, ell) for e_ in order], class_dim(F, ell))
     return StratGens(F, ell, tuple(A0), tuple(A1), mat)
 
 
@@ -500,7 +490,7 @@ def norm_class_matrix(E) -> FpMatrix:
     """
     F = E.base
     cols = [class_vec(F, E.norm(b), 2) for b in square_class_basis(E)]
-    return FpMatrix(2, np.array(cols, dtype=np.int64).T)
+    return FpMatrix.from_columns(2, cols, class_dim(F, 2))
 
 
 def norm_class_contains(E, alpha) -> bool:
@@ -589,7 +579,6 @@ def abar_p_filtration_sizes(F, strat: StratGens):
     sizes = []
     for c in range(ceil_frac(p * e, p - 1) + 1):
         rows = [j for j, lev in enumerate(levels) if lev < c]
-        sub = FpMatrix(p, B.arr[rows, :]) if B.cols else None
-        low_rank = fp_rank(sub) if sub is not None else 0
+        low_rank = fp_rank(FpMatrix(p, tuple(B.data[j] for j in rows), B.cols))
         sizes.append(p ** (full - low_rank))
     return sizes

@@ -4,7 +4,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -154,6 +158,31 @@ def test_mass_guard_maps_to_exit_3(runner, monkeypatch):
     monkeypatch.setattr(cli.mq, "premass4", boom)
     res = invoke(runner, "mass", "--p", "2", "--n", "4")
     assert res.exit_code == 3
+
+
+def test_mass_huge_prime_exits_2_promptly():
+    # beyond the proven Miller-Rabin bound the primality check refuses
+    # at once, where trial division up to sqrt(p) would outlast the timeout
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    args = ["mass", "--p", "1000000000000000000000000000057", "--n", "3"]
+    res = subprocess.run(
+        [sys.executable, "-m", "etmass.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+    )
+    assert res.returncode == 2
+    assert "3317044064679887385961981" in res.stderr
+
+
+def test_mass_thirteen_digit_prime_output(runner):
+    # SHA-256 of the whole stdout, recorded with the trial-division check
+    res = invoke(runner, "mass", "--p", "1000000000039", "--n", "3", "--gens", "2")
+    assert res.exit_code == 0
+    digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+    assert digest == "28a4d64da734f99a926adedc3093ca3c186052e0a3d45f04b53c37a37d7083c3"
 
 
 # ---------------------------------------------------------------------------

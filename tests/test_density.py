@@ -359,6 +359,8 @@ def test_density_runs_leave_no_fields():
         return sum(isinstance(o, (LocalField, QuadExt)) for o in gc.get_objects())
 
     before = live_fields()
-    for _ in range(2):
-        dens.euler_density(dens.GlobalSpec(3, (Fraction(2),), 2000))
+    # local_mass takes the LocalField path at every prime, so each call
+    # builds a field (euler_density would build one only at p = 3)
+    for p in dens.primes_up_to(2000):
+        dens.local_mass(3, p, (Fraction(2),))
     assert live_fields() - before < 10

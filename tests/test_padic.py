@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 
 from etmass.padic import (
     INF,
+    MR_PROVEN_BOUND,
     LocalField,
     PrecisionError,
     ResidueField,
     disc_val_quadratic,
     field_cache,
+    is_prime,
+    prime_factors,
     quad_extend,
 )
 
@@ -45,6 +48,30 @@ def random_unit(F, rng, depth=6):
                 return x
         except PrecisionError:
             continue
+
+
+# ---------------------------------------------------------------------------
+# primality
+# ---------------------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 10**5):
+        assert is_prime(n) == (n > 1 and prime_factors(n) == {n}), n
+
+
+def test_is_prime_rejects_strong_pseudoprime():
+    # psi_12: a strong pseudoprime to every prime base 2, ..., 37
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(1000000000039)
+
+
+def test_is_prime_refuses_beyond_proven_bound():
+    assert MR_PROVEN_BOUND == 3317044064679887385961981
+    with pytest.raises(ValueError, match=str(MR_PROVEN_BOUND)):
+        is_prime(MR_PROVEN_BOUND)
+    with pytest.raises(ValueError):
+        LocalField(1000000000000000000000000000057, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,8 @@ def test_coords_homomorphism_and_pth_powers(p, e, f):
         b = random_unit(F, rng)
         va = ug.p_class_coords(F, a)
         vb = ug.p_class_coords(F, b)
-        assert np.array_equal(ug.p_class_coords(F, F.mul(a, b)), (va + vb) % p)
-        assert not ug.p_class_coords(F, F.power(a, p)).any()
+        assert ug.p_class_coords(F, F.mul(a, b)) == tuple((x + y) % p for x, y in zip(va, vb))
+        assert not any(ug.p_class_coords(F, F.power(a, p)))
 
 
 @pytest.mark.parametrize("p,e,f", FIELDS)
@@ -143,15 +143,15 @@ def test_coords_on_quadratic_extensions():
             bb = random_unit(E, rng)
             va = ug.p_class_coords(E, a)
             vb = ug.p_class_coords(E, bb)
-            assert np.array_equal(ug.p_class_coords(E, E.mul(a, bb)), (va + vb) % 2)
-            assert not ug.p_class_coords(E, E.power(a, 2)).any()
+            assert ug.p_class_coords(E, E.mul(a, bb)) == tuple((x + y) % 2 for x, y in zip(va, vb))
+            assert not any(ug.p_class_coords(E, E.power(a, 2)))
 
 
 def test_valuation_coordinate():
     F = make_field(3, 1, 1)
     v = ug.p_class_coords(F, F.power(F.pi(), 7))
     assert v[0] == 7 % 3
-    assert not v[1:].any()
+    assert not any(v[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +202,12 @@ def test_empirical_class_count_q2():
 def test_tame_class_vec():
     F = make_field(7, 1, 1)
     # squares mod 7: 1,2,4
-    assert ug.class_vec(F, F.from_int(2), 2).tolist() == [0, 0]
-    assert ug.class_vec(F, F.from_int(3), 2).tolist() == [0, 1]
+    assert ug.class_vec(F, F.from_int(2), 2) == (0, 0)
+    assert ug.class_vec(F, F.from_int(3), 2) == (0, 1)
     assert ug.class_vec(F, F.from_int(7), 2)[0] == 1
     # ell = 5 does not divide q - 1 = 6: only the valuation survives
-    assert ug.class_vec(F, F.from_int(3), 5).tolist() == [0]
-    assert ug.class_vec(F, F.from_int(7), 5).tolist() == [1]
+    assert ug.class_vec(F, F.from_int(3), 5) == (0,)
+    assert ug.class_vec(F, F.from_int(7), 5) == (1,)
 
 
 def test_strat_gens_q2_square_classes():
@@ -235,9 +235,7 @@ def test_strat_gens_q2_square_classes():
         from etmass.fplinalg import FpMatrix, rank
 
         def mat(vs):
-            if not vs:
-                return FpMatrix(2, np.zeros((3, 0), dtype=np.int64))
-            return FpMatrix(2, np.array(vs, dtype=np.int64).T)
+            return FpMatrix.from_columns(2, vs, 3)
 
         both = in_vecs + out_vecs
         assert rank(mat(both)) == rank(mat(in_vecs)) == rank(mat(out_vecs)) == s.rank
