@@ -237,6 +237,17 @@ def local_profile_at_prime(gens, p: int):
     return F, tuple(embedded)
 
 
+def _full_numerator(n: int, p: int) -> int:
+    """The numerator of ``full_local_factor(n, p)`` over p^n."""
+    if n == 3:
+        return p**3 - 1
+    if n == 4:
+        return p**4 + p**2 - p - 1
+    if n == 5:
+        return p**5 + p**3 - p - 1
+    raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
+
+
 def full_local_factor(n: int, p: int) -> Fraction:
     """The unconstrained (full-norm-group) local mass factor at p.
 
@@ -244,13 +255,7 @@ def full_local_factor(n: int, p: int) -> Fraction:
     n = 3, 4, 5, over p^n; each numerator is -1 mod p, so the fraction
     is already reduced.
     """
-    if n == 3:
-        return Fraction(p**3 - 1, p**3)
-    if n == 4:
-        return Fraction(p**4 + p**2 - p - 1, p**4)
-    if n == 5:
-        return Fraction(p**5 + p**3 - p - 1, p**5)
-    raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
+    return Fraction(_full_numerator(n, p), p**n)
 
 
 def local_mass(n: int, p: int, gens=(), algo: str = "auto") -> Fraction:
@@ -314,12 +319,19 @@ def tame_local_mass(n: int, p: int, gens=()) -> Fraction:
         raise ValueError("generators must be nonzero")
     if not gens:
         return full_local_factor(n, p)
-    return _tame_mass(n, p, [(g.numerator, g.denominator) for g in gens])
+    t = _tame_numerator(n, p, [(g.numerator, g.denominator) for g in gens])
+    return Fraction(t, _tame_scale(n) * p**n)
 
 
-def _tame_mass(n: int, p: int, fracs) -> Fraction:
-    """``tame_local_mass`` on nonzero generators given as (numerator,
-    denominator) pairs, for a prime p not dividing n."""
+def _tame_scale(n: int) -> int:
+    """c with ``_tame_numerator`` counted over c * p^n: 8 for n = 4, else n."""
+    return 8 if n == 4 else n
+
+
+def _tame_numerator(n: int, p: int, fracs) -> int:
+    """``tame_local_mass`` times ``_tame_scale(n) * p^n``, an integer, on
+    nonzero generators given as (numerator, denominator) pairs, for a
+    prime p not dividing n."""
     units = []  # (v, u mod p) with g = p^v * u
     for num, den in fracs:
         v = 0
@@ -356,7 +368,7 @@ def _tame_mass(n: int, p: int, fracs) -> Fraction:
             + (k1212 + k22) * q
             + k14
         )
-        return Fraction((q - 1) * total, 8 * q**4)
+        return (q - 1) * total
     ell = n
     top = q ** (ell - 1)
     vals = [v % ell for v, _ in units]
@@ -373,7 +385,7 @@ def _tame_mass(n: int, p: int, fracs) -> Fraction:
         + (ell - 1) * top
         + ell * sum(partition_count(d, ell - d) * q ** (ell - 1 - d) for d in range(1, ell - 1))
     )
-    return Fraction((q - 1) * total, ell * q**ell)
+    return (q - 1) * total
 
 
 @lru_cache(maxsize=None)
@@ -413,8 +425,10 @@ def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
     """Enclose the density coefficient and the proportion for ``spec``.
 
     Each local mass at p <= B is exact: ``tame_local_mass`` at p prime
-    to n, ``local_mass`` (a ``LocalField`` per call) at p | n.  The
-    finite product over p <= B is exact.  The tail multiplier lies
+    to n, ``local_mass`` (a ``LocalField`` per call) at p | n.  At a
+    tame prime the mass and the full factor are integer numerators over
+    the same denominator, so the ratio is read off without dividing
+    ``Fraction``s.  The finite product over p <= B is exact.  The tail multiplier lies
     in [1 - C_n/B, 1/(1 - C_n/B)] since each omitted factor is within
     C_n/p^2 of 1 and sum_{p>B} p^{-2} <= 1/B; the tail of the ratio
     product lies in [1 - C_n/B, 1] since each ratio is in (0, 1].
@@ -428,18 +442,24 @@ def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
     fracs = [(g.numerator, g.denominator) for g in spec.gens]
     per_prime = []
     ratios = []
+    scale = _tame_scale(n)
     for p in primes_up_to(bound):
-        full = full_local_factor(n, p)
         if not spec.gens:
-            m = full
+            m = full_local_factor(n, p)
         elif n % p:
-            m = _tame_mass(n, p, fracs)
+            t = _tame_numerator(n, p, fracs)
+            full_t = scale * _full_numerator(n, p)
+            assert 0 < t <= full_t, (p, t, full_t)
+            m = Fraction(t, scale * p**n)
+            if t != full_t:
+                ratios.append(Fraction(t, full_t))
         else:
             m = local_mass(n, p, spec.gens, algo=algo)
-        assert 0 < m <= full, (p, m, full)
+            full = full_local_factor(n, p)
+            assert 0 < m <= full, (p, m, full)
+            if m != full:
+                ratios.append(m / full)
         per_prime.append((p, m))
-        if m != full:
-            ratios.append(m / full)
     finite = exact_product(m for _, m in per_prime)
     ratio = exact_product(ratios)
 

@@ -235,8 +235,13 @@ def omega_norm_signs(E, omega, gens4):
 
     Computed through the tower: alpha is a quartic norm exactly when
     some beta in E with N_{E/F}(beta) = alpha is itself a norm from
-    E(sqrt(omega))/E.
+    M = E(sqrt(omega))/E.  The norm image of M/E is read from
+    :func:`norm_class_matrix`, which walks M's square classes only until
+    they span it.  With no generators the answer is () and M is not
+    built.
     """
+    if not gens4:
+        return ()
     F = E.base
     M = quad_extend(E, omega)
     signs = []
@@ -258,7 +263,10 @@ class NormClassSet:
     ``total`` is the number of square classes t of F such that the
     Hilbert symbol (t, alpha)_F is +1 for every generator alpha that is
     a quartic norm and -1 for every generator that is not;  ``sizes``
-    restricts t to the image of U^(c) for c = 0, ..., 2 e_F.
+    restricts t to the image of U^(c) for c = 0, ..., 2 e_F.  ``omega``
+    is the cyclic extender used for the signs, or None when there are no
+    generators and no extender was given: the empty constraint needs
+    none.
     """
 
     field: object
@@ -345,6 +353,9 @@ def nec_sizes(F, E, gens=(), algo: str = "auto", omega=None, gens4=None):
     one of ``brute`` (enumerate all square classes; guarded by the
     degree of F), ``subspace`` (F_2 kernel intersections with
     inclusion-exclusion over the excluded generators) or ``auto``.
+    Raises ValueError when E has no cyclic quartic extension of F.
+    With no generators no extender omega is chosen, since no sign needs
+    one.
     """
     if F.p != 2:
         raise ValueError("only defined over 2-adic fields")
@@ -352,7 +363,10 @@ def nec_sizes(F, E, gens=(), algo: str = "auto", omega=None, gens4=None):
         gens4 = gens
     gens4 = tuple(F.coerce(g) for g in gens4)
     if omega is None:
-        omega = choose_omega(F, E)
+        if gens4:
+            omega = choose_omega(F, E)
+        elif hilbert2(F, -1, F.coerce(E.d)) != 1:
+            raise ValueError("E admits no cyclic quartic extension of F")
     signs = omega_norm_signs(E, omega, gens4)
     rows = _nec_rows(F, gens4)
     targets = [0 if s else 1 for s in signs]

@@ -190,20 +190,28 @@ class UnitClassBasis:
         return inv
 
 
+def _level_reps(F):
+    """Yield (level, element) for the unit-class basis below the top level.
+
+    The uniformizer comes first (level -1), then 1 + pi^i u for each
+    prime-to-p level i < pe/(p-1) and each residue lift u, in level
+    order.
+    """
+    p = F.p
+    one = F.one()
+    yield -1, F.pi()
+    lifts = F.residue_lifts()
+    for i in range(1, ceil_frac(p * F.e, p - 1)):
+        if i % p:
+            for u in lifts:
+                yield i, one + F.shift(u, i)
+
+
 @field_cache
 def unit_basis(F) -> UnitClassBasis:
     p, e = F.p, F.e
-    ceil_top = ceil_frac(p * e, p - 1)
     one = F.one()
-    elems = [F.pi()]
-    levels = [-1]
-    lifts = F.residue_lifts()
-    for i in range(1, ceil_top):
-        if i % p == 0:
-            continue
-        for u in lifts:
-            elems.append(one + F.shift(u, i))
-            levels.append(i)
+    levels, elems = (list(t) for t in zip(*_level_reps(F)))
     top_aug = pinv = None
     if contains_mu_p(F):
         # top element 1 + p pi^{e/(p-1)} u* with [u*] outside im(phi)
@@ -480,17 +488,41 @@ def sqrt_exact(F, w):
     return F.shift(y, v // 2)
 
 
+def _norm_walk(E):
+    """E's square-class representatives in level order.
+
+    For p = 2 these are the unit-class basis elements below the top
+    level, then the top element, whose unit basis is built only when the
+    walk reaches it; for p odd, :func:`square_class_basis`.
+    """
+    if E.p != 2:
+        yield from square_class_basis(E)
+        return
+    for _, b in _level_reps(E):
+        yield b
+    yield unit_basis(E).elems[-1]
+
+
 @field_cache
 def norm_class_matrix(E) -> FpMatrix:
-    """Matrix of the norm-induced map E^x/E^{x2} -> F^x/F^{x2}.
+    """Columns spanning the image of N_{E/F} in F^x/F^{x2}.
 
-    Columns are the classes of the norms of a square-class basis of E.
-    Its column span is the image of the norm group, which has index 2
-    in F^x/F^{x2} by local class field theory.
+    By local class field theory the norm group of a quadratic E/F has
+    index 2 in F^x, so its image is a hyperplane of F^x/F^{x2}.  Column
+    j is the class of the norm of the j-th element of E's square-class
+    walk (:func:`_norm_walk`), and the walk stops as soon as the columns
+    reach rank dim - 1: the columns span the image, one per walked
+    element, not one per basis element of E.
     """
     F = E.base
-    cols = [class_vec(F, E.norm(b), 2) for b in square_class_basis(E)]
-    return FpMatrix.from_columns(2, cols, class_dim(F, 2))
+    dim = class_dim(F, 2)
+    cols = []
+    for b in _norm_walk(E):
+        cols.append(class_vec(F, E.norm(b), 2))
+        M = FpMatrix.from_columns(2, cols, dim)
+        if fp_rank(M) == dim - 1:
+            return M
+    raise ArithmeticError("norm image is not a hyperplane")  # pragma: no cover
 
 
 def norm_class_contains(E, alpha) -> bool:
@@ -503,8 +535,10 @@ def norm_class_contains(E, alpha) -> bool:
 def solve_norm_equation(E, alpha):
     """An element beta of E with N_{E/F}(beta) = alpha, or None.
 
-    Linear algebra over F_2 finds beta up to a square of F; the square
-    is then removed exactly with :func:`sqrt_exact`.
+    Linear algebra over F_2 on the columns of :func:`norm_class_matrix`
+    finds beta, a product of the walked elements those columns come
+    from, up to a square of F; the square is then removed exactly with
+    :func:`sqrt_exact`.
     """
     F = E.base
     alpha = F.coerce(alpha)
@@ -512,7 +546,8 @@ def solve_norm_equation(E, alpha):
     if x is None:
         return None
     beta = E.one()
-    for b, c in zip(square_class_basis(E), x):
+    # x first, so the walk stops at the last column
+    for c, b in zip(x, _norm_walk(E)):
         if c:
             beta = E.mul(beta, b)
     w = F.mul(E.norm(beta), F.inv(alpha))

@@ -231,6 +231,34 @@ def test_nec_rejects_non_extendable():
         mq.nec_sizes(Q2, quad_extend(Q2, Q2.from_int(-1)))
 
 
+@pytest.mark.parametrize("F", [Q2, F22])
+def test_nec_without_generators_builds_no_omega(F, monkeypatch):
+    # the empty constraint needs no cyclic extender: nec_sizes must not
+    # choose omega or build a quadratic extension of E
+    cases = []
+    for d in square_class_reps(F):
+        E = quad_extend(F, d)
+        if mq.hilbert2(F, -1, d) == 1:
+            w = mq.choose_omega(F, E)
+            cases.append((E, [mq.nec_sizes(F, E, (), algo=a, omega=w) for a in ("brute", "subspace")]))
+    assert cases
+
+    def no_omega(F_, E_):
+        raise AssertionError("choose_omega called")
+
+    def no_tower(base, d):
+        if any(base is E for E, _ in cases):
+            raise AssertionError("quad_extend called over E")
+        return quad_extend(base, d)
+
+    monkeypatch.setattr(mq, "choose_omega", no_omega)
+    monkeypatch.setattr(mq, "quad_extend", no_tower)
+    for E, want in cases:
+        got = [mq.nec_sizes(F, E, (), algo=a) for a in ("brute", "subspace")]
+        assert [(n.total, n.sizes) for n in got] == [(n.total, n.sizes) for n in want]
+        assert all(n.omega is None and n.signs == () for n in got)
+
+
 # ---------------------------------------------------------------------------
 # omega construction
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etmass import unitgroups as ug
+from etmass.fplinalg import FpMatrix, in_colspan
+from etmass.fplinalg import rank as fp_rank
+from etmass.massquartic import choose_omega, hilbert2
 from etmass.padic import INF, LocalField, quad_extend
 
 from test_padic import random_unit
@@ -297,3 +300,71 @@ def test_strat_gens_property(seed):
     vecs = [tuple(ug.class_vec(F, a, ell)) for a in s.A0 + s.A1]
     assert len(set(vecs)) == len(vecs)
     assert all(any(v) for v in vecs)
+
+
+# ---------------------------------------------------------------------------
+# norm images of quadratic extensions
+# ---------------------------------------------------------------------------
+
+
+def _quadratic_extensions(F):
+    """Every quadratic extension of F, one per nontrivial square class."""
+    basis = ug.square_class_basis(F)
+    out = []
+    for mask in range(1, 1 << len(basis)):
+        d = F.one()
+        for j, b in enumerate(basis):
+            if mask >> j & 1:
+                d = F.mul(d, b)
+        out.append(quad_extend(F, d))
+    return out
+
+
+def _norm_image_cases():
+    """Quadratic E/F over small bases, and towers M = E(sqrt(omega))/E
+    for every cyclic-extendable E of Q_2 and of the ramified (2,2,1)."""
+    cases = []
+    for p, e, f in [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (5, 1, 1)]:
+        cases.extend(_quadratic_extensions(make_field(p, e, f)))
+    for p, e, f in [(2, 1, 1), (2, 2, 1)]:
+        F = make_field(p, e, f)
+        for E in _quadratic_extensions(F):
+            if hilbert2(F, -1, F.coerce(E.d)) == 1:
+                cases.append(quad_extend(E, choose_omega(F, E)))
+    return cases
+
+
+def test_norm_class_matrix_spans_full_basis_image():
+    # reference: the norms of the whole square-class basis of E; the
+    # matrix may stop early but must span the same hyperplane
+    full_walks = early_stops = 0
+    for E in _norm_image_cases():
+        F = E.base
+        dim = ug.class_dim(F, 2)
+        basis = ug.square_class_basis(E)
+        ref = FpMatrix.from_columns(2, [ug.class_vec(F, E.norm(b), 2) for b in basis], dim)
+        M = ug.norm_class_matrix(E)
+        both = FpMatrix.make(2, [r + s for r, s in zip(ref.data, M.data)], ref.cols + M.cols)
+        assert fp_rank(ref) == fp_rank(M) == fp_rank(both) == dim - 1
+        assert M.cols <= len(basis)
+        full_walks += M.cols == len(basis) and F.p == 2
+        early_stops += M.cols < len(basis)
+    assert full_walks and early_stops
+
+
+def test_solve_norm_equation_round_trips():
+    for E in _norm_image_cases():
+        F = E.base
+        dim = ug.class_dim(F, 2)
+        basis = ug.square_class_basis(E)
+        ref = FpMatrix.from_columns(2, [ug.class_vec(F, E.norm(b), 2) for b in basis], dim)
+        # every basis class of F, and each basis norm times a basis class
+        alphas = list(ug.square_class_basis(F))
+        alphas += [F.mul(E.norm(b), a) for b, a in zip(basis, alphas * len(basis))]
+        for alpha in alphas:
+            beta = ug.solve_norm_equation(E, alpha)
+            if in_colspan(ref, ug.class_vec(F, alpha, 2)) is None:
+                assert beta is None
+            else:
+                assert beta is not None
+                assert F.unit_eq(E.norm(beta), alpha)
