@@ -334,33 +334,36 @@ def _norm_image_cases():
     return cases
 
 
+def _full_norm_image(E):
+    """Reference: the norm classes of E's whole square-class basis."""
+    F = E.base
+    cols = [ug.class_vec(F, E.norm(b), 2) for b in ug.square_class_basis(E)]
+    return FpMatrix.from_columns(2, cols, ug.class_dim(F, 2))
+
+
 def test_norm_class_matrix_spans_full_basis_image():
-    # reference: the norms of the whole square-class basis of E; the
-    # matrix may stop early but must span the same hyperplane
+    # the matrix may stop early but must span the same hyperplane
     full_walks = early_stops = 0
     for E in _norm_image_cases():
-        F = E.base
-        dim = ug.class_dim(F, 2)
-        basis = ug.square_class_basis(E)
-        ref = FpMatrix.from_columns(2, [ug.class_vec(F, E.norm(b), 2) for b in basis], dim)
+        ref = _full_norm_image(E)
         M = ug.norm_class_matrix(E)
         both = FpMatrix.make(2, [r + s for r, s in zip(ref.data, M.data)], ref.cols + M.cols)
-        assert fp_rank(ref) == fp_rank(M) == fp_rank(both) == dim - 1
-        assert M.cols <= len(basis)
-        full_walks += M.cols == len(basis) and F.p == 2
-        early_stops += M.cols < len(basis)
+        assert fp_rank(ref) == fp_rank(M) == fp_rank(both) == ref.rows - 1
+        assert M.cols <= ref.cols
+        # for p = 2 a full walk is one that needed the top element
+        full_walks += M.cols == ref.cols and E.p == 2
+        early_stops += M.cols < ref.cols
     assert full_walks and early_stops
 
 
 def test_solve_norm_equation_round_trips():
     for E in _norm_image_cases():
         F = E.base
-        dim = ug.class_dim(F, 2)
-        basis = ug.square_class_basis(E)
-        ref = FpMatrix.from_columns(2, [ug.class_vec(F, E.norm(b), 2) for b in basis], dim)
-        # every basis class of F, and each basis norm times a basis class
-        alphas = list(ug.square_class_basis(F))
-        alphas += [F.mul(E.norm(b), a) for b, a in zip(basis, alphas * len(basis))]
+        ref = _full_norm_image(E)
+        # every basis class of F, and each basis norm of E times one
+        fb = ug.square_class_basis(F)
+        eb = ug.square_class_basis(E)
+        alphas = fb + [F.mul(E.norm(b), fb[j % len(fb)]) for j, b in enumerate(eb)]
         for alpha in alphas:
             beta = ug.solve_norm_equation(E, alpha)
             if in_colspan(ref, ug.class_vec(F, alpha, 2)) is None:
