@@ -22,7 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .fplinalg import FpMatrix, colspan_intersect, kernel_basis
+from .fplinalg import FpMatrix
+from .fplinalg import rank as fp_rank
 from .massprime import MassReport, count_Cp
 from .padic import GuardError, disc_val_quadratic, field_cache, quad_extend
 from .unitgroups import (
@@ -92,6 +93,32 @@ def hilbert2(F, a, b) -> int:
     hb = _gram_apply(F, class_vec(F, F.coerce(b), 2))
     exp = sum(x * y for x, y in zip(va, hb)) % 2
     return -1 if exp else 1
+
+
+def _bitmask(v) -> int:
+    """An F_2 vector as an int, bit j for coordinate j."""
+    return sum(1 << j for j, c in enumerate(v) if c)
+
+
+def _symbol_masks(F, elems):
+    """For each a in ``elems``, the row H v_a as a bitmask: (a, d)_F = -1
+    exactly when it shares an odd number of bits with the class vector
+    of d."""
+    return [_bitmask(_gram_apply(F, class_vec(F, F.coerce(a), 2))) for a in elems]
+
+
+def _all_symbols_trivial(masks, dmask) -> bool:
+    """Whether (a, d)_F = +1 for every a, given the masks of the a and
+    the class vector of d as a bitmask."""
+    return not any((m & dmask).bit_count() % 2 for m in masks)
+
+
+@field_cache
+def _cyclic_extendable(E) -> bool:
+    """Whether -1 is a norm from the quadratic E/F, i.e. whether E has a
+    cyclic quartic extension of F; computed once per E."""
+    F = E.base
+    return hilbert2(F, -1, F.coerce(E.d)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +230,9 @@ def choose_omega(F, E):
     """
     if F.p != 2:
         raise ValueError("only defined over 2-adic fields")
-    d = F.coerce(E.d)
-    if hilbert2(F, -1, d) != 1:
+    if not _cyclic_extendable(E):
         raise ValueError("E admits no cyclic quartic extension of F")
+    d = F.coerce(E.d)
     e = F.e
     m1 = E.disc_val
     if E.kind == "unramified":
@@ -299,7 +326,7 @@ def _nec_brute(F, rows, targets, levels):
         raise GuardError("brute square-class enumeration limited to [F:Q_2] <= 12")
     # a class x is a bitmask, bit j for coordinate j; r.x is the parity
     # of the bits shared with row r
-    masks = [sum(1 << j for j, c in enumerate(r) if c) for r in rows]
+    masks = [_bitmask(r) for r in rows]
     ok = [
         x
         for x in range(1 << dim)
@@ -314,15 +341,16 @@ def _nec_brute(F, rows, targets, levels):
 
 
 def _span_size(dim, base_rows, extra_rows, coord_cols):
-    """2^dim of {x : r.x = 0 for all rows} intersected with a coordinate
-    subspace (all columns when coord_cols is None)."""
-    K = kernel_basis(FpMatrix.make(2, list(base_rows) + list(extra_rows), dim))
-    if coord_cols is not None:
-        if not coord_cols:
-            return 1  # only the trivial class
-        C = FpMatrix.from_columns(2, [[int(i == j) for i in range(dim)] for j in coord_cols], dim)
-        K = colspan_intersect(K, C)
-    return 1 << K.cols
+    """The size of {x : r.x = 0 for all rows} within the coordinate
+    subspace on ``coord_cols`` (all columns when it is None).
+
+    An x supported on the columns C is in the kernel exactly when its
+    C-part is in the kernel of the rows restricted to C, so the size is
+    2^(|C| - rank R[:, C]).
+    """
+    cols = range(dim) if coord_cols is None else coord_cols
+    R = [[r[j] for j in cols] for r in (*base_rows, *extra_rows)]
+    return 1 << (len(cols) - fp_rank(FpMatrix.make(2, R, len(cols))))
 
 
 def _nec_subspace(F, rows, targets, levels):
@@ -365,7 +393,7 @@ def nec_sizes(F, E, gens=(), algo: str = "auto", omega=None, gens4=None):
     if omega is None:
         if gens4:
             omega = choose_omega(F, E)
-        elif hilbert2(F, -1, F.coerce(E.d)) != 1:
+        elif not _cyclic_extendable(E):
             raise ValueError("E admits no cyclic quartic extension of F")
     signs = omega_norm_signs(E, omega, gens4)
     rows = _nec_rows(F, gens4)
@@ -575,16 +603,23 @@ def counts_12E_C4(F, E, gens=(), m2: int | None = None, algo: str = "auto", nec=
     if E.kind != "ramified":
         raise ValueError("E must be a ramified quadratic of F")
     gens_c = tuple(F.coerce(g) for g in gens)
-    d = F.coerce(E.d)
-    e = F.e
-    m1 = E.disc_val
-    constrained = hilbert2(F, -1, d) == 1 and all(
-        hilbert2(F, g, d) == 1 for g in gens_c
+    constrained = _cyclic_extendable(E) and (
+        not gens_c
+        or _all_symbols_trivial(
+            _symbol_masks(F, gens_c), _bitmask(class_vec(F, F.coerce(E.d), 2))
+        )
     )
     if not constrained:
         return 0 if m2 is not None else {}
+    return _c4_counts(F, E, gens_c, m2, algo, nec)
+
+
+def _c4_counts(F, E, gens_c, m2, algo, nec):
+    """:func:`counts_12E_C4` for an E already known to be constrained."""
     if nec is None:
         nec = nec_sizes(F, E, gens_c, algo=algo)
+    e = F.e
+    m1 = E.disc_val
 
     def level(mm):
         return 2 * e - 2 * ((m1 + mm) // 4)
@@ -662,17 +697,23 @@ def counts_14(F, gens=(), algo: str = "auto"):
             assert ok, f"unexpected dihedral support at m = {m}"
             out[("D4", m)] = _half(s)
 
-    # cyclic: sweep the ramified quadratics E and count extenders
+    # cyclic: sweep the ramified quadratics E = F(sqrt(d)) and count
+    # extenders.  The mask is the class vector of d, so the unramified
+    # class (the top basis vector) and every d with (-1, d) = -1 or
+    # (g, d) = -1 for a generator g are skipped by a parity test,
+    # before d or E is built
     basis = unit_basis(F)
+    masks = _symbol_masks(F, (-1,) + gens_c)
+    unramified = 1 << (basis.dim - 1)
     for mask in range(1, 1 << basis.dim):
+        if mask == unramified or not _all_symbols_trivial(masks, mask):
+            continue
         d = F.one()
         for j in range(basis.dim):
             if mask >> j & 1:
                 d = F.mul(d, basis.elems[j])
         E = quad_extend(F, d)
-        if E.kind != "ramified":
-            continue
-        per_m2 = counts_12E_C4(F, E, gens_c, algo=algo)
+        per_m2 = _c4_counts(F, E, gens_c, None, algo, None)
         for mm, n in per_m2.items():
             key = ("C4", 2 * E.disc_val + mm)
             out[key] = out.get(key, 0) + n

@@ -478,10 +478,6 @@ class PadicField:
             return True
         return False
 
-    def digit(self, x, k):
-        """Residue of x / pi^k (requires v(x) >= k)."""
-        return self.residue(self.shift(x, -k))
-
     def congruent(self, x, y, t):
         """Whether x == y modulo pi^t (raises if precision cannot decide)."""
         d = x - y
@@ -551,6 +547,7 @@ class LocalField(PadicField):
         self.u0_inv = self._w_inv(self.u0)
         self._table = self._product_table()
         self._shift_vecs = {}
+        self._u0_pows = {}  # n mod (q - 1) -> res(u0)^n, for digit
 
     def __repr__(self):
         return f"Q_{self.p}({self.e},{self.f})"
@@ -782,6 +779,32 @@ class LocalField(PadicField):
             raise ArithmeticError("element is not integral")
         return tuple(a % self.p for a in vec[: self.f])
 
+    def digit(self, x, k):
+        """Residue of x / pi^k, for 0 <= k <= v(x), read off the stored
+        coefficients without a product.
+
+        With k + e*pshift = e*a + r, 0 <= r < e, only the r-th pi-block
+        c_r reaches valuation k: its p^a-digit, since p^a * pi^r / p^pshift
+        = pi^k * u0^(pshift - a).  Raises ArithmeticError for k outside
+        [0, v(x)].
+        """
+        rf = self.rf
+        if x.exact:
+            return rf.zero
+        if k < 0 or self.val_lower(x) < k:
+            raise ArithmeticError(f"digit {k} outside [0, v(x)]")
+        vec, s = x.data
+        a, r = divmod(k + self.e * s, self.e)
+        p, pa, f = self.p, self.p**a, self.f
+        d = tuple([c // pa % p for c in vec[r * f : (r + 1) * f]])
+        n = (s - a) % (self.q - 1)
+        if n and self.u0 != rf.one and d != rf.zero:
+            u = self._u0_pows.get(n)
+            if u is None:
+                u = self._u0_pows[n] = rf.pow(self.u0, n)
+            d = rf.mul(d, u)
+        return d
+
 
 # ---------------------------------------------------------------------------
 # quadratic extensions
@@ -812,6 +835,7 @@ class QuadExt(PadicField):
         self.q = self.p**self.f
         self.seed = getattr(base, "seed", 0)
         self._rho_pows = {}  # k -> rho^k, for ramified shifts
+        self._c_pows = {}  # j -> res(pi_F / rho^2)^j, for ramified digits
 
     def __repr__(self):
         return f"{self.base!r}[sqrt,{self.kind[:3]}]"
@@ -880,6 +904,14 @@ class QuadExt(PadicField):
     def mul(self, x, y):
         _check_same_field(x, y)
         (x0, x1), (y0, y1) = x.data, y.data
+        # an embedded operand (second half exact zero) needs two base
+        # products, not the five of the full formula
+        if y1.exact:
+            B = self.base
+            return self._mk(B.mul(x0, y0), B.mul(x1, y0))
+        if x1.exact:
+            B = self.base
+            return self._mk(B.mul(x0, y0), B.mul(x0, y1))
         cross = x1 * y1
         re = x0 * y0 + self.b * cross
         im = x0 * y1 + x1 * y0 + self.a * cross
@@ -991,6 +1023,36 @@ class QuadExt(PadicField):
             # v_E(x1 * rho) is odd, so the residue comes from x0 alone
             return B.residue(x0)
         return (B.residue(x0), B.residue(x1))
+
+    def digit(self, x, k):
+        """Residue of x / pi^k, for 0 <= k <= v(x), from base digits.
+
+        Unramified: the digits of both halves at k.  Ramified, with
+        pi = rho: the base digit at j of x0 (k = 2j) or of x1 (k = 2j + 1),
+        times c^j for c = res(pi_F / rho^2), since the other half has the
+        other parity of valuation.  Raises ArithmeticError for k outside
+        [0, v(x)].
+        """
+        if x.exact:
+            return self.rf.zero
+        if k < 0 or self.val_lower(x) < k:
+            raise ArithmeticError(f"digit {k} outside [0, v(x)]")
+        x0, x1 = x.data
+        B = self.base
+        if self.kind == "unramified":
+            return (B.digit(x0, k), B.digit(x1, k))
+        j, odd = divmod(k, 2)
+        d = B.digit(x1 if odd else x0, j)
+        if j == 0 or d == self.rf.zero:
+            return d
+        c = self._c_pows.get(j)
+        if c is None:
+            rf = self.rf
+            if 1 not in self._c_pows:
+                # rho^2 / pi_F = b / pi_F + (a / pi_F) rho, v(a) >= 1
+                self._c_pows[1] = rf.inv(B.digit(self.b, 1))
+            c = self._c_pows[j] = rf.pow(self._c_pows[1], j)
+        return self.rf.mul(d, c)
 
 
 # ---------------------------------------------------------------------------

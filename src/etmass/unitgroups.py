@@ -11,12 +11,13 @@ because only the generic element interface is used.
 Field structure is built once per field and kept on the field itself
 (:func:`etmass.padic.field_cache`), so it dies with the field.  The
 unit-class basis (:class:`UnitClassBasis`) stores, besides its elements
-and their levels, the inverse of each level element 1 + pi^i u (made
-on first use), and for a field containing mu_p the top-level data: the
-residue u* outside the image of phi, the matrix [phi | u*] and 1/p.
-Reading the class coordinates of an element then costs a fixed number
-of products per level: each digit is stripped by multiplying with
-stored inverses.
+and their levels, the inverse of each level element 1 + pi^i u and the
+strip factor 1/(1 + pi^(i/p) y)^p of each wild level i and residue y
+(both made on first use), and for a field containing mu_p the matrix
+[phi | u*], u* the residue outside the image of phi.  Reading the class
+coordinates of an element then costs no product per digit, since a
+digit is read off the stored coefficients (``F.digit``), and a fixed
+number of products per level to strip it with stored factors.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ def ceil_frac(a: int, b: int) -> int:
 @field_cache
 def _pi_e_over_p_residue(F):
     """Residue of pi^e / p, a unit of O_F (e the absolute ramification)."""
-    x = F.mul(F.power(F.pi(), F.e), F.inv(F.from_int(F.p)))
-    return F.residue(x)
+    return F.rf.inv(F.digit(F.from_int(F.p), F.e))
 
 
 @field_cache
@@ -124,7 +124,7 @@ def _c_alpha_unit(F, m):
                 continue
             return i, lam
         if top_exact and i == T:
-            r = _top_digit(F, m, F.inv(F.from_int(p)))
+            r = _top_digit(F, m)
             y = phi_preimage(F, r)
             if y is None:
                 return T, lam
@@ -143,11 +143,11 @@ def _c_alpha_unit(F, m):
     return INF, lam
 
 
-def _top_digit(F, m, pinv):
-    """Residue of (m - 1) / (pi^{e/(p-1)} p), for m = 1 mod pi^{pe/(p-1)};
-    ``pinv`` is 1/p in F."""
-    t = F.shift(m - F.one(), -(F.e // (F.p - 1)))
-    return F.residue(F.mul(t, pinv))
+def _top_digit(F, m):
+    """Residue of (m - 1) / (pi^{e/(p-1)} p), for m = 1 mod pi^{pe/(p-1)}:
+    the digit of m - 1 at pe/(p-1) times the residue of pi^e / p."""
+    r = F.digit(m - F.one(), (F.p * F.e) // (F.p - 1))
+    return F.rf.mul(r, _pi_e_over_p_residue(F))
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +166,20 @@ class UnitClassBasis:
 
     ``inverses`` maps j to the inverse of ``elems[j]``; :meth:`inverse`
     fills it on first use, since most fields never strip every level.
+    ``strips`` maps (i, y), for a level i divisible by p and a residue
+    y, to the strip factor 1/(1 + pi^(i/p) lift(y))^p; :meth:`strip`
+    fills it on first use, and there are at most (levels x q) of them.
     When mu_p is in F, ``top_aug`` is the matrix [phi | u*] over F_p,
-    whose last column is the residue u* of the top element, and ``pinv``
-    is 1/p; otherwise both are None.
+    whose last column is the residue u* of the top element; otherwise it
+    is None.
     """
 
     field: object
     elems: tuple
     levels: tuple
     inverses: dict
+    strips: dict
     top_aug: FpMatrix | None
-    pinv: object
 
     @property
     def dim(self) -> int:
@@ -188,6 +191,15 @@ class UnitClassBasis:
         if inv is None:
             inv = self.inverses[j] = self.field.inv(self.elems[j])
         return inv
+
+    def strip(self, i, y):
+        """1/(1 + pi^(i/p) lift(y))^p, computed once per (i, y)."""
+        s = self.strips.get((i, y))
+        if s is None:
+            F = self.field
+            u = F.one() + F.shift(F.lift(y), i // F.p)
+            s = self.strips[(i, y)] = F.inv(F.power(u, F.p))
+        return s
 
 
 def _level_reps(F):
@@ -212,7 +224,7 @@ def unit_basis(F) -> UnitClassBasis:
     p, e = F.p, F.e
     one = F.one()
     levels, elems = (list(t) for t in zip(*_level_reps(F)))
-    top_aug = pinv = None
+    top_aug = None
     if contains_mu_p(F):
         # top element 1 + p pi^{e/(p-1)} u* with [u*] outside im(phi)
         ustar = _non_phi_value(F)
@@ -220,9 +232,8 @@ def unit_basis(F) -> UnitClassBasis:
         levels.append((p * e) // (p - 1))
         phi = phi_matrix(F)
         top_aug = FpMatrix.make(p, [r + (u,) for r, u in zip(phi.data, F.rf.coords(ustar))])
-        pinv = F.inv(F.from_int(p))
     assert p ** len(elems) == quotient_size(F, INF)
-    return UnitClassBasis(F, tuple(elems), tuple(levels), {}, top_aug, pinv)
+    return UnitClassBasis(F, tuple(elems), tuple(levels), {}, {}, top_aug)
 
 
 def _non_phi_value(F):
@@ -240,8 +251,12 @@ def _non_phi_value(F):
 def p_class_coords(F, alpha) -> tuple:
     """Coordinates of [alpha] in F^x / F^{x p} on the unit-class basis.
 
-    A prime-to-p level costs one digit and, per unit of each digit
-    coordinate, one product with a stored basis inverse."""
+    Each level's coordinate is a residue (U^(i)/U^(i+1) is the residue
+    field), read off the stored coefficients by ``F.digit`` with no
+    product.  Stripping a prime-to-p level then costs, per unit of each
+    digit coordinate, one product with a stored basis inverse, and
+    stripping a level divisible by p one product with a stored strip
+    factor (:meth:`UnitClassBasis.strip`)."""
     basis = unit_basis(F)
     p, e = F.p, F.e
     T = (p * e) // (p - 1)
@@ -270,18 +285,16 @@ def p_class_coords(F, alpha) -> tuple:
         if i == T and e % (p - 1) == 0:
             if basis.top_aug is None:
                 break
-            r = _top_digit(F, m, basis.pinv)
+            r = _top_digit(F, m)
             sol = in_colspan(basis.top_aug, rf.coords(r))
             if sol is None:  # pragma: no cover - phi + u* spans everything
                 raise ArithmeticError("top-level digit not decomposable")
             out[pos] = sol[-1]
             break
         # p | i, i < pe/(p-1): invisible level, strip a p-th root
-        r = F.digit(m - one, i)
-        y = rf.pth_root(r)
+        y = rf.pth_root(F.digit(m - one, i))
         if not rf.is_zero(y):
-            u = one + F.shift(F.lift(y), i // p)
-            m = F.mul(m, F.inv(F.power(u, p)))
+            m = F.mul(m, basis.strip(i, y))
     return tuple(out)
 
 

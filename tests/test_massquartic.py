@@ -614,3 +614,53 @@ def test_premass4_leaves_no_fields():
     for _ in range(2):
         mq.premass4(LocalField(2, 1, 2), (-1,))
     assert live_fields() - before < 10
+
+
+# ---------------------------------------------------------------------------
+# the rank count of _span_size and the F_2-vector sweep of counts_14
+# ---------------------------------------------------------------------------
+
+
+def test_span_size_matches_brute_count():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        dim = int(rng.integers(0, 9))
+        base = rng.integers(0, 2, size=(int(rng.integers(0, 4)), dim)).tolist()
+        extra = rng.integers(0, 2, size=(int(rng.integers(0, 3)), dim)).tolist()
+        choice = int(rng.integers(0, 3))
+        if choice == 0:
+            coord_cols = None
+        elif choice == 1:
+            coord_cols = []
+        else:
+            coord_cols = sorted(int(j) for j in rng.permutation(dim)[: int(rng.integers(0, dim + 1))])
+        cols = set(range(dim)) if coord_cols is None else set(coord_cols)
+        brute = sum(
+            1
+            for x in range(1 << dim)
+            if all(x >> j & 1 == 0 for j in range(dim) if j not in cols)
+            and all(sum(r[j] * (x >> j & 1) for j in range(dim)) % 2 == 0 for r in base + extra)
+        )
+        assert mq._span_size(dim, base, extra, coord_cols) == brute, (dim, base, extra, coord_cols)
+
+
+def c4_counts_by_class(F, gens):
+    """The C4 entries of counts_14, from counts_12E_C4 on every nonzero
+    square class d whose E = F(sqrt(d)) is ramified."""
+    out = {}
+    for d in square_class_reps(F):
+        E = quad_extend(F, d)
+        if E.kind != "ramified":
+            continue
+        for mm, n in mq.counts_12E_C4(F, E, gens).items():
+            key = ("C4", 2 * E.disc_val + mm)
+            out[key] = out.get(key, 0) + n
+    return out
+
+
+@pytest.mark.parametrize("e,f", [(1, 1), (1, 2), (2, 1)])
+def test_counts_14_cyclic_sweep_matches_per_class_counts(e, f):
+    F = LocalField(2, e, f)
+    for gens in [(), (-1,), (-1, 2), (5,), (F.pi(), F.ugen())]:
+        got = {k: n for k, n in mq.counts_14(F, gens).items() if k[0] == "C4"}
+        assert got == c4_counts_by_class(F, gens), gens

@@ -629,3 +629,81 @@ def test_field_cache_dies_with_its_field():
     gc.collect()
     assert fref() is None and vref() is None
     assert build.cache_info() == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# digits read off the coefficients, and products with embedded operands
+# ---------------------------------------------------------------------------
+
+
+def digit_fields():
+    """Base fields, with u0 != 1 and f > 1 among them, each followed by a
+    ramified and an unramified quadratic over it; last a tower
+    M = E(sqrt(omega)) over Q_2.  A generator, so that each base field is
+    tested before its extensions, whose construction reads digits."""
+    from etmass.massquartic import choose_omega
+    from etmass.unitgroups import square_class_basis
+
+    for p, e, f, seed in [(2, 1, 1, 0), (2, 3, 1, 0), (2, 2, 2, 3), (3, 2, 2, 5), (5, 1, 1, 0)]:
+        F = LocalField(p, e, f, seed=seed)
+        assert (F.u0 != F.rf.one) == (seed > 0)
+        yield F
+        # d = pi * (a residue generator) makes res(pi_F / rho^2) != 1 when q > 2
+        E = quad_extend(F, F.mul(F.pi(), F.lift(F.rf.generator())))
+        assert E.kind == "ramified"
+        yield E
+        E = quad_extend(F, square_class_basis(F)[-1])
+        assert E.kind == "unramified"
+        yield E
+        if p == 2:
+            yield quad_extend(F, F.one() + F.pi())  # ramified, a != 0
+    Q2 = LocalField(2, 1, 1)
+    E = quad_extend(Q2, Q2.from_int(2))  # (-1, 2) = 1: E has cyclic extenders
+    yield quad_extend(E, choose_omega(Q2, E))
+
+
+def test_digit_matches_residue_of_shift():
+    rng = np.random.default_rng(17)
+    for F in digit_fields():
+        for pshift in range(4):
+            for _ in range(3):
+                z = F.mul(random_unit(F, rng), F.power(F.pi(), int(rng.integers(0, 4))))
+                # same value, carried over p^pshift when F is a base field
+                x = F.shift(F.shift(z, pshift), -pshift)
+                if isinstance(F, LocalField):
+                    assert x.data[1] == pshift
+                v = F.val(x)
+                for k in range(v + 1):
+                    assert F.digit(x, k) == F.residue(F.shift(x, -k)), (F, pshift, k)
+                for k in (v + 1, v + 3, -1):
+                    with pytest.raises(ArithmeticError):
+                        F.digit(x, k)
+
+
+def full_product(E, x, y):
+    """(x0 y0 + b x1 y1) + (x0 y1 + x1 y0 + a x1 y1) rho, written out."""
+    B = E.base
+    (x0, x1), (y0, y1) = x.data, y.data
+    cross = B.mul(x1, y1)
+    re = B.add(B.mul(x0, y0), B.mul(E.b, cross))
+    im = B.add(B.add(B.mul(x0, y1), B.mul(x1, y0)), B.mul(E.a, cross))
+    return E._mk(re, im)
+
+
+def test_quad_mul_with_embedded_operand_matches_full_formula():
+    rng = np.random.default_rng(23)
+    for E in digit_fields():
+        if isinstance(E, LocalField):
+            continue
+        B = E.base
+        embedded = [E.from_int(3), E.one(), *E.residue_lifts()[: B.rf.f]]
+        embedded += [E.embed(B.mul(random_unit(B, rng), B.power(B.pi(), k))) for k in range(3)]
+        general = [E.mul(random_unit(E, rng), E.power(E.pi(), k)) for k in range(3)]
+        general += [E.one() + E.shift(u, 2) for u in E.residue_lifts()]
+        for x in embedded:
+            for y in general + embedded:
+                for a, b in ((x, y), (y, x)):
+                    got, ref = E.mul(a, b), full_product(E, a, b)
+                    assert E.unit_eq(got, ref), E
+                    assert E.val(got) == E.val(ref), E
+                    assert got.prec >= ref.prec, E
