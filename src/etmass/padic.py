@@ -547,7 +547,6 @@ class LocalField(PadicField):
         self.u0_inv = self._w_inv(self.u0)
         self._table = self._product_table()
         self._shift_vecs = {}
-        self._u0_pows = {}  # n mod (q - 1) -> res(u0)^n, for digit
 
     def __repr__(self):
         return f"Q_{self.p}({self.e},{self.f})"
@@ -797,12 +796,8 @@ class LocalField(PadicField):
         a, r = divmod(k + self.e * s, self.e)
         p, pa, f = self.p, self.p**a, self.f
         d = tuple([c // pa % p for c in vec[r * f : (r + 1) * f]])
-        n = (s - a) % (self.q - 1)
-        if n and self.u0 != rf.one and d != rf.zero:
-            u = self._u0_pows.get(n)
-            if u is None:
-                u = self._u0_pows[n] = rf.pow(self.u0, n)
-            d = rf.mul(d, u)
+        if self.u0 != rf.one and s != a:
+            d = rf.mul(d, rf.pow(self.u0, s - a))
         return d
 
 
@@ -835,7 +830,7 @@ class QuadExt(PadicField):
         self.q = self.p**self.f
         self.seed = getattr(base, "seed", 0)
         self._rho_pows = {}  # k -> rho^k, for ramified shifts
-        self._c_pows = {}  # j -> res(pi_F / rho^2)^j, for ramified digits
+        self._c = None  # res(pi_F / rho^2), for ramified digits
 
     def __repr__(self):
         return f"{self.base!r}[sqrt,{self.kind[:3]}]"
@@ -1033,8 +1028,9 @@ class QuadExt(PadicField):
         other parity of valuation.  Raises ArithmeticError for k outside
         [0, v(x)].
         """
+        rf = self.rf
         if x.exact:
-            return self.rf.zero
+            return rf.zero
         if k < 0 or self.val_lower(x) < k:
             raise ArithmeticError(f"digit {k} outside [0, v(x)]")
         x0, x1 = x.data
@@ -1043,16 +1039,12 @@ class QuadExt(PadicField):
             return (B.digit(x0, k), B.digit(x1, k))
         j, odd = divmod(k, 2)
         d = B.digit(x1 if odd else x0, j)
-        if j == 0 or d == self.rf.zero:
-            return d
-        c = self._c_pows.get(j)
-        if c is None:
-            rf = self.rf
-            if 1 not in self._c_pows:
-                # rho^2 / pi_F = b / pi_F + (a / pi_F) rho, v(a) >= 1
-                self._c_pows[1] = rf.inv(B.digit(self.b, 1))
-            c = self._c_pows[j] = rf.pow(self._c_pows[1], j)
-        return self.rf.mul(d, c)
+        if self._c is None:
+            # rho^2 / pi_F = b / pi_F + (a / pi_F) rho, and v(a) >= 1
+            self._c = rf.inv(B.digit(self.b, 1))
+        if j and self._c != rf.one:
+            d = rf.mul(d, rf.pow(self._c, j))
+        return d
 
 
 # ---------------------------------------------------------------------------
