@@ -603,12 +603,8 @@ def counts_12E_C4(F, E, gens=(), m2: int | None = None, algo: str = "auto", nec=
     if E.kind != "ramified":
         raise ValueError("E must be a ramified quadratic of F")
     gens_c = tuple(F.coerce(g) for g in gens)
-    constrained = _cyclic_extendable(E) and (
-        not gens_c
-        or _all_symbols_trivial(
-            _symbol_masks(F, gens_c), _bitmask(class_vec(F, F.coerce(E.d), 2))
-        )
-    )
+    d = F.coerce(E.d)
+    constrained = _cyclic_extendable(E) and all(hilbert2(F, g, d) == 1 for g in gens_c)
     if not constrained:
         return 0 if m2 is not None else {}
     return _c4_counts(F, E, gens_c, m2, algo, nec)
