@@ -97,37 +97,8 @@ class FpMatrix:
         return FpMatrix(p, data, other.cols)
 
 
-def _reduced(M: FpMatrix):
-    """Rows of rref(M) as lists, and the pivot columns."""
-    rows = [list(r) for r in M.data]
-    return rows, _rowreduce(rows, M.p, M.cols)
-
-
 def rank(M: FpMatrix) -> int:
-    return len(_reduced(M)[1])
-
-
-def kernel_basis(M: FpMatrix) -> FpMatrix:
-    """Columns form a basis of the right null space of M."""
-    p, n = M.p, M.cols
-    R, piv = _reduced(M)
-    basis = []
-    for fc in range(n):
-        if fc in piv:
-            continue
-        v = [0] * n
-        v[fc] = 1
-        for row, pc in zip(R, piv):
-            v[pc] = -row[fc] % p
-        basis.append(v)
-    return FpMatrix.from_columns(p, basis, n)
-
-
-def column_basis(M: FpMatrix) -> FpMatrix:
-    """Columns of M restricted to an independent spanning subset."""
-    # pivot columns of rref(M) index an independent spanning subset
-    _, piv = _reduced(M)
-    return FpMatrix.from_columns(M.p, [M.column(c) for c in piv], M.rows)
+    return len(_rowreduce([list(r) for r in M.data], M.p, M.cols))
 
 
 def in_colspan(M: FpMatrix, v):
@@ -145,45 +116,5 @@ def in_colspan(M: FpMatrix, v):
     return tuple(x)
 
 
-def colspan_intersect(M1: FpMatrix, M2: FpMatrix) -> FpMatrix:
-    """Basis of colspan(M1) ∩ colspan(M2), via the kernel of (M1 | -M2)."""
-    if M1.p != M2.p:
-        raise ValueError("modulus mismatch")
-    if M1.rows != M2.rows:
-        raise ValueError("row-count mismatch")
-    p = M1.p
-    B1 = column_basis(M1)
-    B2 = column_basis(M2)
-    if B1.cols == 0 or B2.cols == 0:
-        return FpMatrix.from_columns(p, [], M1.rows)
-    A = FpMatrix.make(
-        p, [r1 + tuple(-x for x in r2) for r1, r2 in zip(B1.data, B2.data)], B1.cols + B2.cols
-    )
-    ker = kernel_basis(A)
-    if ker.cols == 0:
-        return FpMatrix.from_columns(p, [], M1.rows)
-    top = FpMatrix(p, ker.data[: B1.cols], ker.cols)
-    return column_basis(B1.matmul(top))
-
-
 def span_contains(M: FpMatrix, v) -> bool:
     return in_colspan(M, v) is not None
-
-
-def enumerate_span(M: FpMatrix):
-    """Yield every vector in the column span as a tuple (desk scale only)."""
-    B = column_basis(M)
-    p, k = B.p, B.cols
-    total = p**k
-    if total > 1 << 22:
-        raise ValueError("span too large to enumerate")
-    basis = [B.column(j) for j in range(k)]
-    for idx in range(total):
-        v = [0] * B.rows
-        t = idx
-        for col in basis:
-            c = t % p
-            t //= p
-            if c:
-                v = [(a + c * b) % p for a, b in zip(v, col)]
-        yield tuple(v)

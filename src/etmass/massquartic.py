@@ -11,7 +11,9 @@ here by two independent algorithms (brute enumeration of square
 classes and F_2 subspace arithmetic) on top of quadratic Hilbert
 symbols, plus a minimal-discriminant cyclic quartic extender omega of
 each E, produced in the hard small-discriminant case by an explicit
-nine-step construction.
+nine-step construction.  Whether a generator is a norm from the cyclic
+quartic E(sqrt(omega)) is the symbol (beta, omega)_E, computed from
+quadratic Hilbert symbols over F alone, so no quartic field is built.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import gcd
 from .fplinalg import FpMatrix
 from .fplinalg import rank as fp_rank
 from .massprime import MassReport, count_Cp
-from .padic import GuardError, disc_val_quadratic, field_cache, quad_extend
+from .padic import GuardError, PrecisionError, disc_val_quadratic, field_cache, quad_extend
 from .unitgroups import (
     c_alpha,
     class_vec,
@@ -87,12 +89,16 @@ def _gram_apply(F, v):
     return tuple(sum(h * x for h, x in zip(row, v)) % 2 for row in _hilbert_gram(F))
 
 
+def _hilbert_exp(F, va, vb) -> int:
+    """The F_2 exponent of (a, b)_F, from the class vectors of a and b."""
+    return sum(x * y for x, y in zip(va, _gram_apply(F, vb))) % 2
+
+
 def hilbert2(F, a, b) -> int:
     """The quadratic Hilbert symbol (a, b)_F, returned as +1 or -1."""
     va = class_vec(F, F.coerce(a), 2)
-    hb = _gram_apply(F, class_vec(F, F.coerce(b), 2))
-    exp = sum(x * y for x, y in zip(va, hb)) % 2
-    return -1 if exp else 1
+    vb = class_vec(F, F.coerce(b), 2)
+    return -1 if _hilbert_exp(F, va, vb) else 1
 
 
 def _bitmask(v) -> int:
@@ -260,22 +266,60 @@ def choose_omega(F, E):
 def omega_norm_signs(E, omega, gens4):
     """For each generator alpha: is alpha a norm from E(sqrt(omega))/F?
 
-    Computed through the tower: alpha is a quartic norm exactly when
-    some beta in E with N_{E/F}(beta) = alpha is itself a norm from
-    M = E(sqrt(omega))/E.  The norm image of M/E is read from
-    :func:`norm_class_matrix`, which walks M's square classes only until
-    they span it.  With no generators the answer is () and M is not
-    built.
+    alpha is a norm from the cyclic quartic M = E(sqrt(omega)) exactly
+    when some, and then every, beta in E with N_{E/F}(beta) = alpha is a
+    norm from M/E, i.e. when (beta, omega)_E = 1.  That symbol is read
+    from symbols over F (:func:`_tower_symbol`), so M is never built.
     """
-    if not gens4:
-        return ()
     F = E.base
-    M = quad_extend(E, omega)
     signs = []
     for alpha in gens4:
         beta = solve_norm_equation(E, F.coerce(alpha))
-        signs.append(beta is not None and norm_class_contains(M, beta))
+        signs.append(beta is not None and _tower_symbol(E, beta, omega) == 0)
     return tuple(signs)
+
+
+def _tower_symbol(E, beta, omega) -> int:
+    """The F_2 exponent of (beta, omega)_E, from symbols over F.
+
+    Write x = x0 + x1 rho as c (A - rho) with c = -x1, A = -x0/x1, so
+    N(A - rho) = f(A) for f(X) = X^2 - aX - b, the minimal polynomial
+    of rho.  The projection formula (c, y)_E = (c, N y)_F for c in F and
+    the Steinberg relation on A1 - rho and A2 - rho (Rosset-Tate,
+    Comment. Math. Helv. 58, 1983) give, for beta = c1 (A1 - rho) and
+    omega = c2 (A2 - rho),
+
+        (beta, omega)_E = (c1, f(A2)) (f(A1), c2) (f(A1), -1) (A1 - A2, f(A1) f(A2)),
+
+    all symbols over F.  When beta/omega lies in F, f(A1) f(A2) is a
+    square and the last factor is dropped: A1 - A2 is then zero, or
+    zero to working precision, and is never formed.  A class read from
+    fewer than 2e + 1 known relative digits raises PrecisionError.
+    """
+    F = E.base
+
+    def vec(x):
+        if x.prec - F.val(x) <= 2 * F.e:
+            raise PrecisionError("square class undetermined at this precision")
+        return class_vec(F, x, 2)
+
+    b0, b1 = beta.data
+    if b1.exact:
+        return _hilbert_exp(F, vec(b0), vec(E.norm(omega)))
+    w0, w1 = omega.data
+    c1, c2 = -b1, -w1
+    A1, A2 = b0 / c1, w0 / c2
+    vf1 = vec(A1 * (A1 - E.a) - E.b)
+    vf2 = vec(A2 * (A2 - E.a) - E.b)
+    exp = (
+        _hilbert_exp(F, vec(c1), vf2)
+        + _hilbert_exp(F, vf1, vec(c2))
+        + _hilbert_exp(F, vf1, vec(F.from_int(-1)))
+    )
+    vf12 = tuple((x + y) % 2 for x, y in zip(vf1, vf2))
+    if any(vf12):
+        exp += _hilbert_exp(F, vec(A1 - A2), vf12)
+    return exp % 2
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 from etmass import massquartic as mq
+from etmass import padic
 from etmass import oracle as orc
 from etmass import unitgroups as ug
 from etmass.massprime import count_Cp
-from etmass.padic import GuardError, LocalField, QuadExt, disc_val_quadratic, quad_extend
+from etmass.padic import (
+    GuardError,
+    LocalField,
+    PrecisionError,
+    QuadExt,
+    disc_val_quadratic,
+    quad_extend,
+)
 
 from test_padic import random_unit
 
@@ -327,6 +335,99 @@ def test_omega_small_disc_domain():
     with pytest.raises(ValueError):
         # m1 = 2 > e_F = 1 over Q2
         mq.omega_small_disc(Q2, quad_extend(Q2, Q2.from_int(3)))
+
+
+# ---------------------------------------------------------------------------
+# tower signs (beta, omega)_E from symbols over F
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("e,f", [(1, 1), (1, 2), (2, 1), (3, 1)])
+def test_tower_symbol_matches_tower_norms(e, f):
+    # reference: build M = E(sqrt(omega)) and test beta against the norm
+    # image of M/E, on every cyclic-extendable E of F
+    F = LocalField(2, e, f)
+    rng = np.random.default_rng(31 + 10 * e + f)
+    checked = 0
+    for d in square_class_reps(F):
+        if mq.hilbert2(F, -1, d) != 1:
+            continue
+        E = quad_extend(F, d)
+        w = mq.choose_omega(F, E)
+        M = quad_extend(E, w)
+        betas = [ug.solve_norm_equation(E, random_element(F, rng)) for _ in range(6)]
+        t = random_element(F, rng)
+        betas += [E.embed(t), E.mul(E.embed(t), w)]
+        for beta in betas:
+            if beta is None:
+                continue
+            want = ug.norm_class_contains(M, beta)
+            assert (mq._tower_symbol(E, beta, w) == 0) == want, (e, f, E.kind, E.disc_val)
+            assert mq.omega_norm_signs(E, w, (E.norm(beta),)) == (want,)
+            checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("e,f", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_tower_signs_unramified_closed_form(e, f):
+    # over the unramified E, M/F is the unramified quartic, whose norms
+    # are the elements of valuation 0 mod 4
+    F = LocalField(2, e, f)
+    E = mq._unramified_quadratic(F)
+    w = mq.choose_omega(F, E)
+    rng = np.random.default_rng(41 + 10 * e + f)
+    gens = [F.shift(random_unit(F, rng), v) for v in range(8)]
+    want = tuple(v % 4 == 0 for v in range(8))
+    assert mq.omega_norm_signs(E, w, gens) == want
+
+
+def test_tower_symbol_beta_an_f_multiple_of_omega():
+    # here solve_norm_equation returns a beta with beta/omega in F, so
+    # A1 - A2 vanishes to working precision; the parts are those the
+    # quartic tower M gave
+    F = LocalField(2, 1, 2)
+    gens = (F.from_int(-1) * F.power(F.from_int(45) + F.pi(), 4),)
+    want = (
+        ("epi", Fraction(15, 16)),
+        ("(4)", Fraction(1, 4)),
+        ("(2 2)", Fraction(1, 8)),
+        ("(1^2 1^2) C2", Fraction(9, 8192)),
+        ("(1^2 1^2) V4", Fraction(115, 4096)),
+        ("(2^2) C4", Fraction(9, 8192)),
+        ("(2^2) V4", Fraction(9, 8192)),
+        ("(2^2) D4", Fraction(51, 2048)),
+        ("(1^4) C4", Fraction(33, 1048576)),
+        ("(1^4) V4", Fraction(1, 65536)),
+        ("(1^4) D4", Fraction(351, 524288)),
+        ("(1^4) A4/S4", Fraction(215, 16384)),
+    )
+    assert mq.premass4(F, gens).parts == want
+
+
+def test_tower_symbol_precision_loss_raises():
+    # beta = x0 + rho with x0 known only modulo 2: the square class of
+    # N(beta) is not determined, so no sign may be returned
+    E = mq._unramified_quadratic(Q2)
+    w = mq.choose_omega(Q2, E)
+    x0 = padic.Elt(Q2, Q2.from_int(3).data, 1)
+    with pytest.raises(PrecisionError):
+        mq._tower_symbol(E, E._mk(x0, Q2.one()), w)
+
+
+def test_premass4_builds_no_quartic_tower(monkeypatch):
+    # tower signs come from symbols over F: no quadratic extension of a
+    # quadratic extension is built
+    bases = []
+
+    def counting(base, d):
+        bases.append(base)
+        return quad_extend(base, d)
+
+    monkeypatch.setattr(padic, "quad_extend", counting)
+    monkeypatch.setattr(mq, "quad_extend", counting)
+    mq.premass4(LocalField(2, 2, 1), (-1, 2))
+    assert bases
+    assert not any(isinstance(b, QuadExt) for b in bases)
 
 
 # ---------------------------------------------------------------------------
