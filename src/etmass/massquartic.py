@@ -291,9 +291,11 @@ def _tower_symbol(E, beta, omega) -> int:
 
         (beta, omega)_E = (c1, f(A2)) (f(A1), c2) (f(A1), -1) (A1 - A2, f(A1) f(A2)),
 
-    all symbols over F.  When beta/omega lies in F, f(A1) f(A2) is a
-    square and the last factor is dropped: A1 - A2 is then zero, or
-    zero to working precision, and is never formed.  A class read from
+    all symbols over F; the Steinberg relation gives the last two as
+    (f(A1), A2 - A1) (A1 - A2, f(A2)), which bilinearity rewrites so.
+    The last factor is 1 whenever f(A1) f(A2) is a square, as it is when
+    beta/omega lies in F and A1 = A2; A1 - A2, which may then vanish to
+    working precision, is formed only otherwise.  A class read from
     fewer than 2e + 1 known relative digits raises PrecisionError.
     """
     F = E.base
