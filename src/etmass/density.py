@@ -258,7 +258,7 @@ def full_local_factor(n: int, p: int) -> Fraction:
     return Fraction(_full_numerator(n, p), p**n)
 
 
-def local_mass(n: int, p: int, gens=(), algo: str = "auto") -> Fraction:
+def local_mass(n: int, p: int, gens=()) -> Fraction:
     """The exact local mass m_{A,p} = ((q-1)/q) * premass at p.
 
     The general path, valid at every prime: it builds Q_p, embeds the
@@ -274,7 +274,7 @@ def local_mass(n: int, p: int, gens=(), algo: str = "auto") -> Fraction:
     gens = tuple(g / Fraction(p) ** (n * (rational_valuation(g, p) // n)) for g in gens)
     F, embedded = local_profile_at_prime(gens, p)
     if n == 4:
-        pre = premass4(F, embedded, algo=algo).total
+        pre = premass4(F, embedded).total
     else:
         pre = premass_ell_total(F, n, embedded).total
     return Fraction(p - 1, p) * pre
@@ -421,7 +421,7 @@ def exact_product(factors) -> Fraction:
     return out
 
 
-def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
+def euler_density(spec: GlobalSpec) -> DensityInterval:
     """Enclose the density coefficient and the proportion for ``spec``.
 
     Each local mass at p <= B is exact: ``tame_local_mass`` at p prime
@@ -454,7 +454,7 @@ def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
             if t != full_t:
                 ratios.append(Fraction(t, full_t))
         else:
-            m = local_mass(n, p, spec.gens, algo=algo)
+            m = local_mass(n, p, spec.gens)
             full = full_local_factor(n, p)
             assert 0 < m <= full, (p, m, full)
             if m != full:
@@ -484,20 +484,3 @@ def euler_density(spec: GlobalSpec, algo: str = "auto") -> DensityInterval:
         prop_hi=prop_hi,
         per_prime=tuple(per_prime),
     )
-
-
-def is_power_pathological(n: int, k: str = "Q") -> bool:
-    """Whether the local-global principle for n-th powers can fail over k.
-
-    Pathology requires 8 | n together with conditions on how 2 behaves
-    in the 2-power cyclotomic towers of k.  Over Q the prime 2 is
-    totally ramified in every Q(mu_{2^r}), r >= 3, so the decomposition
-    condition fails and no n is pathological.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n % 8:
-        return False
-    if k == "Q":
-        return False
-    raise NotImplementedError("general base fields need user-supplied local data")

@@ -79,22 +79,8 @@ class FpMatrix:
         columns = list(columns)
         return FpMatrix.make(p, zip(*columns) if columns else [()] * rows, len(columns))
 
-    @staticmethod
-    def identity(p: int, n: int) -> "FpMatrix":
-        return FpMatrix(p, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
-
-    def matmul(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.cols != other.rows:
-            raise ValueError("dimension or modulus mismatch")
-        p = self.p
-        ocols = [other.column(j) for j in range(other.cols)]
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(r, c)) % p for c in ocols) for r in self.data
-        )
-        return FpMatrix(p, data, other.cols)
 
 
 def rank(M: FpMatrix) -> int:

@@ -48,7 +48,6 @@ __all__ = [
     "OmegaState",
     "NormClassSet",
     "nec_sizes",
-    "quartic_helpers",
     "counts_1212",
     "counts_22",
     "counts_14",
@@ -134,7 +133,12 @@ def _cyclic_extendable(E) -> bool:
 
 @dataclass(frozen=True)
 class OmegaState:
-    """Intermediate values of the small-discriminant omega construction."""
+    """Intermediate values of the small-discriminant omega construction.
+
+    Returned by ``omega_small_disc(..., with_state=True)`` so that tests
+    can restate the nine-step invariants independently of the asserts
+    inside the construction.
+    """
 
     d: object
     a: object
@@ -342,14 +346,10 @@ class NormClassSet:
     none.
     """
 
-    field: object
-    ext: object
     omega: object
-    gens4: tuple
     signs: tuple
     total: int
     sizes: tuple
-    algo: str
 
     def size_at(self, c: int) -> int:
         if c < 0:
@@ -419,11 +419,11 @@ def _nec_subspace(F, rows, targets, levels):
     return total, sizes
 
 
-def nec_sizes(F, E, gens=(), algo: str = "auto", omega=None, gens4=None):
+def nec_sizes(F, E, gens=(), algo: str = "auto", omega=None):
     """Level-filtered sizes of the norm-class set of a quadratic E/F.
 
-    ``gens4`` defaults to ``gens``; any family generating the same
-    subgroup modulo fourth powers gives the same answer.  ``algo`` is
+    Any family ``gens`` generating the same subgroup modulo fourth
+    powers gives the same answer.  ``algo`` is
     one of ``brute`` (enumerate all square classes; guarded by the
     degree of F), ``subspace`` (F_2 kernel intersections with
     inclusion-exclusion over the excluded generators) or ``auto``.
@@ -433,9 +433,7 @@ def nec_sizes(F, E, gens=(), algo: str = "auto", omega=None, gens4=None):
     """
     if F.p != 2:
         raise ValueError("only defined over 2-adic fields")
-    if gens4 is None:
-        gens4 = gens
-    gens4 = tuple(F.coerce(g) for g in gens4)
+    gens4 = tuple(F.coerce(g) for g in gens)
     if omega is None:
         if gens4:
             omega = choose_omega(F, E)
@@ -455,7 +453,7 @@ def nec_sizes(F, E, gens=(), algo: str = "auto", omega=None, gens4=None):
         raise ValueError(f"unknown algorithm {algo!r}")
     assert all(a >= b for a, b in zip(sizes, sizes[1:])), "sizes must decrease"
     assert total >= sizes[0] >= 0
-    return NormClassSet(F, E, omega, gens4, signs, total, tuple(sizes), algo)
+    return NormClassSet(omega, signs, total, tuple(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -525,26 +523,6 @@ def _h_nv4(q, e, m1, m2):
     if m2 > m1 and m1 + m2 == 4 * e + 2:
         return q**e
     return 0
-
-
-_HELPERS = {"Nneq": _h_nneq, "NC2": _h_nc2, "NC4": _h_nc4, "NV4": _h_nv4}
-
-
-def quartic_helpers(q: int, e_F: int, name: str, *args) -> int:
-    """Evaluate one of the closed-form tower-counting helpers.
-
-    ``Nneq(m)`` counts unordered pairs of distinct ramified quadratics
-    of F with total discriminant valuation m; ``NC2(m2)`` counts the
-    ramified quadratic extensions of a ramified quadratic E of F with
-    relative discriminant valuation m2; ``NC4(m1, m2)`` and
-    ``NV4(m1, m2)`` count those that are cyclic quartic, respectively
-    biquadratic, over F when E has discriminant valuation m1.
-    """
-    try:
-        fn = _HELPERS[name]
-    except KeyError:
-        raise ValueError(f"unknown helper {name!r}") from None
-    return fn(q, e_F, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +615,14 @@ def _c4_m2_support(e, m1):
     return sorted(set(out))
 
 
-def counts_12E_C4(F, E, gens=(), m2: int | None = None, algo: str = "auto", nec=None):
-    """Constrained cyclic quartic extensions of F through E, with
-    relative discriminant valuation m2 over E.
+def counts_12E_C4(F, E, gens=(), algo: str = "auto"):
+    """Constrained cyclic quartic extensions of F through the ramified
+    quadratic E, as a dict {m2: count} by relative discriminant
+    valuation m2 over E.
 
-    Returns a single count when ``m2`` is given, otherwise the full
-    dict {m2: count} over the support.
+    :func:`counts_14` reaches the same counts by a sweep over class
+    vectors that skips the unconstrained E before building them; this
+    per-class form is the reference that sweep is tested against.
     """
     if F.p != 2:
         raise ValueError("only defined over 2-adic fields")
@@ -652,14 +632,13 @@ def counts_12E_C4(F, E, gens=(), m2: int | None = None, algo: str = "auto", nec=
     d = F.coerce(E.d)
     constrained = _cyclic_extendable(E) and all(hilbert2(F, g, d) == 1 for g in gens_c)
     if not constrained:
-        return 0 if m2 is not None else {}
-    return _c4_counts(F, E, gens_c, m2, algo, nec)
+        return {}
+    return _c4_counts(F, E, gens_c, algo)
 
 
-def _c4_counts(F, E, gens_c, m2, algo, nec):
+def _c4_counts(F, E, gens_c, algo):
     """:func:`counts_12E_C4` for an E already known to be constrained."""
-    if nec is None:
-        nec = nec_sizes(F, E, gens_c, algo=algo)
+    nec = nec_sizes(F, E, gens_c, algo=algo)
     e = F.e
     m1 = E.disc_val
 
@@ -677,9 +656,7 @@ def _c4_counts(F, E, gens_c, m2, algo, nec):
             return _half(nec.total - nec.size_at(level(mm - 2)))
         return 0
 
-    if m2 is not None:
-        return one(m2)
-    return {mm: one(mm) for mm in _c4_m2_support(e, m1) if one(mm)}
+    return {mm: n for mm in _c4_m2_support(e, m1) if (n := one(mm))}
 
 
 def counts_14(F, gens=(), algo: str = "auto"):
@@ -755,7 +732,7 @@ def counts_14(F, gens=(), algo: str = "auto"):
             if mask >> j & 1:
                 d = F.mul(d, basis.elems[j])
         E = quad_extend(F, d)
-        per_m2 = _c4_counts(F, E, gens_c, None, algo, None)
+        per_m2 = _c4_counts(F, E, gens_c, algo)
         for mm, n in per_m2.items():
             key = ("C4", 2 * E.disc_val + mm)
             out[key] = out.get(key, 0) + n
@@ -915,78 +892,46 @@ def premass4_tame(F, gens=()) -> MassReport:
 # ---------------------------------------------------------------------------
 
 
+# automorphism counts by wild symbol and closure group: a count n at
+# discriminant valuation m weighs n / (#Aut q^m)
+_AUT = {
+    "(1^2 1^2)": {"C2": 8, "V4": 4},
+    "(2^2)": {"C4": 4, "V4": 4, "D4": 2},
+    "(1^4)": {"C4": 4, "V4": 4, "D4": 2},
+}
+
+
 def premass4_wild(F, gens=(), symbol: str = "(1^4)", algo: str = "auto") -> MassReport:
     """Constrained pre-mass of one wild quartic symbol of a 2-adic F,
-    broken down by Galois closure group."""
+    broken down by Galois closure group and weighed from the count
+    tables of :func:`counts_1212`, :func:`counts_22` and
+    :func:`counts_14`."""
     if F.p != 2:
         raise ValueError("wild quartic symbols require residue characteristic 2")
+    aut = _AUT.get(symbol)
+    if aut is None:
+        raise ValueError(f"unknown wild symbol {symbol!r}")
     gens_c = tuple(F.coerce(g) for g in gens)
-    e, q = F.e, F.q
-    prof2 = filtration_profile(F, gens_c, 2)
+    q = F.q
+
+    def by_group(counts):
+        acc = {g: Fraction(0) for g in aut}
+        for (g, m), n in counts.items():
+            acc[g] += Fraction(n, aut[g] * q**m)
+        return acc
 
     if symbol == "(1^2 1^2)":
-        diag = sum(
-            Fraction(count_Cp(F, m // 2, prof2), q**m)
-            for m in range(4, 4 * e + 3, 2)
-        )
-        dist = sum(Fraction(_h_nneq(q, e, m), q**m) for m in range(4, 4 * e + 3))
-        return MassReport(
-            (("C2", Fraction(diag, 8)), ("V4", Fraction(dist, 4)))
-        )
-
-    if symbol == "(2^2)":
-        if not _even_valuations(F, gens_c):
-            return MassReport((("C4", Fraction(0)), ("V4", Fraction(0)), ("D4", Fraction(0))))
-        d4 = Fraction(1, 2) * (
-            Fraction(1, q**2)
-            - Fraction(1, q ** (2 * e + 2))
-            - Fraction(1, q**2 + q + 1)
-            * (Fraction(1, q) - Fraction(1, q ** (3 * e + 1)))
-            + Fraction(q**e - 1, q ** (3 * e + 2))
-        )
-        A = prof2.group_size
-        sz = prof2.size_at
-        v4 = Fraction(1 if sz(2 * e) == 1 else 0, q ** (3 * e + 2))
-        for c in range(1, e + 1):
-            v4 += Fraction(q * sz(2 * c) - sz(2 * c - 1), q ** (3 * c + 1))
-        v4 = Fraction(v4, 4 * A)
-        E = _unramified_quadratic(F)
-        nec = nec_sizes(F, E, gens_c, algo=algo)
-        c4 = Fraction(0)
-        for c in range(1, e + 1):
-            c4 += Fraction(
-                nec.size_at(2 * e - 2 * c) - nec.size_at(2 * e - 2 * c + 2),
-                q ** (4 * c),
-            )
-        c4 += Fraction(nec.total - nec.size_at(0), q ** (4 * e + 2))
-        return MassReport((("C4", Fraction(c4, 8)), ("V4", v4), ("D4", d4)))
-
-    if symbol == "(1^4)":
-        aut = {"C4": 4, "V4": 4, "D4": 2}
-
-        def by_group(counts):
-            acc = {g: Fraction(0) for g in aut}
-            for (g, m), n in counts.items():
-                acc[g] += Fraction(n, aut[g] * q**m)
-            return acc
-
-        con = by_group(counts_14(F, gens_c, algo=algo))
-        free = by_group(counts_14(F, (), algo=algo)) if gens_c else con
+        parts = by_group(counts_1212(F, gens_c))
+    elif symbol == "(2^2)":
+        parts = by_group(counts_22(F, gens_c, algo=algo))
+    else:
+        parts = by_group(counts_14(F, gens_c, algo=algo))
+        free = by_group(counts_14(F, (), algo=algo)) if gens_c else parts
+        # the S4/A4 part is what the unconstrained total 1/q^3 leaves
         s4 = Fraction(1, q**3) - sum(free.values())
         assert s4 >= 0
-        return MassReport(
-            (
-                ("C4", con["C4"]),
-                ("V4", con["V4"]),
-                ("D4", con["D4"]),
-                ("A4/S4", s4),
-            )
-        )
-
-    raise ValueError(f"unknown wild symbol {symbol!r}")
-
-
-WILD_SYMBOLS = ("(1^2 1^2)", "(2^2)", "(1^4)")
+        parts["A4/S4"] = s4
+    return MassReport(tuple(parts.items()))
 
 
 def premass4(F, gens=(), algo: str = "auto") -> MassReport:
@@ -997,7 +942,7 @@ def premass4(F, gens=(), algo: str = "auto") -> MassReport:
     """
     parts = list(premass4_tame(F, gens).parts)
     if F.p == 2:
-        for sym in WILD_SYMBOLS:
+        for sym in _AUT:
             rep = premass4_wild(F, gens, sym, algo=algo)
             parts.extend((f"{sym} {g}", v) for g, v in rep.parts)
     return MassReport(tuple(parts))

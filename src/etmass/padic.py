@@ -237,9 +237,6 @@ class ResidueField:
     def neg(self, x):
         return tuple((-a) % self.p for a in x)
 
-    def smul(self, c, x):
-        return tuple((c * a) % self.p for a in x)
-
     def mul(self, x, y):
         if self.f == 1:
             return ((x[0] * y[0]) % self.p,)

@@ -23,7 +23,6 @@ number of products per level to strip it with stored factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fplinalg import FpMatrix, in_colspan
 from .fplinalg import rank as fp_rank
@@ -314,24 +313,9 @@ def quotient_size(F, c) -> int:
     return p * q ** (c - 1 - (c - 1) // p)
 
 
-def w_size(F, i) -> int:
-    """Size of the graded piece U^(i)F^{xp}/U^(i+1)F^{xp} of the filtration."""
-    p, e = F.p, F.e
-    if i % p != 0 and Fraction(i) < Fraction(p * e, p - 1):
-        return F.q
-    if e % (p - 1) == 0 and i == (p * e) // (p - 1) and contains_mu_p(F):
-        return p
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # tame class coordinates (ell != p) and stratified generating sets
 # ---------------------------------------------------------------------------
-
-
-def residue_generator(F):
-    """A generator of the multiplicative group of the residue field."""
-    return F.rf.generator()
 
 
 def dlog_mod(F, r, ell: int) -> int:
@@ -339,7 +323,7 @@ def dlog_mod(F, r, ell: int) -> int:
     rf = F.rf
     k = (F.q - 1) // ell
     xi = rf.pow(r, k)
-    eta = rf.pow(residue_generator(F), k)
+    eta = rf.pow(rf.generator(), k)
     acc = rf.one
     for j in range(ell):
         if acc == xi:
@@ -458,7 +442,7 @@ def square_class_basis(F):
     """Elements whose classes form an F_2-basis of F^x / F^{x 2}."""
     if F.p == 2:
         return list(unit_basis(F).elems)
-    return [F.pi(), F.lift(residue_generator(F))]
+    return [F.pi(), F.lift(F.rf.generator())]
 
 
 def _rf_sqrt(rf, r):

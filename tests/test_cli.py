@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -70,6 +71,13 @@ def test_split_label():
 def test_decimal_str():
     assert cli.decimal_str(Fraction(1, 3), 4) == "0.3333"
     assert cli.decimal_str(Fraction(1, 2), 2) == "0.50"
+
+
+def test_decimal_str_keeps_context_precision():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        assert cli.decimal_str(Fraction(1, 7), 40) == "0.1428571428571428571428571428571428571429"
+        assert decimal.getcontext().prec == 28
 
 
 # ---------------------------------------------------------------------------

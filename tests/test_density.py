@@ -342,16 +342,6 @@ def test_good_prime_factors_near_one():
             assert full * (1 - Fraction(c_n, p * p)) <= m <= full
 
 
-def test_is_power_pathological():
-    assert not dens.is_power_pathological(3)
-    assert not dens.is_power_pathological(8)
-    assert not dens.is_power_pathological(16, "Q")
-    with pytest.raises(ValueError):
-        dens.is_power_pathological(0)
-    with pytest.raises(NotImplementedError):
-        dens.is_power_pathological(8, "Q(i)")
-
-
 def test_density_runs_leave_no_fields():
     # per-prime fields die with the run: no module cache keeps them alive
     def live_fields():

@@ -111,7 +111,7 @@ def test_helper_nc2_matches_quadratic_counts(F):
     # E of F, which has absolute ramification index 2 e_F
     E = quad_extend(F, F.pi())
     for m2 in range(0, 4 * F.e + 4):
-        assert mq.quartic_helpers(F.q, F.e, "NC2", m2) == count_Cp(E, m2), m2
+        assert mq._h_nc2(F.q, F.e, m2) == count_Cp(E, m2), m2
 
 
 @pytest.mark.parametrize("F", [Q2, F22])
@@ -128,12 +128,7 @@ def test_helper_nneq_matches_pair_enumeration(F):
             for j in range(i + 1, len(discs))
             if discs[i] + discs[j] == m
         )
-        assert mq.quartic_helpers(F.q, F.e, "Nneq", m) == want, m
-
-
-def test_helper_unknown_name():
-    with pytest.raises(ValueError):
-        mq.quartic_helpers(2, 1, "bogus", 3)
+        assert mq._h_nneq(F.q, F.e, m) == want, m
 
 
 # ---------------------------------------------------------------------------
@@ -443,82 +438,88 @@ GROUPS = {
     "<-1,2>": [0, 1],
 }
 GEN_VALUES = {"triv": (), "<-1>": (-1,), "<2>": (2,), "<5>": (5,), "<-1,2>": (-1, 2)}
+TOWER_BASES = {"Q2": Q2, "F22": F22, "Q2F2": Q2F2}
+# one case per (base, constraint group); a Q2 case is named by its group
+# alone, the others by base and group
+TOWER_CASES = [
+    pytest.param(base, name, id=name if base == "Q2" else f"{base}-{name}")
+    for base in TOWER_BASES
+    for name in GROUPS
+]
 
 
 @pytest.fixture(scope="module")
-def q2_tower_data():
-    gens = [Q2.from_int(-1), Q2.from_int(2), Q2.from_int(5)]
-    recs = orc.enum_quartic_towers(Q2, gens=gens)
-    chars = orc.enum_cp_characters(Q2, gens=gens)
-    return recs, chars
+def tower_data():
+    """For a base named in TOWER_BASES, built once on first use: the
+    field, its quartic towers and its quadratic characters, flagged by
+    the norms -1, 2 and 5."""
+    built = {}
+
+    def get(base):
+        if base not in built:
+            F = TOWER_BASES[base]
+            gens = [F.from_int(a) for a in (-1, 2, 5)]
+            built[base] = F, orc.enum_quartic_towers(F, gens=gens), orc.enum_cp_characters(F, gens=gens)
+        return built[base]
+
+    return get
 
 
-@pytest.mark.parametrize("name", list(GROUPS))
+@pytest.mark.parametrize("base,name", TOWER_CASES)
 @pytest.mark.parametrize("algo", ["brute", "subspace"])
-def test_wild_counts_match_oracle(q2_tower_data, name, algo):
-    recs, _ = q2_tower_data
+def test_wild_counts_match_oracle(tower_data, base, name, algo):
+    F, recs, _ = tower_data(base)
     js = GROUPS[name]
     gens = GEN_VALUES[name]
     tal = orc.tally_towers(recs, pred=lambda r: all(r.norm_flags[j] for j in js))
     got = {}
-    for (g, m), n in mq.counts_22(Q2, gens, algo=algo).items():
+    for (g, m), n in mq.counts_22(F, gens, algo=algo).items():
         got[("(2^2)", g, m)] = n
-    for (g, m), n in mq.counts_14(Q2, gens, algo=algo).items():
+    for (g, m), n in mq.counts_14(F, gens, algo=algo).items():
         got[("(1^4)", g, m)] = n
     want = {k: v for k, v in tal.items() if k[0] in ("(2^2)", "(1^4)")}
     assert got == want
 
 
-@pytest.mark.parametrize("name", list(GROUPS))
-def test_1212_counts_match_character_pairs(q2_tower_data, name):
-    _, chars = q2_tower_data
+@pytest.mark.parametrize("base,name", TOWER_CASES)
+def test_1212_counts_match_character_pairs(tower_data, base, name):
+    # the (1^2 1^2) algebras are L x L' for ramified quadratics L, L':
+    # counted and weighed from the quadratic characters, #Aut(L x L) = 8
+    # and #Aut(L x L') = 4 for L != L'
+    F, _, chars = tower_data(base)
     js = GROUPS[name]
     ram = [r for r in chars if r.cond > 0]
     want = {}
+    premass = {"C2": Fraction(0), "V4": Fraction(0)}
     for i, r1 in enumerate(ram):
         if all(r1.norm_flags[j] for j in js):
             m = 2 * r1.disc_val
             want[("C2", m)] = want.get(("C2", m), 0) + 1
+            premass["C2"] += Fraction(1, 8 * F.q**m)
         for r2 in ram[i + 1 :]:
             m = r1.disc_val + r2.disc_val
             want[("V4", m)] = want.get(("V4", m), 0) + 1
-    assert mq.counts_1212(Q2, GEN_VALUES[name]) == want
+            premass["V4"] += Fraction(1, 4 * F.q**m)
+    assert mq.counts_1212(F, GEN_VALUES[name]) == want
+    assert mq.premass4_wild(F, GEN_VALUES[name], "(1^2 1^2)").as_dict() == premass
 
 
-@pytest.mark.parametrize("name", list(GROUPS))
-def test_wild_premass_matches_oracle(q2_tower_data, name):
-    recs, _ = q2_tower_data
+@pytest.mark.parametrize("base,name", TOWER_CASES)
+def test_wild_premass_matches_oracle(tower_data, base, name):
+    F, recs, _ = tower_data(base)
     js = GROUPS[name]
     gens = GEN_VALUES[name]
     for sym in ("(2^2)", "(1^4)"):
-        rep = mq.premass4_wild(Q2, gens, sym)
+        rep = mq.premass4_wild(F, gens, sym)
         for grp in ("C4", "V4", "D4"):
             pm = orc.quartic_premass(
                 recs,
                 pred=lambda r: r.symbol == sym
                 and r.group == grp
                 and all(r.norm_flags[j] for j in js),
-                q=Q2.q,
+                q=F.q,
             )
             assert rep.part(grp) == pm, (name, sym, grp)
-
-
-def test_wild_premass_matches_counts_f22():
-    # over a base with e = 2 the closed-form pre-masses must equal the
-    # count-derived sums
-    aut = {"C4": 4, "V4": 4, "D4": 2}
-    for gens in [(), (F22.from_int(-1),), (F22.from_int(5), F22.from_int(-1))]:
-        rep = mq.premass4_wild(F22, gens, "(2^2)")
-        acc = {g: Fraction(0) for g in aut}
-        for (g, m), n in mq.counts_22(F22, gens).items():
-            acc[g] += Fraction(n, aut[g] * F22.q**m)
-        for g in aut:
-            assert rep.part(g) == acc[g], (gens, g)
-        rep = mq.premass4_wild(F22, gens, "(1^2 1^2)")
-        c12 = mq.counts_1212(F22, gens)
-        diag = sum(Fraction(n, 8 * F22.q**m) for (g, m), n in c12.items() if g == "C2")
-        dist = sum(Fraction(n, 4 * F22.q**m) for (g, m), n in c12.items() if g == "V4")
-        assert rep.part("C2") == diag and rep.part("V4") == dist
 
 
 def test_odd_valuation_generator_kills_22():

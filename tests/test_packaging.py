@@ -1,18 +1,19 @@
-"""Every import in the library is from the standard library or declared."""
+"""Every import in the library is from the standard library or declared,
+and every exported name resolves."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     return {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower() for d in deps}
@@ -39,3 +40,11 @@ def test_imports_are_stdlib_or_declared():
         if name.lower() not in allowed
     }
     assert not undeclared
+
+
+@pytest.mark.parametrize("module", ["etmass", "etmass.massquartic"])
+def test_all_exports_resolve(module):
+    # a deleted function must not leave a stale name that breaks
+    # ``from module import *``
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
