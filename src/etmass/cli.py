@@ -180,16 +180,15 @@ def _run(fn):
 @click.option("--n", type=int, required=True, help="degree (4 or a prime)")
 @click.option("--gens", default="", help="comma-separated expressions in pi, u, ints")
 @click.option("--symbol", default=None, help="restrict to one splitting symbol")
-@click.option("--algo", type=click.Choice(["brute", "subspace", "auto"]), default="auto")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def mass(p, e, f, n, gens, symbol, algo, fmt):
+def mass(p, e, f, n, gens, symbol, fmt):
     """Pre-mass and mass of degree-n etale algebras with prescribed norms."""
 
     def body():
         F = LocalField(p, e, f)
         elems = parse_local_gens(F, gens)
         if n == 4:
-            report = mq.premass4(F, elems, algo=algo)
+            report = mq.premass4(F, elems)
         else:
             report = mp.premass_ell_total(F, n, elems)
         parts = report.parts

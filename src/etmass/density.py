@@ -47,7 +47,7 @@ from math import factorial, gcd
 
 from .massprime import partition_count, premass_ell_total
 from .massquartic import premass4, tame_coefficients
-from .padic import LocalField, PrecisionError, prime_factors, trial_divide
+from .padic import LocalField, PrecisionError, trial_divide
 
 
 SUPPORTED_DEGREES = (3, 4, 5)

@@ -27,7 +27,7 @@ from math import gcd
 from .fplinalg import FpMatrix
 from .fplinalg import rank as fp_rank
 from .massprime import MassReport, count_Cp
-from .padic import GuardError, PrecisionError, disc_val_quadratic, field_cache, quad_extend
+from .padic import GuardError, disc_val_quadratic, field_cache, quad_extend
 from .unitgroups import (
     c_alpha,
     class_vec,
@@ -299,32 +299,26 @@ def _tower_symbol(E, beta, omega) -> int:
     (f(A1), A2 - A1) (A1 - A2, f(A2)), which bilinearity rewrites so.
     The last factor is 1 whenever f(A1) f(A2) is a square, as it is when
     beta/omega lies in F and A1 = A2; A1 - A2, which may then vanish to
-    working precision, is formed only otherwise.  A class read from
-    fewer than 2e + 1 known relative digits raises PrecisionError.
+    working precision, is formed only otherwise.
     """
     F = E.base
 
-    def vec(x):
-        if x.prec - F.val(x) <= 2 * F.e:
-            raise PrecisionError("square class undetermined at this precision")
-        return class_vec(F, x, 2)
-
     b0, b1 = beta.data
     if b1.exact:
-        return _hilbert_exp(F, vec(b0), vec(E.norm(omega)))
+        return _hilbert_exp(F, class_vec(F, b0, 2), class_vec(F, E.norm(omega), 2))
     w0, w1 = omega.data
     c1, c2 = -b1, -w1
     A1, A2 = b0 / c1, w0 / c2
-    vf1 = vec(A1 * (A1 - E.a) - E.b)
-    vf2 = vec(A2 * (A2 - E.a) - E.b)
+    vf1 = class_vec(F, A1 * (A1 - E.a) - E.b, 2)
+    vf2 = class_vec(F, A2 * (A2 - E.a) - E.b, 2)
     exp = (
-        _hilbert_exp(F, vec(c1), vf2)
-        + _hilbert_exp(F, vf1, vec(c2))
-        + _hilbert_exp(F, vf1, vec(F.from_int(-1)))
+        _hilbert_exp(F, class_vec(F, c1, 2), vf2)
+        + _hilbert_exp(F, vf1, class_vec(F, c2, 2))
+        + _hilbert_exp(F, vf1, class_vec(F, F.from_int(-1), 2))
     )
     vf12 = tuple((x + y) % 2 for x, y in zip(vf1, vf2))
     if any(vf12):
-        exp += _hilbert_exp(F, vec(A1 - A2), vf12)
+        exp += _hilbert_exp(F, class_vec(F, A1 - A2, 2), vf12)
     return exp % 2
 
 

@@ -9,6 +9,10 @@ its own known absolute precision in v_F units.  Each field builds a
 product table for these monomials once, so a product is a single pass
 over the table, and each element caches its valuation bound.
 
+Precision is decided here and nowhere above: ``val`` and ``digit`` raise
+:class:`PrecisionError` at or past an element's known precision, so a
+square class or any other quantity read through them is never guessed.
+
 Quadratic extensions E = F(sqrt(d)) are realised relatively: the ring
 of integers is O_F + O_F*rho with rho^2 = a*rho + b, so towers of
 quadratics (the only extensions needed here) come for free.  They are
@@ -52,7 +56,7 @@ def field_cache(fn):
 
 
 class PrecisionError(ArithmeticError):
-    """All stored digits vanished but the element is not exact zero."""
+    """A value needs digits beyond an element's known precision."""
 
 
 class GuardError(RuntimeError):
@@ -435,7 +439,7 @@ class PadicField:
     """Methods shared by :class:`LocalField` and :class:`QuadExt`.
 
     They use only the element interface each field supplies (``add``,
-    ``neg``, ``mul``, ``inv``, ``shift``, ``val``, ``val_lower``,
+    ``neg``, ``mul``, ``inv``, ``shift``, ``val_lower``, ``_digit``,
     ``residue``, ``one``, ``from_int``, ``from_rational``); ``base`` is
     the field below, or None for a base field.
     """
@@ -465,6 +469,30 @@ class PadicField:
             r = self.mul(r, r)
             n >>= 1
         return acc
+
+    def val(self, x):
+        if x.exact:
+            return INF
+        # both _mk cap prec so that an element with no digit left
+        # reports val_lower >= prec, and fails here
+        v = self.val_lower(x)
+        if v >= x.prec:
+            raise PrecisionError("valuation at or beyond known precision")
+        return v
+
+    def digit(self, x, k):
+        """Residue of x / pi^k, for 0 <= k <= v(x), with no product.
+
+        Raises PrecisionError for k at or beyond the known precision,
+        ArithmeticError for k outside [0, v(x)].
+        """
+        if x.exact:
+            return self.rf.zero
+        if k >= x.prec:
+            raise PrecisionError(f"digit {k} at or beyond known precision")
+        if k < 0 or self.val_lower(x) < k:
+            raise ArithmeticError(f"digit {k} outside [0, v(x)]")
+        return self._digit(x, k)
 
     def is_zero(self, x):
         if x.exact:
@@ -718,16 +746,6 @@ class LocalField(PadicField):
         x.vlow = v
         return v
 
-    def val(self, x):
-        if x.exact:
-            return INF
-        # _mk caps prec at e*(K - pshift), the value val_lower reports
-        # once every digit has vanished, so that case fails here too
-        v = self.val_lower(x)
-        if v >= x.prec:
-            raise PrecisionError("valuation at or beyond known precision")
-        return v
-
     def shift(self, x, k):
         """Multiply by pi^k (k may be negative).
 
@@ -775,20 +793,14 @@ class LocalField(PadicField):
             raise ArithmeticError("element is not integral")
         return tuple(a % self.p for a in vec[: self.f])
 
-    def digit(self, x, k):
-        """Residue of x / pi^k, for 0 <= k <= v(x), read off the stored
-        coefficients without a product.
+    def _digit(self, x, k):
+        """The digit at k, read off the stored coefficients.
 
         With k + e*pshift = e*a + r, 0 <= r < e, only the r-th pi-block
         c_r reaches valuation k: its p^a-digit, since p^a * pi^r / p^pshift
-        = pi^k * u0^(pshift - a).  Raises ArithmeticError for k outside
-        [0, v(x)].
+        = pi^k * u0^(pshift - a).
         """
         rf = self.rf
-        if x.exact:
-            return rf.zero
-        if k < 0 or self.val_lower(x) < k:
-            raise ArithmeticError(f"digit {k} outside [0, v(x)]")
         vec, s = x.data
         a, r = divmod(k + self.e * s, self.e)
         p, pa, f = self.p, self.p**a, self.f
@@ -942,39 +954,6 @@ class QuadExt(PadicField):
             return min(2 * B.val_lower(x0), 2 * B.val_lower(x1) + 1)
         return min(B.val_lower(x0), B.val_lower(x1))
 
-    def val(self, x):
-        x0, x1 = x.data
-        B = self.base
-        if x.exact or (x0.exact and x1.exact):
-            return INF
-        r = self.ramdeg
-
-        def side(z, off):
-            if z.exact:
-                return INF
-            try:
-                return r * B.val(z) + off
-            except PrecisionError:
-                return None  # unknown, digits exhausted
-
-        v0 = side(x0, 0)
-        v1 = side(x1, 1 if self.kind == "ramified" else 0)
-        if v0 is None or v1 is None:
-            # one side exhausted: valuation may still be determined by other
-            known = v1 if v0 is None else v0
-            bound0 = r * x0.prec
-            bound1 = r * x1.prec + (1 if self.kind == "ramified" else 0)
-            dead_bound = bound0 if v0 is None else bound1
-            if known is not None and known is not INF and known < dead_bound:
-                return known
-            raise PrecisionError("valuation undetermined at this precision")
-        v = min(v0, v1)
-        if v is INF:
-            raise PrecisionError("all stored digits vanish")
-        if v >= x.prec:
-            raise PrecisionError("valuation at or beyond known precision")
-        return v
-
     def shift(self, x, k):
         """Multiply by pi^k: pi^k of the base on each half when E/F is
         unramified, one product with rho^k when it is ramified."""
@@ -1016,20 +995,15 @@ class QuadExt(PadicField):
             return B.residue(x0)
         return (B.residue(x0), B.residue(x1))
 
-    def digit(self, x, k):
-        """Residue of x / pi^k, for 0 <= k <= v(x), from base digits.
+    def _digit(self, x, k):
+        """The digit at k, from base digits.
 
         Unramified: the digits of both halves at k.  Ramified, with
         pi = rho: the base digit at j of x0 (k = 2j) or of x1 (k = 2j + 1),
         times c^j for c = res(pi_F / rho^2), since the other half has the
-        other parity of valuation.  Raises ArithmeticError for k outside
-        [0, v(x)].
+        other parity of valuation.
         """
         rf = self.rf
-        if x.exact:
-            return rf.zero
-        if k < 0 or self.val_lower(x) < k:
-            raise ArithmeticError(f"digit {k} outside [0, v(x)]")
         x0, x1 = x.data
         B = self.base
         if self.kind == "unramified":

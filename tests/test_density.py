@@ -26,13 +26,6 @@ def test_primes_up_to():
     assert len(dens.primes_up_to(10_000)) == 1229
 
 
-def test_prime_factors():
-    assert dens.prime_factors(1) == set()
-    assert dens.prime_factors(-12) == {2, 3}
-    assert dens.prime_factors(97) == {97}
-    assert dens.prime_factors(2 * 3 * 5 * 49) == {2, 3, 5, 7}
-
-
 def test_rational_valuation():
     assert dens.rational_valuation(Fraction(8, 3), 2) == 3
     assert dens.rational_valuation(Fraction(9, 5), 5) == -1

@@ -671,6 +671,15 @@ def test_unconstrained_total_ramified_base():
     assert mq.premass4(F).total == want
 
 
+@pytest.mark.parametrize("e", [3, 4, 5])
+def test_premass4_stable_under_precision_doubling(e):
+    # the wild pre-mass over a base with e >= 3 must not depend on the
+    # working precision
+    F1 = LocalField(2, e, 1)
+    F2 = LocalField(2, e, 1, prec=2 * F1.prec)
+    assert mq.premass4(F1, (F1.from_int(-1),)).parts == mq.premass4(F2, (F2.from_int(-1),)).parts
+
+
 def test_fourth_power_generators_are_absorbed():
     for F in (Q2, LocalField(3, 1, 1)):
         rng = np.random.default_rng(5 * F.p)

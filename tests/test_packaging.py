@@ -48,3 +48,29 @@ def test_all_exports_resolve(module):
     # ``from module import *``
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def unused_imports(path):
+    """Names a module imports but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_every_import_is_used():
+    # a deletion must not leave behind the imports only it needed
+    sources = sorted((ROOT / "src" / "etmass").glob("*.py"))
+    assert sources
+    assert {(path.name, name) for path in sources for name in unused_imports(path)} == set()

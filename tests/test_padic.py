@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from etmass.padic import (
     INF,
     MR_PROVEN_BOUND,
+    Elt,
     LocalField,
     PrecisionError,
     ResidueField,
@@ -50,9 +51,26 @@ def random_unit(F, rng, depth=6):
             continue
 
 
+def cut(F, x, prec):
+    """x as known only modulo pi^prec of its own field."""
+    if F.base is None:
+        return Elt(F, x.data, prec)
+    r = F.ramdeg
+    x0, x1 = x.data
+    # QuadExt._mk gives min(r*prec0, r*prec1 + r - 1) = prec
+    return F._mk(cut(F.base, x0, -(-prec // r)), cut(F.base, x1, -(-(prec - r + 1) // r)))
+
+
 # ---------------------------------------------------------------------------
 # primality
 # ---------------------------------------------------------------------------
+
+
+def test_prime_factors():
+    assert prime_factors(1) == set()
+    assert prime_factors(-12) == {2, 3}
+    assert prime_factors(97) == {97}
+    assert prime_factors(2 * 3 * 5 * 49) == {2, 3, 5, 7}
 
 
 def test_is_prime_matches_trial_division():
@@ -429,6 +447,50 @@ def test_quadratic_norm_valuation():
         assert F.val(E.norm(x)) == factor
 
 
+def test_quad_val_with_exact_or_exhausted_halves():
+    # v(x0 + x1 rho) is the live half's valuation while that lies below
+    # the precision bound of the other half, and unknown otherwise
+    F = LocalField(2, 1, 1)
+    eight = F.from_int(8)
+
+    def gone(prec):  # no known digit modulo 2^prec
+        return Elt(F, F.zero().data, prec)
+
+    cases = {
+        # E = Q_2(sqrt 2): v_E(x0) = 2 v(x0), v_E(x1 rho) = 2 v(x1) + 1
+        2: [
+            (F.zero(), eight, 7),
+            (eight, F.zero(), 6),
+            (F.zero(), gone(5), None),
+            (eight, gone(3), 6),
+            (eight, gone(2), None),
+            (gone(4), eight, 7),
+            (gone(3), eight, None),
+            (gone(4), gone(4), None),
+        ],
+        # E = Q_2(sqrt 5), unramified: v_E = v on both halves
+        5: [
+            (F.zero(), eight, 3),
+            (eight, F.zero(), 3),
+            (F.zero(), gone(5), None),
+            (eight, gone(4), 3),
+            (eight, gone(3), None),
+            (gone(4), eight, 3),
+            (gone(3), eight, None),
+            (gone(4), gone(4), None),
+        ],
+    }
+    for d, rows in cases.items():
+        E = quad_extend(F, F.from_int(d))
+        for x0, x1, want in rows:
+            x = E._mk(x0, x1)
+            if want is None:
+                with pytest.raises(PrecisionError):
+                    E.val(x)
+            else:
+                assert E.val(x) == want, (d, x0, x1)
+
+
 def test_quad_inverse_clears_p_denominators_first():
     # both halves carry p-denominator 10: taken into the norm as they
     # stand they would cost the inverse nearly all its precision
@@ -675,6 +737,8 @@ def test_digit_matches_residue_of_shift():
                 v = F.val(x)
                 for k in range(v + 1):
                     assert F.digit(x, k) == F.residue(F.shift(x, -k)), (F, pshift, k)
+                    with pytest.raises(PrecisionError):
+                        F.digit(cut(F, x, k), k)
                 for k in (v + 1, v + 3, -1):
                     with pytest.raises(ArithmeticError):
                         F.digit(x, k)

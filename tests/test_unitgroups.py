@@ -10,9 +10,9 @@ from etmass import unitgroups as ug
 from etmass.fplinalg import FpMatrix, in_colspan
 from etmass.fplinalg import rank as fp_rank
 from etmass.massquartic import choose_omega, hilbert2
-from etmass.padic import INF, LocalField, quad_extend
+from etmass.padic import INF, Elt, LocalField, PrecisionError, quad_extend
 
-from test_padic import random_unit
+from test_padic import cut, random_unit
 
 
 def make_field(p, e, f, seed=0):
@@ -157,6 +157,33 @@ def test_valuation_coordinate():
     v = ug.p_class_coords(F, F.power(F.pi(), 7))
     assert v[0] == 7 % 3
     assert not any(v[1:])
+
+
+@pytest.mark.parametrize("e,f,d", [(1, 1, None), (2, 1, None), (1, 2, None), (1, 1, 2), (1, 1, 5)])
+def test_class_read_refuses_unknown_digits(e, f, d):
+    # a square class is fixed by 2e + 1 known relative digits, and a read
+    # from fewer must raise rather than guess
+    F = make_field(2, e, f)
+    if d is not None:
+        F = quad_extend(F, F.from_int(d))  # d = 2: ramified, 5: unramified
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        x = F.shift(random_unit(F, rng), int(rng.integers(0, 4)))
+        v = F.val(x)
+        for r in range(1, 2 * F.e + 1):
+            with pytest.raises(PrecisionError):
+                ug.class_vec(F, cut(F, x, v + r), 2)
+        assert ug.class_vec(F, cut(F, x, v + 2 * F.e + 1), 2) == ug.class_vec(F, x, 2)
+
+
+def test_class_read_of_three_mod_four():
+    # 3 known modulo 2 or 4 could be 1, a square; modulo 8 it is not
+    Q2 = make_field(2, 1, 1)
+    three = Q2.from_int(3)
+    for r in (1, 2):
+        with pytest.raises(PrecisionError):
+            ug.class_vec(Q2, Elt(Q2, three.data, r), 2)
+    assert ug.class_vec(Q2, Elt(Q2, three.data, 3), 2) == (0, 1, 0)
 
 
 # ---------------------------------------------------------------------------
