@@ -58,9 +58,13 @@ SUPPORTED_DEGREES = (3, 4, 5)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def primes_up_to(bound: int) -> tuple:
-    """All primes <= bound, by sieve."""
+    """All primes <= bound, by sieve.
+
+    The last few bounds are memoised: a run repeats its one bound, and a
+    long-running process that sweeps bounds keeps at most eight tuples.
+    """
     if bound < 2:
         return ()
     flags = bytearray([1]) * (bound + 1)

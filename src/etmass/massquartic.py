@@ -14,6 +14,13 @@ each E, produced in the hard small-discriminant case by an explicit
 nine-step construction.  Whether a generator is a norm from the cyclic
 quartic E(sqrt(omega)) is the symbol (beta, omega)_E, computed from
 quadratic Hilbert symbols over F alone, so no quartic field is built.
+
+Each quadratic E is built at most once per F: a table kept on F maps
+the square class of d, as a bitmask over the square-class basis, to E,
+and the Hilbert Gram matrix, both ``counts_14`` sweeps and ``counts_22``
+take E from it.  E keeps its mask, its norm image and its omega, which
+does not depend on the generators, so a second ``premass4`` on the same
+F with other generators builds no E and pays only for the signs.
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 
-from .fplinalg import FpMatrix
+from .fplinalg import FpMatrix, in_colspan
 from .fplinalg import rank as fp_rank
 from .massprime import MassReport, count_Cp
 from .padic import GuardError, disc_val_quadratic, field_cache, quad_extend
@@ -33,7 +40,7 @@ from .unitgroups import (
     class_vec,
     dlog_mod,
     filtration_profile,
-    norm_class_contains,
+    norm_class_matrix,
     p_class_coords,
     solve_norm_equation,
     square_class_basis,
@@ -65,22 +72,55 @@ __all__ = [
 
 
 @field_cache
+def _quad_table(F):
+    """The quadratic extensions of F built so far, by square-class mask."""
+    return {}
+
+
+def _quad_of_class(F, mask):
+    """E = F(sqrt(d)), d the product of the elements of
+    :func:`square_class_basis` whose bits are set in ``mask``.
+
+    Each E is built once per (F, mask) and kept on F, so the Gram
+    matrix, both ``counts_14`` sweeps and ``counts_22`` share it and its
+    cached structure (norm image, omega).  ``E.dmask`` is the mask,
+    which is the class vector of d as a bitmask.
+    """
+    table = _quad_table(F)
+    E = table.get(mask)
+    if E is None:
+        basis = square_class_basis(F)
+        d = reduce(F.mul, [b for j, b in enumerate(basis) if mask >> j & 1])
+        E = table[mask] = quad_extend(F, d)
+        E.dmask = mask
+    return E
+
+
+@field_cache
 def _hilbert_gram(F):
     """Gram matrix of the Hilbert pairing on a square-class basis.
 
     Entry (i, j) is the F_2 exponent of (b_i, b_j)_F, i.e. 1 exactly
-    when b_i is *not* a norm from F(sqrt(b_j)).  The pairing is
-    symmetric and bilinear, so this matrix determines every symbol.
-    Returned as a tuple of row tuples.
+    when b_i is *not* a norm from F(sqrt(b_j)): when the unit vector
+    e_i, the class of b_i, is outside the norm image of E_j.  The
+    pairing is symmetric and bilinear, so this matrix determines every
+    symbol.  Returned as a tuple of row tuples.
     """
-    basis = square_class_basis(F)
+    dim = len(square_class_basis(F))
+    units = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
     cols = []
-    for bj in basis:
-        E = quad_extend(F, bj)
-        cols.append(tuple(0 if norm_class_contains(E, bi) else 1 for bi in basis))
+    for j in range(dim):
+        N = norm_class_matrix(_quad_of_class(F, 1 << j))
+        cols.append(tuple(0 if in_colspan(N, ei) is not None else 1 for ei in units))
     H = tuple(zip(*cols))
     assert H == tuple(cols), "Hilbert pairing must be symmetric"
     return H
+
+
+@field_cache
+def _minus_one_class(F):
+    """The square-class vector of -1, read once per field."""
+    return class_vec(F, F.from_int(-1), 2)
 
 
 def _gram_apply(F, v):
@@ -105,11 +145,12 @@ def _bitmask(v) -> int:
     return sum(1 << j for j, c in enumerate(v) if c)
 
 
-def _symbol_masks(F, elems):
-    """For each a in ``elems``, the row H v_a as a bitmask: (a, d)_F = -1
-    exactly when it shares an odd number of bits with the class vector
-    of d."""
-    return [_bitmask(_gram_apply(F, class_vec(F, F.coerce(a), 2))) for a in elems]
+def _symbol_masks(F, gens):
+    """For a = -1 and each a in ``gens``, the row H v_a as a bitmask:
+    (a, d)_F = -1 exactly when it shares an odd number of bits with the
+    class vector of d."""
+    vecs = [_minus_one_class(F)] + [class_vec(F, F.coerce(a), 2) for a in gens]
+    return [_bitmask(_gram_apply(F, v)) for v in vecs]
 
 
 def _all_symbols_trivial(masks, dmask) -> bool:
@@ -121,9 +162,15 @@ def _all_symbols_trivial(masks, dmask) -> bool:
 @field_cache
 def _cyclic_extendable(E) -> bool:
     """Whether -1 is a norm from the quadratic E/F, i.e. whether E has a
-    cyclic quartic extension of F; computed once per E."""
+    cyclic quartic extension of F; computed once per E.
+
+    (-1, d)_F is read off the Gram row of -1 and the class of d, which
+    an E from :func:`_quad_of_class` carries as its mask."""
     F = E.base
-    return hilbert2(F, -1, F.coerce(E.d)) == 1
+    dmask = getattr(E, "dmask", None)
+    if dmask is None:
+        dmask = _bitmask(class_vec(F, F.coerce(E.d), 2))
+    return _all_symbols_trivial(_symbol_masks(F, ()), dmask)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +283,20 @@ def choose_omega(F, E):
     """A minimal-discriminant omega in E^x with E(sqrt(omega))/F cyclic.
 
     Raises ValueError when E has no cyclic quartic extension of F,
-    i.e. when -1 is not a norm from E.
+    i.e. when -1 is not a norm from E.  omega depends on E alone, not
+    on any generators, so it is computed once per E and kept on it.
     """
     if F.p != 2:
         raise ValueError("only defined over 2-adic fields")
     if not _cyclic_extendable(E):
         raise ValueError("E admits no cyclic quartic extension of F")
+    return _omega(E)
+
+
+@field_cache
+def _omega(E):
+    """:func:`choose_omega` for a cyclic-extendable E."""
+    F = E.base
     d = F.coerce(E.d)
     e = F.e
     m1 = E.disc_val
@@ -314,7 +369,7 @@ def _tower_symbol(E, beta, omega) -> int:
     exp = (
         _hilbert_exp(F, class_vec(F, c1, 2), vf2)
         + _hilbert_exp(F, vf1, class_vec(F, c2, 2))
-        + _hilbert_exp(F, vf1, class_vec(F, F.from_int(-1), 2))
+        + _hilbert_exp(F, vf1, _minus_one_class(F))
     )
     vf12 = tuple((x + y) % 2 for x, y in zip(vf1, vf2))
     if any(vf12):
@@ -529,7 +584,7 @@ def _even_valuations(F, gens):
 
 
 def _unramified_quadratic(F):
-    return quad_extend(F, unit_basis(F).elems[-1])
+    return _quad_of_class(F, 1 << (unit_basis(F).dim - 1))
 
 
 def _half(n: int) -> int:
@@ -714,18 +769,14 @@ def counts_14(F, gens=(), algo: str = "auto"):
     # extenders.  The mask is the class vector of d, so the unramified
     # class (the top basis vector) and every d with (-1, d) = -1 or
     # (g, d) = -1 for a generator g are skipped by a parity test,
-    # before d or E is built
-    basis = unit_basis(F)
-    masks = _symbol_masks(F, (-1,) + gens_c)
-    unramified = 1 << (basis.dim - 1)
-    for mask in range(1, 1 << basis.dim):
+    # before E is looked up
+    dim = unit_basis(F).dim
+    masks = _symbol_masks(F, gens_c)
+    unramified = 1 << (dim - 1)
+    for mask in range(1, 1 << dim):
         if mask == unramified or not _all_symbols_trivial(masks, mask):
             continue
-        d = F.one()
-        for j in range(basis.dim):
-            if mask >> j & 1:
-                d = F.mul(d, basis.elems[j])
-        E = quad_extend(F, d)
+        E = _quad_of_class(F, mask)
         per_m2 = _c4_counts(F, E, gens_c, algo)
         for mm, n in per_m2.items():
             key = ("C4", 2 * E.disc_val + mm)

@@ -685,6 +685,13 @@ class LocalField(PadicField):
             return self.zero()
         return self.from_int(r.numerator) / self.from_int(r.denominator)
 
+    def half(self):
+        """1/2, exactly and with no inverse: 1 over the p-denominator p
+        when p = 2, the integer inverse of 2 modulo p^K otherwise."""
+        if self.p == 2:
+            return self._mk(self._one_vec, 1, self.e * self.K)
+        return self.from_int((self.pK + 1) // 2)
+
     def pi(self):
         return self._mk(self._shift_vec(1, 0), 0, self.e * self.K)
 
@@ -871,6 +878,9 @@ class QuadExt(PadicField):
 
     def from_rational(self, r):
         return self.embed(self.base.from_rational(r))
+
+    def half(self):
+        return self.embed(self.base.half())
 
     def pi(self):
         if self.kind == "ramified":

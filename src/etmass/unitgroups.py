@@ -11,13 +11,14 @@ because only the generic element interface is used.
 Field structure is built once per field and kept on the field itself
 (:func:`etmass.padic.field_cache`), so it dies with the field.  The
 unit-class basis (:class:`UnitClassBasis`) stores, besides its elements
-and their levels, the inverse of each level element 1 + pi^i u and the
-strip factor 1/(1 + pi^(i/p) y)^p of each wild level i and residue y
-(both made on first use), and for a field containing mu_p the matrix
-[phi | u*], u* the residue outside the image of phi.  Reading the class
-coordinates of an element then costs no product per digit, since a
-digit is read off the stored coefficients (``F.digit``), and a fixed
-number of products per level to strip it with stored factors.
+and their levels, the inverse of each level element 1 + pi^i u (made on
+first use), and for a field containing mu_p the matrix [phi | u*], u*
+the residue outside the image of phi.  Each field also keeps the strip
+factor 1/(1 + pi^(i/p) y)^p of each wild level i and residue y, made on
+first use and shared by class coordinates and :func:`c_alpha`.  Reading
+the class coordinates of an element then costs no product per digit,
+since a digit is read off the stored coefficients (``F.digit``), and a
+fixed number of products per level to strip it with stored factors.
 """
 
 from __future__ import annotations
@@ -123,22 +124,15 @@ def _c_alpha_unit(F, m):
                 continue
             return i, lam
         if top_exact and i == T:
-            r = _top_digit(F, m)
-            y = phi_preimage(F, r)
+            y = phi_preimage(F, _top_digit(F, m))
             if y is None:
                 return T, lam
-            if not F.rf.is_zero(y):
-                u = one + F.shift(F.lift(y), i // p)
-                lam = F.mul(lam, u)
-                m = F.mul(m, F.inv(F.power(u, p)))
-            continue
-        # p | i and i < pe/(p-1): strip one wild digit by a p-th root
-        r = F.digit(m - one, i)
-        y = F.rf.pth_root(r)
+        else:
+            # p | i and i < pe/(p-1): strip one wild digit by a p-th root
+            y = F.rf.pth_root(F.digit(m - one, i))
         if not F.rf.is_zero(y):
-            u = one + F.shift(F.lift(y), i // p)
-            lam = F.mul(lam, u)
-            m = F.mul(m, F.inv(F.power(u, p)))
+            lam = F.mul(lam, one + F.shift(F.lift(y), i // p))
+            m = F.mul(m, _strip(F, i, y))
     return INF, lam
 
 
@@ -165,9 +159,6 @@ class UnitClassBasis:
 
     ``inverses`` maps j to the inverse of ``elems[j]``; :meth:`inverse`
     fills it on first use, since most fields never strip every level.
-    ``strips`` maps (i, y), for a level i divisible by p and a residue
-    y, to the strip factor 1/(1 + pi^(i/p) lift(y))^p; :meth:`strip`
-    fills it on first use, and there are at most (levels x q) of them.
     When mu_p is in F, ``top_aug`` is the matrix [phi | u*] over F_p,
     whose last column is the residue u* of the top element; otherwise it
     is None.
@@ -177,7 +168,6 @@ class UnitClassBasis:
     elems: tuple
     levels: tuple
     inverses: dict
-    strips: dict
     top_aug: FpMatrix | None
 
     @property
@@ -191,14 +181,24 @@ class UnitClassBasis:
             inv = self.inverses[j] = self.field.inv(self.elems[j])
         return inv
 
-    def strip(self, i, y):
-        """1/(1 + pi^(i/p) lift(y))^p, computed once per (i, y)."""
-        s = self.strips.get((i, y))
-        if s is None:
-            F = self.field
-            u = F.one() + F.shift(F.lift(y), i // F.p)
-            s = self.strips[(i, y)] = F.inv(F.power(u, F.p))
-        return s
+
+@field_cache
+def _strip_factors(F):
+    """The strip factors of F made so far, by (level, residue)."""
+    return {}
+
+
+def _strip(F, i, y):
+    """1/(1 + pi^(i/p) lift(y))^p for a level i divisible by p and a
+    residue y, computed once per (F, i, y): there are at most
+    (levels x q) of them, shared by :func:`p_class_coords` and
+    :func:`c_alpha`."""
+    strips = _strip_factors(F)
+    s = strips.get((i, y))
+    if s is None:
+        u = F.one() + F.shift(F.lift(y), i // F.p)
+        s = strips[(i, y)] = F.inv(F.power(u, F.p))
+    return s
 
 
 def _level_reps(F):
@@ -232,7 +232,7 @@ def unit_basis(F) -> UnitClassBasis:
         phi = phi_matrix(F)
         top_aug = FpMatrix.make(p, [r + (u,) for r, u in zip(phi.data, F.rf.coords(ustar))])
     assert p ** len(elems) == quotient_size(F, INF)
-    return UnitClassBasis(F, tuple(elems), tuple(levels), {}, {}, top_aug)
+    return UnitClassBasis(F, tuple(elems), tuple(levels), {}, top_aug)
 
 
 def _non_phi_value(F):
@@ -255,7 +255,7 @@ def p_class_coords(F, alpha) -> tuple:
     product.  Stripping a prime-to-p level then costs, per unit of each
     digit coordinate, one product with a stored basis inverse, and
     stripping a level divisible by p one product with a stored strip
-    factor (:meth:`UnitClassBasis.strip`)."""
+    factor (:func:`_strip`)."""
     basis = unit_basis(F)
     p, e = F.p, F.e
     T = (p * e) // (p - 1)
@@ -293,7 +293,7 @@ def p_class_coords(F, alpha) -> tuple:
         # p | i, i < pe/(p-1): invisible level, strip a p-th root
         y = rf.pth_root(F.digit(m - one, i))
         if not rf.is_zero(y):
-            m = F.mul(m, basis.strip(i, y))
+            m = F.mul(m, _strip(F, i, y))
     return tuple(out)
 
 
@@ -456,13 +456,30 @@ def _rf_sqrt(rf, r):
 def sqrt_exact(F, w):
     """A square root of w in F, to working precision.
 
-    Raises ValueError when w is not a square.  The unit part is refined
-    by Newton iteration from a residue-level (p odd) or p-th-root-level
-    (p = 2) approximation.
+    Raises ValueError when w is not a square.  For w = pi^(2k) u, u a
+    unit, the root is pi^k u z with z = 1/sqrt(u) from
+    :func:`_inv_sqrt`: it is the root congruent to the c_alpha (p = 2)
+    or residue (p odd) root of u, and it costs one inverse.
+    """
+    if w.exact:
+        return F.zero()
+    v, u, z = _inv_sqrt(F, w)
+    return F.shift(F.normalize_pshift(F.mul(u, z)), v // 2)
+
+
+def _inv_sqrt(F, w):
+    """(v, u, z) with w = pi^v u, u a unit and z = 1/sqrt(u), for a
+    nonzero square w of F; one inverse.
+
+    Newton's step z <- z(3 - u z^2)/2 for 1/sqrt(u) needs no inverse
+    (Brent-Zimmermann, *Modern Computer Arithmetic*, 2010, ch. 4): only
+    the start, the inverse of a root lam of u to level 2e + 1
+    (:func:`c_alpha`, p = 2) or to the residue (p odd), is inverted.
+    With t = 1 - u z^2 the next residual has valuation at least
+    2(v(t) - v(2)), so the loop stops as soon as that reaches the
+    precision of t.  Raises ValueError when w is not a square.
     """
     v = F.val(w)
-    if v is INF:
-        return F.zero()
     if v % 2:
         raise ValueError("valuation is odd; not a square")
     u = F.shift(w, -v) if v else w
@@ -470,19 +487,20 @@ def sqrt_exact(F, w):
         c, lam = c_alpha(F, u)
         if c is not INF:
             raise ValueError("not a square")
-        y = lam
     else:
         r = _rf_sqrt(F.rf, F.residue(u))
         if r is None:
             raise ValueError("not a square")
-        y = F.lift(r)
-    two_inv = F.inv(F.from_int(2))
-    steps = 1
-    while (1 << steps) < F.prec + 2 * F.e + 2:
-        steps += 1
-    for _ in range(steps + 1):
-        y = F.normalize_pshift(F.mul(F.add(y, F.mul(u, F.inv(y))), two_inv))
-    return F.shift(y, v // 2)
+        lam = F.lift(r)
+    z = F.inv(lam)
+    one, half = F.one(), F.half()
+    v2 = F.e if F.p == 2 else 0
+    for _ in range((F.prec + 2 * F.e + 2).bit_length() + 1):
+        t = one - F.mul(u, F.mul(z, z))
+        z = F.normalize_pshift(z + F.mul(F.mul(z, t), half))
+        if F.is_zero(t) or 2 * (F.val(t) - v2) >= t.prec:
+            return v, u, z
+    raise ArithmeticError("square-root Newton did not converge")  # pragma: no cover
 
 
 def _norm_walk(E):
@@ -534,8 +552,10 @@ def solve_norm_equation(E, alpha):
 
     Linear algebra over F_2 on the columns of :func:`norm_class_matrix`
     finds beta, a product of the walked elements those columns come
-    from, up to a square of F; the square is then removed exactly with
-    :func:`sqrt_exact`.
+    from, up to a square of F.  The square w = alpha N(beta) is then
+    removed exactly: beta alpha / sqrt(w) has norm alpha, and
+    :func:`_inv_sqrt` gives 1/sqrt(w) = pi^(-v/2) z with one inverse of
+    F.
     """
     F = E.base
     alpha = F.coerce(alpha)
@@ -547,9 +567,8 @@ def solve_norm_equation(E, alpha):
     for c, b in zip(x, _norm_walk(E)):
         if c:
             beta = E.mul(beta, b)
-    w = F.mul(E.norm(beta), F.inv(alpha))
-    s = sqrt_exact(F, w)
-    return E.normalize_pshift(E.mul(beta, E.inv(E.embed(s))))
+    v, _, z = _inv_sqrt(F, F.mul(alpha, E.norm(beta)))
+    return E.normalize_pshift(E.mul(beta, E.embed(F.shift(F.mul(alpha, z), -(v // 2)))))
 
 
 @dataclass(frozen=True)

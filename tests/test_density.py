@@ -26,6 +26,19 @@ def test_primes_up_to():
     assert len(dens.primes_up_to(10_000)) == 1229
 
 
+def test_primes_up_to_cache_stays_bounded():
+    # a process sweeping prime bounds must not keep every prime tuple
+    maxsize = dens.primes_up_to.cache_info().maxsize
+    assert maxsize is not None
+    for bound in range(100, 400):
+        assert dens.primes_up_to(bound)[-1] <= bound
+        assert dens.primes_up_to.cache_info().currsize <= maxsize
+    # a repeated bound is still a hit
+    hits = dens.primes_up_to.cache_info().hits
+    dens.primes_up_to(399)
+    assert dens.primes_up_to.cache_info().hits == hits + 1
+
+
 def test_rational_valuation():
     assert dens.rational_valuation(Fraction(8, 3), 2) == 3
     assert dens.rational_valuation(Fraction(9, 5), 5) == -1

@@ -727,6 +727,40 @@ def test_premass4_leaves_no_fields():
     assert live_fields() - before < 10
 
 
+@pytest.mark.parametrize(
+    "e,f,want1,want2",
+    [
+        (2, 2, Fraction(5971891423, 4294967296), Fraction(9770810781, 8589934592)),
+        (3, 1, Fraction(17737051, 8388608), Fraction(53525137, 33554432)),
+    ],
+)
+def test_premass4_totals_on_one_field(e, f, want1, want2):
+    # the second call reuses the quadratic extensions, norm images and
+    # omegas the first one left on F
+    F = LocalField(2, e, f)
+    assert mq.premass4(F, (-1,)).total == want1
+    assert mq.premass4(F, (-1, 2)).total == want2
+
+
+def test_premass4_builds_each_quadratic_once(monkeypatch):
+    F = LocalField(2, 2, 1)
+    classes = []
+
+    def counting(base, d):
+        classes.append(ug.class_vec(base, d, 2))
+        return quad_extend(base, d)
+
+    monkeypatch.setattr(mq, "quad_extend", counting)
+    mq.premass4(F, (-1,))
+    assert classes and len(classes) == len(set(classes))
+    # other generators on the same F: no new extension, no new norm image
+    built = len(classes)
+    misses = ug.norm_class_matrix.cache_info().misses
+    mq.premass4(F, (-1, 2))
+    assert len(classes) == built
+    assert ug.norm_class_matrix.cache_info().misses == misses
+
+
 # ---------------------------------------------------------------------------
 # the rank count of _span_size and the F_2-vector sweep of counts_14
 # ---------------------------------------------------------------------------

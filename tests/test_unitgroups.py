@@ -411,3 +411,84 @@ def test_solve_norm_equation_round_trips():
             else:
                 assert beta is not None
                 assert F.unit_eq(E.norm(beta), alpha)
+
+
+# ---------------------------------------------------------------------------
+# exact square roots
+# ---------------------------------------------------------------------------
+
+
+def _sqrt_with_inverses(F, w):
+    """Reference square root: Newton y <- (y + u/y)/2 from the same start
+    as ``sqrt_exact``, with a full inverse in every step and a fixed step
+    count."""
+    v = F.val(w)
+    u = F.shift(w, -v) if v else w
+    if F.p == 2:
+        y = ug.c_alpha(F, u)[1]
+    else:
+        y = F.lift(ug._rf_sqrt(F.rf, F.residue(u)))
+    two_inv = F.inv(F.from_int(2))
+    steps = 1
+    while (1 << steps) < F.prec + 2 * F.e + 2:
+        steps += 1
+    for _ in range(steps + 1):
+        y = F.normalize_pshift(F.mul(F.add(y, F.mul(u, F.inv(y))), two_inv))
+    return F.shift(y, v // 2), y
+
+
+def _sqrt_fields():
+    fields = [make_field(2, e, f) for e, f in [(1, 1), (2, 1), (3, 1), (2, 2), (5, 1)]]
+    Q5 = make_field(5, 1, 1)
+    fields += [make_field(3, 1, 1), Q5, quad_extend(Q5, Q5.from_int(2))]
+    return fields
+
+
+@pytest.mark.parametrize("F", _sqrt_fields(), ids=repr)
+def test_sqrt_exact_on_random_squares(F, monkeypatch):
+    rng = np.random.default_rng(7 * F.p + F.e + 3 * F.f)
+    # v(2) + 1: the level at which the two roots of a unit differ
+    sep = (F.e if F.p == 2 else 0) + 1
+    ws = []
+    for k in range(12):
+        x = random_unit(F, rng)
+        ws.append(F.normalize_pshift(F.shift(F.mul(x, x), 2 * (k % 5) - 4)))
+    roots = []
+    for w in ws:
+        y = ug.sqrt_exact(F, w)
+        ref, start_root = _sqrt_with_inverses(F, w)
+        v = F.val(w)
+        # y^2 = w to the precision y carries
+        d = F.mul(y, y) - w
+        assert d.exact or F.val_lower(d) >= min(y.prec + F.val(y), w.prec)
+        # the root congruent to the start value, known no worse than by
+        # Newton with inverses
+        assert F.congruent(F.shift(y, -(v // 2)), start_root, sep)
+        assert F.unit_eq(y, ref)
+        assert y.prec >= ref.prec
+        roots.append(y)
+
+    # once the field's strip factors exist, a call makes one inverse
+    calls = [0]
+    inv = F.inv
+
+    def counting(x):
+        calls[0] += 1
+        return inv(x)
+
+    monkeypatch.setattr(F, "inv", counting, raising=False)
+    for w, y in zip(ws, roots):
+        calls[0] = 0
+        again = ug.sqrt_exact(F, w)
+        assert calls[0] <= 1
+        assert F.unit_eq(again, y) and again.prec == y.prec
+    monkeypatch.undo()
+
+    # non-squares and odd valuations are refused
+    x = random_unit(F, rng)
+    x2 = F.mul(x, x)
+    for b in ug.square_class_basis(F):
+        with pytest.raises(ValueError):
+            ug.sqrt_exact(F, F.mul(x2, b))
+    with pytest.raises(ValueError):
+        ug.sqrt_exact(F, F.shift(x2, 3))
