@@ -87,6 +87,27 @@ def rank(M: FpMatrix) -> int:
     return len(_rowreduce([list(r) for r in M.data], M.p, M.cols))
 
 
+def kernel_basis(M: FpMatrix) -> list:
+    """A basis of the right null space {x : M x = 0}, as tuples.
+
+    One vector per non-pivot column c of the reduced form: 1 at c, minus
+    the column's entries at the pivots, 0 elsewhere.
+    """
+    p, n = M.p, M.cols
+    rows = [list(r) for r in M.data]
+    piv = _rowreduce(rows, p, n)
+    basis = []
+    for c in range(n):
+        if c in piv:
+            continue
+        x = [0] * n
+        x[c] = 1
+        for row, pc in zip(rows, piv):
+            x[pc] = -row[c] % p
+        basis.append(tuple(x))
+    return basis
+
+
 def in_colspan(M: FpMatrix, v):
     """Solve M x = v; return the coefficient tuple or None."""
     p, n = M.p, M.cols

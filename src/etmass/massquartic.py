@@ -329,16 +329,28 @@ def omega_norm_signs(E, omega, gens4):
     when some, and then every, beta in E with N_{E/F}(beta) = alpha is a
     norm from M/E, i.e. when (beta, omega)_E = 1.  That symbol is read
     from symbols over F (:func:`_tower_symbol`), so M is never built.
+    The omega side of the symbols is read once for all generators, and
+    only when some beta needs it.
     """
     F = E.base
-    signs = []
-    for alpha in gens4:
-        beta = solve_norm_equation(E, F.coerce(alpha))
-        signs.append(beta is not None and _tower_symbol(E, beta, omega) == 0)
-    return tuple(signs)
+    betas = [solve_norm_equation(E, F.coerce(alpha)) for alpha in gens4]
+    side = None
+    if any(b is not None and not b.data[1].exact for b in betas):
+        side = _omega_side(E, omega)
+    return tuple(b is not None and _tower_symbol(E, b, omega, side) == 0 for b in betas)
 
 
-def _tower_symbol(E, beta, omega) -> int:
+def _omega_side(E, omega):
+    """(A2, class of f(A2), class of c2) for omega = c2 (A2 - rho): what
+    :func:`_tower_symbol` reads of omega when beta is not in F."""
+    F = E.base
+    w0, w1 = omega.data
+    c2 = -w1
+    A2 = w0 / c2
+    return A2, class_vec(F, A2 * (A2 - E.a) - E.b, 2), class_vec(F, c2, 2)
+
+
+def _tower_symbol(E, beta, omega, side=None) -> int:
     """The F_2 exponent of (beta, omega)_E, from symbols over F.
 
     Write x = x0 + x1 rho as c (A - rho) with c = -x1, A = -x0/x1, so
@@ -354,21 +366,21 @@ def _tower_symbol(E, beta, omega) -> int:
     (f(A1), A2 - A1) (A1 - A2, f(A2)), which bilinearity rewrites so.
     The last factor is 1 whenever f(A1) f(A2) is a square, as it is when
     beta/omega lies in F and A1 = A2; A1 - A2, which may then vanish to
-    working precision, is formed only otherwise.
+    working precision, is formed only otherwise.  ``side`` is
+    :func:`_omega_side` of omega, when the caller has read it already.
     """
     F = E.base
 
     b0, b1 = beta.data
     if b1.exact:
         return _hilbert_exp(F, class_vec(F, b0, 2), class_vec(F, E.norm(omega), 2))
-    w0, w1 = omega.data
-    c1, c2 = -b1, -w1
-    A1, A2 = b0 / c1, w0 / c2
+    A2, vf2, vc2 = side if side is not None else _omega_side(E, omega)
+    c1 = -b1
+    A1 = b0 / c1
     vf1 = class_vec(F, A1 * (A1 - E.a) - E.b, 2)
-    vf2 = class_vec(F, A2 * (A2 - E.a) - E.b, 2)
     exp = (
         _hilbert_exp(F, class_vec(F, c1, 2), vf2)
-        + _hilbert_exp(F, vf1, class_vec(F, c2, 2))
+        + _hilbert_exp(F, vf1, vc2)
         + _hilbert_exp(F, vf1, _minus_one_class(F))
     )
     vf12 = tuple((x + y) % 2 for x, y in zip(vf1, vf2))

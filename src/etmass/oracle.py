@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fplinalg import FpMatrix, in_colspan, span_contains
+from .fplinalg import FpMatrix, in_colspan, kernel_basis, span_contains
 from .padic import GuardError, disc_val_quadratic, quad_extend
 from .unitgroups import (
     class_dim,
@@ -37,15 +37,22 @@ from .unitgroups import (
 DEFAULT_MAX_SIZE = 1 << 16
 
 
-def _nonzero_vectors(p, d):
-    """All nonzero vectors of F_p^d, least-significant coordinate first."""
+def _lines(p, d):
+    """One nonzero vector of F_p^d per line through 0, the one whose first
+    nonzero coordinate is 1; least-significant coordinate first."""
     for idx in range(1, p**d):
         v = []
         t = idx
         for _ in range(d):
             v.append(t % p)
             t //= p
-        yield v
+        if next(c for c in v if c) == 1:
+            yield v
+
+
+def _conductor(levels, chi):
+    """One more than the highest unit level in chi's support, 0 if none."""
+    return max((lev + 1 for lev, c in zip(levels, chi) if c and lev >= 0), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +91,8 @@ def enum_cp_characters(F, gens=(), max_size=DEFAULT_MAX_SIZE):
         raise GuardError(f"{total} characters exceeds guard {max_size}")
     gvecs = [p_class_coords(F, F.coerce(g)) for g in gens]
     out = []
-    for chi in _nonzero_vectors(p, d):
-        first = next(j for j, c in enumerate(chi) if c)
-        if chi[first] != 1:
-            continue
-        unit_levels = [
-            basis.levels[j] for j, c in enumerate(chi) if c and basis.levels[j] >= 0
-        ]
-        cond = max(unit_levels) + 1 if unit_levels else 0
+    for chi in _lines(p, d):
+        cond = _conductor(basis.levels, chi)
         flags = tuple(
             sum(c * g for c, g in zip(chi, gv)) % p == 0 for gv in gvecs
         )
@@ -215,7 +216,9 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
 
     Iterates over pairs (E, delta): E runs through the quadratic
     extensions of F (one per nontrivial square class), delta through
-    the nontrivial square classes of E.  The field L = E(sqrt(delta))
+    the nontrivial square classes of E.  d and delta are products of
+    unit-class basis elements, so their classes are the exponent
+    vectors that built them.  The field L = E(sqrt(delta))
     has Galois closure group V4 when delta comes from F, C4 when
     N_{E/F}(delta) falls in the square class defining E, and D4
     otherwise.  Discriminants follow the tower law
@@ -235,26 +238,25 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
     gens = [F.coerce(g) for g in gens]
     fb = unit_basis(F)
     out = []
-    for dvec in _nonzero_vectors(2, fb.dim):
+    for dvec in _lines(2, fb.dim):
         d = F.one()
         for b, c in zip(fb.elems, dvec):
             if c:
                 d = F.mul(d, b)
         E = quad_extend(F, d)
-        d_class = p_class_coords(F, d)
+        d_class = tuple(dvec)
         eb = unit_basis(E)
         im_cols = [p_class_coords(E, E.embed(b)) for b in fb.elems]
         M_im = FpMatrix.from_columns(2, im_cols, eb.dim)
         e_EF = 2 if E.kind == "ramified" else 1
         f_EF = 2 // e_EF
         betas = [solve_norm_equation(E, g) for g in gens]
-        for wvec in _nonzero_vectors(2, eb.dim):
+        for wvec in _lines(2, eb.dim):
             delta = E.one()
             for b, c in zip(eb.elems, wvec):
                 if c:
                     delta = E.mul(delta, b)
-            delta_class = p_class_coords(E, delta)
-            if span_contains(M_im, delta_class):
+            if span_contains(M_im, wvec):
                 group = "V4"
             elif p_class_coords(F, E.norm(delta)) == d_class:
                 group = "C4"
@@ -406,18 +408,38 @@ def extend_conjugation(K):
     return sigma
 
 
-def _twist_eigenvalue(p, chi, conj_images):
-    """The t with chi o sigma = t * chi, or None when not stable.
+def _resolvents(F):
+    """(K, sigma, d, v_F(disc K), f(K/F)) for each resolvent K of F.
 
-    ``conj_images[j]`` is the class vector of sigma of the j-th basis
-    element, so (chi o sigma)_j is chi dotted with it.
+    K runs through the quadratic extensions (d = 2, sigma = conj) and,
+    when 4 divides p - 1, the cyclic quartic towers (d = 4, sigma from
+    :func:`extend_conjugation`).
     """
-    chis = [sum(c * x for c, x in zip(chi, img)) % p for img in conj_images]
-    j0 = next(j for j in range(len(chi)) if chi[j])
-    t = chis[j0] * pow(chi[j0], -1, p) % p
-    if any((t * c - s) % p for c, s in zip(chi, chis)):
-        return None
-    return t
+    out = [(K, K.conj, 2, K.disc_val, K.f // F.f) for K in quadratic_extensions(F)]
+    if (F.p - 1) % 4 == 0:
+        for K in cyclic_quartic_towers(F):
+            E = K.base
+            v_disc = 2 * E.disc_val + (E.f // F.f) * K.disc_val
+            out.append((K, extend_conjugation(K), 4, v_disc, K.f // F.f))
+    return out
+
+
+def _eigenlines(p, rows, t, max_size):
+    """The lines of characters chi with chi o sigma = t chi, as vectors.
+
+    ``rows[j]`` is the class vector of sigma of the j-th basis element,
+    so chi o sigma is the matrix with these rows applied to chi: the
+    characters are the kernel of that matrix minus t, and its lines are
+    counted against ``max_size`` before any is built.
+    """
+    n = len(rows)
+    A = FpMatrix.make(p, [[x - t * (i == j) for i, x in enumerate(r)] for j, r in enumerate(rows)])
+    basis = kernel_basis(A)
+    total = (p ** len(basis) - 1) // (p - 1)
+    if total > max_size:
+        raise GuardError(f"{total} eigencharacters exceeds guard {max_size}")
+    for c in _lines(p, len(basis)):
+        yield [sum(ck * v[i] for ck, v in zip(c, basis)) % p for i in range(n)]
 
 
 def enum_wild_totally_ramified(F, max_size=DEFAULT_MAX_SIZE):
@@ -437,8 +459,12 @@ def enum_wild_totally_ramified(F, max_size=DEFAULT_MAX_SIZE):
         v_F(disc L) = (p - 1) (v_F(disc K) + f(K/F) cond) / d
 
     by the conductor-discriminant formula applied to the permutation
-    character of G on G/C_d.  Resolvents are enumerated as towers of
-    quadratics, so the descent supports p - 1 in {2, 4}.
+    character of G on G/C_d.  A stable character is an eigenvector of
+    the action of a generator sigma of Gal(K/F) on characters, so only
+    the eigenspaces of the eigenvalues of order d are enumerated, each
+    line once, never the whole character group of K (``max_size``
+    bounds the lines of one eigenspace).  Resolvents are enumerated as
+    towers of quadratics, so the descent supports p - 1 in {2, 4}.
     """
     p = F.p
     out = [
@@ -450,29 +476,20 @@ def enum_wild_totally_ramified(F, max_size=DEFAULT_MAX_SIZE):
         return out  # quadratic extensions are always Galois
     if p - 1 not in (2, 4):
         raise GuardError("resolvent descent implemented for p - 1 in {2, 4}")
-    resolvents = [(K, K.conj, 2, K.disc_val, K.f // F.f) for K in quadratic_extensions(F)]
-    if (p - 1) % 4 == 0:
-        for K in cyclic_quartic_towers(F):
-            E = K.base
-            v_disc = 2 * E.disc_val + (E.f // F.f) * K.disc_val
-            resolvents.append((K, extend_conjugation(K), 4, v_disc, K.f // F.f))
-    for K, sigma, d, v_disc_k, f_rel in resolvents:
-        conj_images = [p_class_coords(K, sigma(b)) for b in unit_basis(K).elems]
-        for r in enum_cp_characters(K, max_size=max_size):
-            if r.cond == 0:
+    for K, sigma, d, v_disc_k, f_rel in _resolvents(F):
+        basis = unit_basis(K)
+        rows = [p_class_coords(K, sigma(b)) for b in basis.elems]
+        for t in range(2, p):
+            # d is 2 or 4, so t has exact order d when t^d = 1 != t^(d/2)
+            if pow(t, d, p) != 1 or pow(t, d // 2, p) == 1:
                 continue
-            t = _twist_eigenvalue(p, r.chi, conj_images)
-            if t is None:
-                continue
-            order, tk = 1, t
-            while tk != 1:
-                tk = tk * t % p
-                order += 1
-            if order != d:
-                continue
-            num = (p - 1) * (v_disc_k + f_rel * r.cond)
-            assert num % d == 0, (d, v_disc_k, f_rel, r.cond)
-            out.append(WildExtension(disc_val=num // d, aut=1, group=f"Cp:C{d}"))
+            for chi in _eigenlines(p, rows, t, max_size):
+                # sigma keeps valuations, so t != 1 rules out the
+                # unramified character: cond > 0
+                cond = _conductor(basis.levels, chi)
+                num = (p - 1) * (v_disc_k + f_rel * cond)
+                assert cond > 0 and num % d == 0, (d, v_disc_k, f_rel, cond)
+                out.append(WildExtension(disc_val=num // d, aut=1, group=f"Cp:C{d}"))
     return out
 
 

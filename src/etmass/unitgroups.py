@@ -519,6 +519,20 @@ def _norm_walk(E):
 
 
 @field_cache
+def _norm_image(E):
+    """(:func:`norm_class_matrix`, the walked elements of its columns)."""
+    F = E.base
+    dim = class_dim(F, 2)
+    cols, walked = [], []
+    for b in _norm_walk(E):
+        walked.append(b)
+        cols.append(class_vec(F, E.norm(b), 2))
+        M = FpMatrix.from_columns(2, cols, dim)
+        if fp_rank(M) == dim - 1:
+            return M, tuple(walked)
+    raise ArithmeticError("norm image is not a hyperplane")  # pragma: no cover
+
+
 def norm_class_matrix(E) -> FpMatrix:
     """Columns spanning the image of N_{E/F} in F^x/F^{x2}.
 
@@ -527,17 +541,15 @@ def norm_class_matrix(E) -> FpMatrix:
     j is the class of the norm of the j-th element of E's square-class
     walk (:func:`_norm_walk`), and the walk stops as soon as the columns
     reach rank dim - 1: the columns span the image, one per walked
-    element, not one per basis element of E.
+    element, not one per basis element of E.  The matrix and the walked
+    elements are kept on E together (:func:`_norm_image`), so
+    :func:`solve_norm_equation` walks E once.
     """
-    F = E.base
-    dim = class_dim(F, 2)
-    cols = []
-    for b in _norm_walk(E):
-        cols.append(class_vec(F, E.norm(b), 2))
-        M = FpMatrix.from_columns(2, cols, dim)
-        if fp_rank(M) == dim - 1:
-            return M
-    raise ArithmeticError("norm image is not a hyperplane")  # pragma: no cover
+    return _norm_image(E)[0]
+
+
+# lookups of the one cache, as for any field_cache
+norm_class_matrix.cache_info = _norm_image.cache_info
 
 
 def norm_class_contains(E, alpha) -> bool:
@@ -559,12 +571,12 @@ def solve_norm_equation(E, alpha):
     """
     F = E.base
     alpha = F.coerce(alpha)
-    x = in_colspan(norm_class_matrix(E), class_vec(F, alpha, 2))
+    M, walked = _norm_image(E)
+    x = in_colspan(M, class_vec(F, alpha, 2))
     if x is None:
         return None
     beta = E.one()
-    # x first, so the walk stops at the last column
-    for c, b in zip(x, _norm_walk(E)):
+    for c, b in zip(x, walked):
         if c:
             beta = E.mul(beta, b)
     v, _, z = _inv_sqrt(F, F.mul(alpha, E.norm(beta)))

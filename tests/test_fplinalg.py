@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from etmass.fplinalg import FpMatrix, in_colspan, rank, span_contains
+from etmass.fplinalg import FpMatrix, in_colspan, kernel_basis, rank, span_contains
 
 
 def random_matrix(rng, p, m, n):
@@ -41,3 +41,20 @@ def test_in_colspan_roundtrip():
         sol = in_colspan(M, v)
         assert sol is not None
         assert apply(M, sol) == v
+
+
+def test_kernel_basis_solves_and_has_full_dimension():
+    rng = np.random.default_rng(17)
+    for p in (2, 3, 5):
+        for _ in range(20):
+            m, n = rng.integers(1, 6), rng.integers(1, 7)
+            M = random_matrix(rng, p, m, n)
+            K = kernel_basis(M)
+            for x in K:
+                assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in M.data)
+            assert len(K) == n - rank(M)
+            if K:
+                assert rank(FpMatrix.make(p, K)) == len(K)
+    # the zero matrix: every unit vector; a square invertible one: none
+    assert kernel_basis(FpMatrix.make(3, [[0, 0]])) == [(1, 0), (0, 1)]
+    assert kernel_basis(FpMatrix.make(5, [[1, 2], [3, 4]])) == []

@@ -376,6 +376,33 @@ def test_tower_signs_unramified_closed_form(e, f):
     assert mq.omega_norm_signs(E, w, gens) == want
 
 
+def test_omega_side_read_once_per_call(monkeypatch):
+    # omega_norm_signs reads A2, the class of f(A2) and the class of c2
+    # once, however many generators need a symbol
+    F = Q2F2
+    E = next(
+        quad_extend(F, d) for d in square_class_reps(F) if mq.hilbert2(F, -1, d) == 1
+    )
+    w = mq.choose_omega(F, E)
+    rng = np.random.default_rng(53)
+    gens = [E.norm(random_unit(E, rng)) for _ in range(2)]
+    assert all(not ug.solve_norm_equation(E, g).data[1].exact for g in gens)
+    w0, w1 = w.data
+    c2 = -w1
+    A2 = w0 / c2
+    omega_side = {c2.data, (A2 * (A2 - E.a) - E.b).data}
+    reads = []
+
+    def counting(F_, x, ell):
+        reads.append(x.data)
+        return ug.class_vec(F_, x, ell)
+
+    want = tuple(mq._tower_symbol(E, ug.solve_norm_equation(E, g), w) == 0 for g in gens)
+    monkeypatch.setattr(mq, "class_vec", counting)
+    assert mq.omega_norm_signs(E, w, gens) == want
+    assert sum(x in omega_side for x in reads) == 2
+
+
 def test_tower_symbol_beta_an_f_multiple_of_omega():
     # here solve_norm_equation returns a beta with beta/omega in F, so
     # A1 - A2 vanishes to working precision; the parts are those the

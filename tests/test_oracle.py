@@ -1,5 +1,6 @@
 """Tests for the brute-force extension enumerations."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -296,6 +297,21 @@ def test_tower_guards():
         orc.enum_quartic_towers(LocalField(2, 2, 2))
 
 
+@pytest.mark.parametrize("e,f,d", [(1, 1, -1), (1, 1, 5), (2, 1, -1)])
+def test_product_of_basis_powers_has_its_exponents_as_class(e, f, d):
+    # the tower census reads the class of delta = prod b_j^(w_j) as w
+    # instead of computing it; E ramified, unramified, and over (2, 1)
+    F = LocalField(2, e, f)
+    E = quad_extend(F, F.from_int(d))
+    basis = ug.unit_basis(E)
+    for w in itertools.product((0, 1), repeat=basis.dim):
+        delta = E.one()
+        for b, c in zip(basis.elems, w):
+            if c:
+                delta = E.mul(delta, b)
+        assert ug.p_class_coords(E, delta) == w, (e, f, d, w)
+
+
 def test_towers_over_ramified_base():
     # smoke test over F = Q_2(sqrt(-1)): tallies are integral and the
     # unramified quartic of F appears exactly once
@@ -366,3 +382,59 @@ def test_wild_census_ramified_quadratic_bases():
 def test_wild_descent_guard():
     with pytest.raises(GuardError):
         orc.enum_wild_totally_ramified(LocalField(7, 1, 1))
+
+
+def _twist_eigenvalue(p, chi, conj_images):
+    """The t with chi o sigma = t * chi, or None when not stable.
+
+    ``conj_images[j]`` is the class vector of sigma of the j-th basis
+    element, so (chi o sigma)_j is chi dotted with it.
+    """
+    chis = [sum(c * x for c, x in zip(chi, img)) % p for img in conj_images]
+    j0 = next(j for j in range(len(chi)) if chi[j])
+    t = chis[j0] * pow(chi[j0], -1, p) % p
+    if any((t * c - s) % p for c, s in zip(chi, chis)):
+        return None
+    return t
+
+
+def _brute_wild_census(F):
+    """The census by testing every character of every resolvent K."""
+    p = F.p
+    out = Counter(("Cp", r.disc_val, p) for r in orc.enum_cp_characters(F) if r.cond > 0)
+    for K, sigma, d, v_disc_k, f_rel in orc._resolvents(F):
+        conj_images = [ug.p_class_coords(K, sigma(b)) for b in ug.unit_basis(K).elems]
+        for r in orc.enum_cp_characters(K):
+            t = _twist_eigenvalue(p, r.chi, conj_images)
+            if r.cond == 0 or t is None:
+                continue
+            if min(k for k in range(1, p) if pow(t, k, p) == 1) == d:
+                disc = (p - 1) * (v_disc_k + f_rel * r.cond) // d
+                out[(f"Cp:C{d}", disc, 1)] += 1
+    return out
+
+
+@pytest.mark.parametrize("p,d", [(3, None), (5, None), (3, 3), (3, -3)])
+def test_wild_census_matches_filtering_every_character(p, d):
+    # over Q_3, Q_5, Q_3(sqrt(3)) and Q_3(sqrt(-3))
+    F = LocalField(p, 1, 1)
+    if d is not None:
+        F = quad_extend(F, F.from_int(d))
+    recs = orc.enum_wild_totally_ramified(F)
+    assert Counter((r.group, r.disc_val, r.aut) for r in recs) == _brute_wild_census(F)
+
+
+def test_wild_guard_bounds_the_enumerated_lines():
+    # over Q_5 every quartic resolvent K has 3906 character lines, but
+    # no eigenspace enumerated has more than the 6 of Q_5 itself
+    F = LocalField(5, 1, 1)
+    want = orc.enum_wild_totally_ramified(F)
+    assert orc.enum_wild_totally_ramified(F, max_size=6) == want
+    with pytest.raises(GuardError):
+        orc.enum_wild_totally_ramified(F, max_size=5)
+    # an eigenspace is refused before any line of it is built: t = 2
+    # on the identity action of F_5^3 leaves all 31 lines
+    rows = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    assert len(list(orc._eigenlines(5, rows, 2, 31))) == 31
+    with pytest.raises(GuardError):
+        next(orc._eigenlines(5, rows, 2, 30))

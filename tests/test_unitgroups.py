@@ -413,6 +413,27 @@ def test_solve_norm_equation_round_trips():
                 assert F.unit_eq(E.norm(beta), alpha)
 
 
+def test_second_solve_walks_no_element(monkeypatch):
+    # the walked elements are kept beside the norm image, so only the
+    # first solve on E builds the 1 + shift(u, i) of the walk; over a
+    # quadratic E and over a tower M = E(sqrt(omega))
+    F = make_field(2, 2, 1)
+    E = quad_extend(F, F.from_int(-1))
+    for K in (E, None):
+        if K is None:  # choose_omega solves on E, so after E's turn
+            K = quad_extend(E, choose_omega(F, E))
+        shifts, shift = [], K.shift
+        monkeypatch.setattr(K, "shift", lambda x, k, s=shifts, f=shift: s.append(k) or f(x, k))
+        rho = K.rho()
+        alphas = [K.norm(K.one() + rho), K.norm(K.from_int(3) + rho)]
+        assert ug.solve_norm_equation(K, alphas[0]) is not None
+        assert shifts
+        shifts.clear()
+        assert ug.solve_norm_equation(K, alphas[1]) is not None
+        assert ug.solve_norm_equation(K, alphas[0]) is not None
+        assert shifts == []
+
+
 # ---------------------------------------------------------------------------
 # exact square roots
 # ---------------------------------------------------------------------------
