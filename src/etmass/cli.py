@@ -23,7 +23,7 @@ from . import density as dens
 from . import massprime as mp
 from . import massquartic as mq
 from . import oracle as orc
-from .padic import INF, GuardError, LocalField, PrecisionError, quad_extend
+from .padic import INF, Elt, GuardError, LocalField, PrecisionError, quad_extend
 
 
 # ---------------------------------------------------------------------------
@@ -31,17 +31,29 @@ from .padic import INF, GuardError, LocalField, PrecisionError, quad_extend
 # ---------------------------------------------------------------------------
 
 
+# Bound on the bits of a rational power inside an exponent, the one
+# place where the parser itself raises a rational to a power.
+_MAX_EXPONENT_BITS = 1 << 16
+
+
 def parse_local_expr(F, text: str):
     """Evaluate an arithmetic expression in F.
 
     Allowed: integers, ``pi`` (a uniformizer), ``u`` (a fixed
     non-residue unit), ``+ - * / **`` and parentheses; exponents must
-    be integers.  Returns an element of F.
+    be integers.  Returns an element of F.  A power is taken in F, on
+    the base coerced into F, so ``3**(2**25)`` costs 25 squarings in F
+    and never builds the integer 3^(2^25).  The exponent itself is
+    evaluated over the rationals.
     """
 
-    def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
+    def exponent(node):
+        n = ev(node, rational=True)
+        if not isinstance(n, Fraction) or n.denominator != 1:
+            raise ValueError("exponents must be integers")
+        return int(n)
+
+    def ev(node, rational=False):
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
             return Fraction(node.value)
         if isinstance(node, ast.Name):
@@ -51,38 +63,44 @@ def parse_local_expr(F, text: str):
                 return F.ugen()
             raise ValueError(f"unknown name {node.id!r} (only pi, u)")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = ev(node.operand)
+            v = ev(node.operand, rational)
             return -v if isinstance(node.op, ast.USub) else v
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            n = exponent(node.right)
+            a = ev(node.left, rational)
+            if not (rational and isinstance(a, Fraction)):
+                return F.power(F.coerce(a), n)
+            if a == 0 and n < 0:
+                raise ZeroDivisionError("division by zero")
+            if abs(n) * max(a.numerator.bit_length(), a.denominator.bit_length()) > _MAX_EXPONENT_BITS:
+                raise ValueError("exponent too large")
+            return a**n
         if isinstance(node, ast.BinOp):
-            a, b = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Pow):
-                if not isinstance(b, Fraction) or b.denominator != 1:
-                    raise ValueError("exponents must be integers")
-                return a ** int(b)
+            a, b = ev(node.left, rational), ev(node.right, rational)
             if isinstance(a, Fraction) != isinstance(b, Fraction):
                 # promote the rational side into the field
                 if isinstance(a, Fraction):
                     a = F.coerce(a)
                 else:
                     b = F.coerce(b)
-            ops = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
-            name = ops.get(type(node.op))
-            if name is None:
-                raise ValueError(f"unsupported operator in {text!r}")
-            if name == "add":
+            if isinstance(node.op, ast.Add):
                 return a + b
-            if name == "sub":
+            if isinstance(node.op, ast.Sub):
                 return a - b
-            if name == "mul":
+            if isinstance(node.op, ast.Mult):
                 return a * b
-            return a / b
+            if isinstance(node.op, ast.Div):
+                if b.exact if isinstance(b, Elt) else b == 0:
+                    raise ZeroDivisionError("division by zero")
+                return a / b
+            raise ValueError(f"unsupported operator in {text!r}")
         raise ValueError(f"unsupported syntax in {text!r}")
 
     try:
         tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"bad expression {text!r}: {exc}") from None
-    return F.coerce(ev(tree))
+    return F.coerce(ev(tree.body))
 
 
 def parse_local_gens(F, text: str):

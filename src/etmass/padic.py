@@ -16,7 +16,14 @@ square class or any other quantity read through them is never guessed.
 Quadratic extensions E = F(sqrt(d)) are realised relatively: the ring
 of integers is O_F + O_F*rho with rho^2 = a*rho + b, so towers of
 quadratics (the only extensions needed here) come for free.  They are
-constructed by :func:`quad_extend`.
+constructed by :func:`quad_extend`.  An element of E is a pair over F,
+and E's products call F's methods directly, dropping the terms with
+factor a when a is an exact zero.  Towers keep the pairs: one flat
+product table per field made a product in a tower faster, but every
+fresh tower then paid for building its table, which cost the tower
+census more than it saved.  ``minus_one`` forms x - 1 by changing the
+constant coefficient alone, for the unit-level digits read by
+:mod:`etmass.unitgroups`.
 """
 
 from __future__ import annotations
@@ -401,10 +408,10 @@ class Elt:
         return self.field.neg(self)
 
     def __sub__(self, other):
-        return self.field.add(self, self.field.neg(self.field.coerce(other)))
+        return self.field.sub(self, self.field.coerce(other))
 
     def __rsub__(self, other):
-        return self.field.add(self.field.coerce(other), self.field.neg(self))
+        return self.field.sub(self.field.coerce(other), self)
 
     def __mul__(self, other):
         return self.field.mul(self, self.field.coerce(other))
@@ -439,9 +446,9 @@ class PadicField:
     """Methods shared by :class:`LocalField` and :class:`QuadExt`.
 
     They use only the element interface each field supplies (``add``,
-    ``neg``, ``mul``, ``inv``, ``shift``, ``val_lower``, ``_digit``,
-    ``residue``, ``one``, ``from_int``, ``from_rational``); ``base`` is
-    the field below, or None for a base field.
+    ``sub``, ``neg``, ``mul``, ``inv``, ``shift``, ``val_lower``,
+    ``_digit``, ``residue``, ``one``, ``from_int``, ``from_rational``);
+    ``base`` is the field below, or None for a base field.
     """
 
     base = None
@@ -721,10 +728,26 @@ class LocalField(PadicField):
             vec = tuple([(a * mx + b * my) % pK for a, b in zip(xv, yv)])
         return self._mk(vec, s, min(x.prec, y.prec), exact=x.exact and y.exact)
 
+    def sub(self, x, y):
+        _check_same_field(x, y)
+        (xv, xs), (yv, ys) = x.data, y.data
+        pK, s = self.pK, max(xs, ys)
+        if xs == ys:
+            vec = tuple([(a - b) % pK for a, b in zip(xv, yv)])
+        else:
+            mx, my = self.p ** (s - xs), self.p ** (s - ys)
+            vec = tuple([(a * mx - b * my) % pK for a, b in zip(xv, yv)])
+        return self._mk(vec, s, min(x.prec, y.prec), exact=x.exact and y.exact)
+
     def neg(self, x):
         vec, s = x.data
         pK = self.pK
         return self._mk(tuple([-a % pK for a in vec]), s, x.prec, x.exact)
+
+    def minus_one(self, x):
+        """x - 1, changing only the constant coefficient."""
+        vec, s = x.data
+        return self._mk(((vec[0] - self.p**s) % self.pK,) + vec[1:], s, x.prec)
 
     def mul(self, x, y):
         _check_same_field(x, y)
@@ -911,39 +934,65 @@ class QuadExt(PadicField):
         (x0, x1), (y0, y1) = x.data, y.data
         return self._mk(x0 + y0, x1 + y1)
 
+    def sub(self, x, y):
+        _check_same_field(x, y)
+        (x0, x1), (y0, y1) = x.data, y.data
+        B = self.base
+        return self._mk(B.sub(x0, y0), B.sub(x1, y1))
+
     def neg(self, x):
         x0, x1 = x.data
-        return self._mk(-x0, -x1)
+        B = self.base
+        return self._mk(B.neg(x0), B.neg(x1))
+
+    def minus_one(self, x):
+        """x - 1, changing only the first half."""
+        x0, x1 = x.data
+        return self._mk(self.base.minus_one(x0), x1)
+
+    # The products below call the base field's methods directly.  A term
+    # with the factor a is dropped when a is an exact zero (every E at
+    # odd p, and every E = F(sqrt(d)) with v(d) odd): the value is the
+    # same, and the precision can only be higher.
 
     def mul(self, x, y):
         _check_same_field(x, y)
         (x0, x1), (y0, y1) = x.data, y.data
+        B = self.base
         # an embedded operand (second half exact zero) needs two base
         # products, not the five of the full formula
         if y1.exact:
-            B = self.base
             return self._mk(B.mul(x0, y0), B.mul(x1, y0))
         if x1.exact:
-            B = self.base
             return self._mk(B.mul(x0, y0), B.mul(x0, y1))
-        cross = x1 * y1
-        re = x0 * y0 + self.b * cross
-        im = x0 * y1 + x1 * y0 + self.a * cross
+        cross = B.mul(x1, y1)
+        re = B.add(B.mul(x0, y0), B.mul(self.b, cross))
+        im = B.add(B.mul(x0, y1), B.mul(x1, y0))
+        if not self.a.exact:
+            im = B.add(im, B.mul(self.a, cross))
         return self._mk(re, im)
 
     def conj(self, x):
         x0, x1 = x.data
-        return self._mk(x0 + self.a * x1, -x1)
+        B = self.base
+        re = x0 if self.a.exact else B.add(x0, B.mul(self.a, x1))
+        return self._mk(re, B.neg(x1))
 
     def norm(self, x):
         """N_{E/F}(x), an element of the base field."""
         x0, x1 = x.data
-        n = x0 * x0 + self.a * x0 * x1 - self.b * x1 * x1
-        return self.base.normalize_pshift(n)
+        B = self.base
+        n = B.mul(x0, x0)
+        if not self.a.exact:
+            n = B.add(n, B.mul(B.mul(self.a, x0), x1))
+        n = B.sub(n, B.mul(B.mul(self.b, x1), x1))
+        return B.normalize_pshift(n)
 
     def trace(self, x):
         x0, x1 = x.data
-        return 2 * x0 + self.a * x1
+        B = self.base
+        t = B.mul(x0, B.from_int(2))
+        return t if self.a.exact else B.add(t, B.mul(self.a, x1))
 
     def inv(self, x):
         if x.exact:
@@ -953,9 +1002,9 @@ class QuadExt(PadicField):
         x = self.normalize_pshift(x)
         n = self.norm(x)
         ninv = self.base.inv(n)
-        c = self.conj(x)
-        c0, c1 = c.data
-        return self._mk(c0 * ninv, c1 * ninv)
+        c0, c1 = self.conj(x).data
+        B = self.base
+        return self._mk(B.mul(c0, ninv), B.mul(c1, ninv))
 
     def val_lower(self, x):
         x0, x1 = x.data
@@ -1059,7 +1108,7 @@ def quad_extend(F, d):
     c, lam = c_alpha(F, d0)
     if c == INF:
         raise ValueError("d is a square")
-    t = d0 / (lam * lam) - F.one()
+    t = F.minus_one(d0 / (lam * lam))
     if c == 2 * F.e:
         # unramified: rho = (sqrt(d0)/lam - 1)/pi^e, rho^2 = a rho + b
         two = F.from_int(2)

@@ -13,12 +13,14 @@ Field structure is built once per field and kept on the field itself
 unit-class basis (:class:`UnitClassBasis`) stores, besides its elements
 and their levels, the inverse of each level element 1 + pi^i u (made on
 first use), and for a field containing mu_p the matrix [phi | u*], u*
-the residue outside the image of phi.  Each field also keeps the strip
-factor 1/(1 + pi^(i/p) y)^p of each wild level i and residue y, made on
-first use and shared by class coordinates and :func:`c_alpha`.  Reading
-the class coordinates of an element then costs no product per digit,
-since a digit is read off the stored coefficients (``F.digit``), and a
-fixed number of products per level to strip it with stored factors.
+the residue outside the image of phi.  Each field also keeps the root
+1 + pi^(i/p) y and the strip factor 1/(1 + pi^(i/p) y)^p of each wild
+level i and residue y, made on first use and shared by class
+coordinates and :func:`c_alpha`.  Reading the class coordinates of an
+element then costs no product per digit, since a digit is read off the
+stored coefficients (``F.digit``) of m - 1, which ``F.minus_one`` forms
+in place without a negation and a sum, and a fixed number of products
+per level to strip it with stored factors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 from .fplinalg import FpMatrix, in_colspan
 from .fplinalg import rank as fp_rank
-from .padic import INF, field_cache, is_prime
+from .padic import INF, PrecisionError, field_cache, is_prime
 
 
 def ceil_frac(a: int, b: int) -> int:
@@ -116,30 +118,36 @@ def _c_alpha_unit(F, m):
     p, e = F.p, F.e
     T = (p * e) // (p - 1)
     top_exact = e % (p - 1) == 0
-    one = F.one()
-    lam = one
+    lam = F.one()
+    m1 = F.minus_one(m)
     for i in range(T + 1):
         if i % p != 0:
-            if F.congruent(m, one, i + 1):
+            # whether m = 1 mod pi^(i+1), decided as F.congruent decides it
+            if m.prec <= i:
+                raise PrecisionError(f"precision below congruence level {i + 1}")
+            if F.val_lower(m1) > i:
                 continue
             return i, lam
         if top_exact and i == T:
-            y = phi_preimage(F, _top_digit(F, m))
+            y = phi_preimage(F, _top_digit(F, m1))
             if y is None:
                 return T, lam
         else:
             # p | i and i < pe/(p-1): strip one wild digit by a p-th root
-            y = F.rf.pth_root(F.digit(m - one, i))
+            y = F.rf.pth_root(F.digit(m1, i))
         if not F.rf.is_zero(y):
-            lam = F.mul(lam, one + F.shift(F.lift(y), i // p))
-            m = F.mul(m, _strip(F, i, y))
+            root, strip = _strip(F, i, y)
+            lam = F.mul(lam, root)
+            m = F.mul(m, strip)
+            m1 = F.minus_one(m)
     return INF, lam
 
 
-def _top_digit(F, m):
-    """Residue of (m - 1) / (pi^{e/(p-1)} p), for m = 1 mod pi^{pe/(p-1)}:
-    the digit of m - 1 at pe/(p-1) times the residue of pi^e / p."""
-    r = F.digit(m - F.one(), (F.p * F.e) // (F.p - 1))
+def _top_digit(F, m1):
+    """Residue of m1 / (pi^{e/(p-1)} p), for m1 = m - 1 with
+    m = 1 mod pi^{pe/(p-1)}: the digit of m1 at pe/(p-1) times the
+    residue of pi^e / p."""
+    r = F.digit(m1, (F.p * F.e) // (F.p - 1))
     return F.rf.mul(r, _pi_e_over_p_residue(F))
 
 
@@ -189,15 +197,15 @@ def _strip_factors(F):
 
 
 def _strip(F, i, y):
-    """1/(1 + pi^(i/p) lift(y))^p for a level i divisible by p and a
-    residue y, computed once per (F, i, y): there are at most
+    """(u, 1/u^p) for u = 1 + pi^(i/p) lift(y), a level i divisible by p
+    and a residue y, computed once per (F, i, y): there are at most
     (levels x q) of them, shared by :func:`p_class_coords` and
     :func:`c_alpha`."""
     strips = _strip_factors(F)
     s = strips.get((i, y))
     if s is None:
         u = F.one() + F.shift(F.lift(y), i // F.p)
-        s = strips[(i, y)] = F.inv(F.power(u, F.p))
+        s = strips[(i, y)] = u, F.inv(F.power(u, F.p))
     return s
 
 
@@ -267,14 +275,13 @@ def p_class_coords(F, alpha) -> tuple:
         raise ValueError("alpha must be nonzero")
     out[0] = v % p
     m = F.shift(alpha, -v) if v else alpha
-    one = F.one()
     rf = F.rf
     pos = 1  # write position in the coordinate vector
     for i in range(T + 1):
         if i % p != 0:
             if i >= ceil_top:
                 break
-            lam = rf.coords(F.digit(m - one, i))
+            lam = rf.coords(F.digit(F.minus_one(m), i))
             for j, lj in enumerate(lam):
                 for _ in range(lj):
                     m = F.mul(m, basis.inverse(pos + j))
@@ -284,16 +291,16 @@ def p_class_coords(F, alpha) -> tuple:
         if i == T and e % (p - 1) == 0:
             if basis.top_aug is None:
                 break
-            r = _top_digit(F, m)
+            r = _top_digit(F, F.minus_one(m))
             sol = in_colspan(basis.top_aug, rf.coords(r))
             if sol is None:  # pragma: no cover - phi + u* spans everything
                 raise ArithmeticError("top-level digit not decomposable")
             out[pos] = sol[-1]
             break
         # p | i, i < pe/(p-1): invisible level, strip a p-th root
-        y = rf.pth_root(F.digit(m - one, i))
+        y = rf.pth_root(F.digit(F.minus_one(m), i))
         if not rf.is_zero(y):
-            m = F.mul(m, _strip(F, i, y))
+            m = F.mul(m, _strip(F, i, y)[1])
     return tuple(out)
 
 

@@ -52,6 +52,24 @@ def test_parse_local_expr_rejections():
             cli.parse_local_expr(F, bad)
 
 
+def test_parse_local_expr_takes_powers_in_the_field():
+    # the base is coerced before the power, so 3**(10**6) never builds
+    # the integer 3^(10^6), and 3**-40 inverts before it multiplies
+    F = LocalField(2, 1, 1)
+    got, want = cli.parse_local_expr(F, "3**(10**6)"), F.power(F.from_int(3), 10**6)
+    assert (got.data, got.prec, got.exact) == (want.data, want.prec, want.exact)
+    G = LocalField(3, 1, 1)
+    assert G.val(cli.parse_local_expr(G, "3**-40")) == -40
+    assert G.val(cli.parse_local_expr(G, "pi**(2**3 - 5)")) == 3
+    with pytest.raises(ValueError, match="exponent too large"):
+        cli.parse_local_expr(F, "3**10**10**10")
+    for bad in ("1/0", "pi/0", "pi/(0*pi)", "2**(1/0)", "2**(0**-1)"):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            cli.parse_local_expr(F, bad)
+    with pytest.raises(ZeroDivisionError):
+        cli.parse_local_expr(F, "0**(1 - 2)")
+
+
 def test_parse_rational_gens():
     assert cli.parse_rational_gens("") == ()
     assert cli.parse_rational_gens(" -1, 4/9 ") == (Fraction(-1), Fraction(4, 9))
@@ -147,7 +165,7 @@ def test_mass_validation_errors(runner):
         ("2", "3", "pi**100000"),
         ("2", "3", "1/0"),
         ("2", "4", "pi/0"),
-        ("3", "3", "3**-40"),
+        ("3", "3", "1/3**40"),
     ]:
         res = invoke(runner, "mass", "--p", p, "--n", n, "--gens", gens)
         assert res.exit_code == 2, gens
@@ -157,6 +175,34 @@ def test_mass_validation_errors(runner):
     res = invoke(runner, "mass", "--p", "2", "--n", "3", "--gens", "-1, 1/0")
     assert res.exit_code == 2
     assert "'1/0'" in res.stderr and "'-1'" not in res.stderr
+
+
+def test_mass_zero_divisor_message(runner):
+    res = invoke(runner, "mass", "--p", "2", "--n", "4", "--gens", "1/0")
+    assert res.exit_code == 2
+    assert res.stderr == "error: generator '1/0': division by zero\n"
+
+
+@pytest.mark.parametrize(
+    "p,n,gens,digest",
+    [
+        ("2", "4", "", "6724c1598e21a520b07c15a7679333f265216cbd4b94287616f8f340ce696936"),
+        ("2", "4", "-1", "bf0b73a013d81b64ecc4b14ed7cde939d3e50b4255ba84e926556b389c611a5f"),
+        ("2", "4", "-1,2", "6deb11dc6f354a96e3810df76e44150fcd8c1809bd33e70a6fb081b4b8ef04f8"),
+        ("2", "4", "5", "b1a6dcfb5171b58f795847fb5a11ef1474b3f72539ada71d8f959a89c9d4ce97"),
+        ("2", "4", "pi,u", "e0d4ba5bd2da24e3383822d69270b5496fef692d3bcabc7d8964eb381f2c3c76"),
+        ("2", "4", "2**3,(1/2)**-2", "e0d4ba5bd2da24e3383822d69270b5496fef692d3bcabc7d8964eb381f2c3c76"),
+        ("2", "4", "(-1)*(5+2*pi)**4,3**-1", "04f63c522ee580efc92b4aaccad69ce45368928bf64f71191e96fa52294d51e8"),
+        ("5", "3", "pi*u,u**2", "d226e7b84adab3d0caf5008aacce108d11fa12e4b09d9c39e15eee1860ca78ba"),
+        ("3", "3", "(2/5)**3,pi**-2", "9c43c463b3cd32a10405f1f7b4e7f863fb2d2cede337042188bfc78af1e71042"),
+    ],
+)
+def test_mass_output_bytes_of_generator_sets(runner, p, n, gens, digest):
+    # SHA-256 of the whole stdout, recorded when rational powers were
+    # still taken over Q before coercion
+    res = invoke(runner, "mass", "--p", p, "--n", n, "--gens", gens)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
 def test_mass_guard_maps_to_exit_3(runner, monkeypatch):

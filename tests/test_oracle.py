@@ -290,6 +290,20 @@ def test_tower_odd_valuation_generator_kills_22(q2_towers):
     assert all(sym != "(2^2)" and sym != "(4)" for (sym, _, _) in tal)
 
 
+def test_second_census_builds_no_field(monkeypatch):
+    # F keeps every E, and E the norm image of every L = E(sqrt(delta))
+    # a census has read, so a second census on F, with the same
+    # generators or with some of them, builds no field
+    F, G = LocalField(2, 1, 1), LocalField(2, 1, 1)
+    first = orc.enum_quartic_towers(F, gens=[F.from_int(a) for a in (-1, 2, 5)])
+    want = orc.enum_quartic_towers(G, gens=[G.from_int(2), G.from_int(5)])
+    built = []
+    monkeypatch.setattr(orc, "quad_extend", lambda K, x: built.append(K) or quad_extend(K, x))
+    assert orc.enum_quartic_towers(F, gens=[F.from_int(a) for a in (-1, 2, 5)]) == first
+    assert orc.enum_quartic_towers(F, gens=[F.from_int(2), F.from_int(5)]) == want
+    assert built == []
+
+
 def test_tower_guards():
     with pytest.raises(ValueError):
         orc.enum_quartic_towers(LocalField(3, 1, 1))

@@ -5,7 +5,7 @@ import hashlib
 import random
 import weakref
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -752,6 +752,85 @@ def full_product(E, x, y):
     re = B.add(B.mul(x0, y0), B.mul(E.b, cross))
     im = B.add(B.add(B.mul(x0, y1), B.mul(x1, y0)), B.mul(E.a, cross))
     return E._mk(re, im)
+
+
+def full_conj(E, x):
+    """(x0 + a x1) - x1 rho, written out."""
+    B = E.base
+    x0, x1 = x.data
+    return E._mk(B.add(x0, B.mul(E.a, x1)), B.neg(x1))
+
+
+def full_norm(E, x):
+    """x0^2 + a x0 x1 - b x1^2, written out, subtraction as adding a negative."""
+    B = E.base
+    x0, x1 = x.data
+    n = B.add(B.mul(x0, x0), B.mul(B.mul(E.a, x0), x1))
+    return B.normalize_pshift(B.add(n, B.neg(B.mul(B.mul(E.b, x1), x1))))
+
+
+def full_trace(E, x):
+    """2 x0 + a x1, written out."""
+    B = E.base
+    x0, x1 = x.data
+    return B.add(B.mul(x0, B.from_int(2)), B.mul(E.a, x1))
+
+
+def same_elt(x, y):
+    """Equal data, precision and exactness, down to the base field."""
+    if x.field is not y.field or (x.prec, x.exact) != (y.prec, y.exact):
+        return False
+    if x.field.base is None:
+        return x.data == y.data
+    return all(same_elt(a, b) for a, b in zip(x.data, y.data))
+
+
+def agrees(K, got, ref):
+    """got is ref to ref's precision, and known at least as far."""
+    d = K.add(got, K.neg(ref))
+    return got.prec >= ref.prec and (d.exact or K.val_lower(d) >= ref.prec)
+
+
+def sample_elements(F, rng):
+    """Units times powers of pi, some over a p-denominator or cut short,
+    one, zero and, in an extension, embedded elements."""
+    xs = [F.mul(random_unit(F, rng), F.power(F.pi(), k)) for k in range(3)]
+    xs += [F.shift(F.shift(xs[0], 3), -3), cut(F, xs[1], 5), F.one(), F.zero(), F.from_int(-3)]
+    if F.base is not None:
+        B = F.base
+        xs += [F.embed(B.shift(random_unit(B, rng), 1)), F.mul(F.rho(), F.from_int(5))]
+    return xs
+
+
+def test_sub_and_minus_one_match_adding_a_negative():
+    rng = np.random.default_rng(29)
+    for F in digit_fields():
+        xs = sample_elements(F, rng)
+        for x in xs:
+            assert same_elt(F.minus_one(x), F.add(x, F.neg(F.one()))), F
+            for y in xs:
+                assert same_elt(F.sub(x, y), F.add(x, F.neg(y))), F
+                assert same_elt(x - y, F.add(x, F.neg(y))), F
+            assert same_elt(3 - x, F.add(F.from_int(3), F.neg(x))), F
+
+
+def test_quad_arithmetic_matches_written_out_formulas():
+    rng = np.random.default_rng(31)
+    for E in digit_fields():
+        if isinstance(E, LocalField):
+            continue
+        # only a product by an exact-zero a may be dropped
+        check, check_base = same_elt, same_elt
+        if E.a.exact:
+            check, check_base = partial(agrees, E), partial(agrees, E.base)
+        xs = sample_elements(E, rng)
+        for x in xs:
+            assert check(E.conj(x), full_conj(E, x)), E
+            assert check_base(E.norm(x), full_norm(E, x)), E
+            assert check_base(E.trace(x), full_trace(E, x)), E
+            for y in xs:
+                if not (x.data[1].exact or y.data[1].exact):
+                    assert check(E.mul(x, y), full_product(E, x, y)), E
 
 
 def test_quad_mul_with_embedded_operand_matches_full_formula():

@@ -136,6 +136,26 @@ def test_c_alpha_is_min_nonzero_level(p, e, f):
         assert c == (INF if not nz else min(nz))
 
 
+def test_level_digits_build_no_difference(monkeypatch):
+    # m - 1 is read in place (F.minus_one), and the roots and strip
+    # factors of the wild levels are kept on F: once those are built, a
+    # class read or a level of a unit calls no add and no neg of F
+    Q2 = make_field(2, 1, 1)
+    E = quad_extend(Q2, Q2.from_int(5))
+    fields = [Q2, make_field(3, 2, 1), E, quad_extend(E, choose_omega(Q2, E))]
+    rng = np.random.default_rng(37)
+    for F in fields:
+        units = [random_unit(F, rng) for _ in range(4)]
+        units += [F.power(u, F.p) for u in units]  # level INF: every level stripped
+        want = [(ug.p_class_coords(F, m), ug.c_alpha(F, m)[0]) for m in units]
+        calls = []
+        for name in ("add", "neg"):
+            monkeypatch.setattr(F, name, lambda *a, f=getattr(F, name), n=name: calls.append(n) or f(*a))
+        assert [(ug.p_class_coords(F, m), ug.c_alpha(F, m)[0]) for m in units] == want
+        assert calls == [], F
+        monkeypatch.undo()
+
+
 def test_coords_on_quadratic_extensions():
     F = make_field(2, 1, 1)
     for d in (-1, 5, 2):
