@@ -42,7 +42,7 @@ def parse_local_expr(F, text: str):
     Allowed: integers, ``pi`` (a uniformizer), ``u`` (a fixed
     non-residue unit), ``+ - * / **`` and parentheses; exponents must
     be integers.  Returns an element of F.  A power is taken in F, on
-    the base coerced into F, so ``3**(2**25)`` costs 25 squarings in F
+    the base coerced into F, so ``3**(2**25)`` costs 27 products in F
     and never builds the integer 3^(2^25).  The exponent itself is
     evaluated over the rationals.
     """
