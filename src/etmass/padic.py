@@ -779,13 +779,16 @@ class LocalField(PadicField):
     def shift(self, x, k):
         """Multiply by pi^k (k may be negative).
 
-        The p-denominator grows by one per pi^-1 (pi^-1 = pi^(e-1)/(p*u0))
-        and, for k > 0, falls by one per pi^e = p*u0 while it is positive.
+        For k < 0 the p-denominator grows by ceil(-k/e), since
+        pi^k = pi^(k + e*ds) / (p*u0)^ds with k + e*ds >= 0; for k > 0 it
+        falls by one per pi^e = p*u0 while it is positive.  A larger
+        p-denominator would cost e digits of precision per unit, since
+        ``_mk`` caps the precision at e*(K - pshift).
         """
         if k == 0 or x.exact:
             return x
         vec, s = x.data
-        ds = -min(k // self.e, s) if k > 0 else -k
+        ds = -min(k // self.e, s) if k > 0 else -(k // self.e)
         return self._mk(self._vec_mul(vec, self._shift_vec(k, ds)), s + ds, x.prec + k)
 
     def normalize_pshift(self, x):
@@ -818,6 +821,8 @@ class LocalField(PadicField):
 
     def residue(self, x):
         x = self.normalize_pshift(x)
+        if x.prec <= 0:
+            raise PrecisionError("digit 0 at or beyond known precision")
         vec, s = x.data
         if s > 0:
             raise ArithmeticError("element is not integral")
@@ -1047,6 +1052,8 @@ class QuadExt(PadicField):
         return self._mk(B.normalize_pshift(x0), B.normalize_pshift(x1))
 
     def residue(self, x):
+        if x.prec <= 0:
+            raise PrecisionError("digit 0 at or beyond known precision")
         x0, x1 = x.data
         B = self.base
         if self.kind == "ramified":

@@ -21,6 +21,11 @@ element then costs no product per digit, since a digit is read off the
 stored coefficients (``F.digit``) of m - 1, which ``F.minus_one`` forms
 in place without a negation and a sum, and a fixed number of products
 per level to strip it with stored factors.
+
+For p = 2 the class of an element modulo fourth powers
+(:func:`class4_vec`) takes two square-class reads and one square root,
+and the classes that span the images of the unit levels in F^x/F^{x4}
+(:func:`level_classes4`) are kept on the field.
 """
 
 from __future__ import annotations
@@ -588,6 +593,51 @@ def solve_norm_equation(E, alpha):
             beta = E.mul(beta, b)
     v, _, z = _inv_sqrt(F, F.mul(alpha, E.norm(beta)))
     return E.normalize_pshift(E.mul(beta, E.embed(F.shift(F.mul(alpha, z), -(v // 2)))))
+
+
+# ---------------------------------------------------------------------------
+# classes modulo fourth powers (p = 2)
+# ---------------------------------------------------------------------------
+
+
+def class4_vec(F, x) -> tuple:
+    """Coordinates over Z/4 of [x] in G = F^x/F^{x4}, for a 2-adic F.
+
+    With b_j the unit-class basis and c = ``class_vec(F, x, 2)``,
+    x prod b_j^(-c_j) is a square y^2, and y = prod b_j^(c(y)) z^2, so
+    x = prod b_j^(c + 2c(y)) z^4.  The basis elements generate G, and
+    G = (Z/4)^r / <2c(-1)>: the sign of y is the one relation, trivial
+    when -1 is a square.
+    """
+    basis = unit_basis(F)
+    c = class_vec(F, x, 2)
+    for j, cj in enumerate(c):
+        if cj:
+            x = F.mul(x, basis.inverse(j))
+    cy = class_vec(F, sqrt_exact(F, x), 2)
+    return tuple((a + 2 * b) % 4 for a, b in zip(c, cy))
+
+
+@field_cache
+def level_classes4(F) -> tuple:
+    """(j, class4_vec of 1 + theta pi^j) for theta in ``F.residue_lifts()``
+    and 1 <= j <= 3e, for a 2-adic F.
+
+    The image of U^(c) in F^x/F^{x4} is spanned by the entries with
+    j >= c: U^(j) lies in F^{x4} for j > 3e (squaring maps U^(i) onto
+    U^(i+e) for i > e), and U^(0) = U^(1) modulo fourth powers.  For odd
+    j < 2e the element is a basis element, whose class is a unit vector.
+    """
+    basis = unit_basis(F)
+    one, lifts = F.one(), F.residue_lifts()
+    out = []
+    for j in range(1, 3 * F.e + 1):
+        if j % 2 and j < 2 * F.e:
+            at = [k for k, lv in enumerate(basis.levels) if lv == j]
+            out.extend((j, tuple(int(i == k) for i in range(basis.dim))) for k in at)
+        else:
+            out.extend((j, class4_vec(F, one + F.shift(t, j))) for t in lifts)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from etmass import oracle as orc
 from etmass import unitgroups as ug
 from etmass.padic import GuardError, LocalField, disc_val_quadratic, quad_extend
 
+import omega_reference as ref
 from test_padic import random_unit
 
 Q2 = LocalField(2, 1, 1)
@@ -211,7 +212,8 @@ def test_07_quartic_counts_match_oracle(q2_oracle_data):
 
 
 # ---------------------------------------------------------------------------
-# 8. norm-equation class counts, brute vs structured
+# 8. norm-equation class counts, brute vs structured (the paper's route,
+#    kept as the test-side reference in omega_reference.py)
 # ---------------------------------------------------------------------------
 
 
@@ -227,14 +229,14 @@ def test_08_nec_brute_equals_subspace(base_d):
             continue
         E = quad_extend(F, d)
         gens = tuple(random_element(F, rng) for _ in range(int(rng.integers(0, 4))))
-        nb = mq.nec_sizes(F, E, gens, algo="brute")
-        ns = mq.nec_sizes(F, E, gens, algo="subspace")
+        nb = ref.nec_sizes(F, E, gens, algo="brute")
+        ns = ref.nec_sizes(F, E, gens, algo="subspace")
         assert nb.total == ns.total and nb.sizes == ns.sizes
         checked += 1
 
 
 # ---------------------------------------------------------------------------
-# 9. the small-discriminant extender construction
+# 9. the small-discriminant extender construction (omega_reference.py)
 # ---------------------------------------------------------------------------
 
 
@@ -250,7 +252,7 @@ def test_09_omega_construction():
         if E.kind != "ramified" or E.disc_val != 2 or mq.hilbert2(F, -1, d) != 1:
             continue
         m1 = E.disc_val
-        st = mq.omega_small_disc(F, E, with_state=True)
+        st = ref.omega_small_disc(F, E, with_state=True)
         assert F.congruent(E.norm(st.omega), F.mul(st.lam, st.lam), 2 * F.e + 1 - m1)
         assert E.val(st.omega - E.embed(st.lam)) >= m1 - 1
         assert E.congruent(st.omega2, E.embed(st.lam2), m1)

@@ -205,6 +205,23 @@ def test_mass_output_bytes_of_generator_sets(runner, p, n, gens, digest):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args,premass",
+    [
+        (("--e", "10"), Fraction(17, 8)),  # 1 + 1/q + 2/q^2 + 1/q^3
+        (("--e", "6", "--gens", "-1"), Fraction(4672798160891, 2199023255552)),
+    ],
+)
+def test_mass_quartic_over_large_ramified_bases(runner, args, premass):
+    # both once exited 2 at default precision: a lossy negative shift
+    # left the unramified quadratic's t without digits (e = 10), and the
+    # omega route read a digit past its precision (e = 6)
+    res = invoke(runner, "mass", "--p", "2", "--n", "4", *args)
+    assert res.exit_code == 0, res.stderr
+    got = json.loads(res.stdout)["premass"]
+    assert Fraction(got["num"], got["den"]) == premass
+
+
 def test_mass_guard_maps_to_exit_3(runner, monkeypatch):
     def boom(*a, **k):
         raise GuardError("too big")

@@ -21,6 +21,7 @@ from etmass.padic import (
     quad_extend,
 )
 
+import omega_reference as ref
 from test_padic import random_unit
 
 Q2 = LocalField(2, 1, 1)
@@ -132,13 +133,13 @@ def test_helper_nneq_matches_pair_enumeration(F):
 
 
 # ---------------------------------------------------------------------------
-# the norm-class sets
+# the paper's norm-class sets (the reference in omega_reference.py)
 # ---------------------------------------------------------------------------
 
 
 def test_nec_trivial_constraint_q2():
     # without constraints the set is all of F^x/F^{x2}, filtered by level
-    nec = mq.nec_sizes(Q2, mq._unramified_quadratic(Q2))
+    nec = ref.nec_sizes(Q2, ref._unramified_quadratic(Q2))
     assert nec.total == 8
     assert nec.sizes == (4, 4, 2)
 
@@ -155,8 +156,8 @@ def test_nec_brute_equals_subspace_random(base_d):
         if mq.hilbert2(F, -1, d) != 1:
             continue
         gens = tuple(random_element(F, rng) for _ in range(int(rng.integers(0, 4))))
-        nb = mq.nec_sizes(F, E, gens, algo="brute")
-        ns = mq.nec_sizes(F, E, gens, algo="subspace")
+        nb = ref.nec_sizes(F, E, gens, algo="brute")
+        ns = ref.nec_sizes(F, E, gens, algo="subspace")
         assert nb.total == ns.total and nb.sizes == ns.sizes
         checked += 1
 
@@ -165,12 +166,12 @@ def test_nec_gens4_choice_invariance():
     # any family generating the same group modulo fourth powers gives
     # the same sizes
     F = Q2
-    E = mq._unramified_quadratic(F)
-    a = mq.nec_sizes(F, E, (F.from_int(-1), F.from_int(2)))
-    b = mq.nec_sizes(F, E, (F.from_int(2), F.from_int(-1)))
-    c = mq.nec_sizes(F, E, (F.from_int(-2), F.from_int(2)))
-    d = mq.nec_sizes(F, E, (F.from_int(-1), F.from_int(2), F.from_int(-2)))
-    e = mq.nec_sizes(F, E, (F.from_int(-16), F.from_int(32)))
+    E = ref._unramified_quadratic(F)
+    a = ref.nec_sizes(F, E, (F.from_int(-1), F.from_int(2)))
+    b = ref.nec_sizes(F, E, (F.from_int(2), F.from_int(-1)))
+    c = ref.nec_sizes(F, E, (F.from_int(-2), F.from_int(2)))
+    d = ref.nec_sizes(F, E, (F.from_int(-1), F.from_int(2), F.from_int(-2)))
+    e = ref.nec_sizes(F, E, (F.from_int(-16), F.from_int(32)))
     assert a.total == b.total == c.total == d.total == e.total
     assert a.sizes == b.sizes == c.sizes == d.sizes == e.sizes
 
@@ -179,7 +180,7 @@ def test_nec_omega_choice_invariance():
     # the sizes do not depend on which minimal-discriminant extender is
     # chosen
     F = Q2
-    E = mq._unramified_quadratic(F)
+    E = ref._unramified_quadratic(F)
     dcls = ug.p_class_coords(F, F.coerce(E.d))
     omegas = []
     for w in square_class_reps(E):
@@ -194,7 +195,7 @@ def test_nec_omega_choice_invariance():
     assert len(omegas) >= 1
     for gens in [(F.from_int(2),), (F.from_int(-1), F.from_int(5))]:
         results = {
-            (mq.nec_sizes(F, E, gens, omega=w).total, mq.nec_sizes(F, E, gens, omega=w).sizes)
+            (ref.nec_sizes(F, E, gens, omega=w).total, ref.nec_sizes(F, E, gens, omega=w).sizes)
             for w in omegas
         }
         assert len(results) == 1
@@ -205,12 +206,12 @@ def test_nec_single_generator_closed_form(F):
     # single-generator sizes have a closed form in terms of the
     # discriminant valuation of F(sqrt(alpha))
     e = F.e
-    E = mq._unramified_quadratic(F)
+    E = ref._unramified_quadratic(F)
     dim = ug.unit_basis(F).dim
     for alpha in square_class_reps(F):
         d_alpha = disc_val_quadratic(F, alpha)
         v = F.val(alpha)
-        nec = mq.nec_sizes(F, E, (alpha,))
+        nec = ref.nec_sizes(F, E, (alpha,))
         assert nec.total == 2 ** (dim - 1)
         for c in range(0, 2 * e + 1):
             if c < d_alpha:
@@ -226,12 +227,12 @@ def test_nec_brute_guard():
     F = LocalField(2, 1, 1)
     # fake a large degree via a tower: [E:Q2] fine, use direct guard call
     with pytest.raises(GuardError):
-        mq._nec_brute(LocalField(2, 7, 2), [], [], tuple(range(28)))
+        ref._nec_brute(LocalField(2, 7, 2), [], [], tuple(range(28)))
 
 
 def test_nec_rejects_non_extendable():
     with pytest.raises(ValueError):
-        mq.nec_sizes(Q2, quad_extend(Q2, Q2.from_int(-1)))
+        ref.nec_sizes(Q2, quad_extend(Q2, Q2.from_int(-1)))
 
 
 @pytest.mark.parametrize("F", [Q2, F22])
@@ -242,8 +243,8 @@ def test_nec_without_generators_builds_no_omega(F, monkeypatch):
     for d in square_class_reps(F):
         E = quad_extend(F, d)
         if mq.hilbert2(F, -1, d) == 1:
-            w = mq.choose_omega(F, E)
-            cases.append((E, [mq.nec_sizes(F, E, (), algo=a, omega=w) for a in ("brute", "subspace")]))
+            w = ref.choose_omega(F, E)
+            cases.append((E, [ref.nec_sizes(F, E, (), algo=a, omega=w) for a in ("brute", "subspace")]))
     assert cases
 
     def no_omega(F_, E_):
@@ -254,16 +255,16 @@ def test_nec_without_generators_builds_no_omega(F, monkeypatch):
             raise AssertionError("quad_extend called over E")
         return quad_extend(base, d)
 
-    monkeypatch.setattr(mq, "choose_omega", no_omega)
+    monkeypatch.setattr(ref, "choose_omega", no_omega)
     monkeypatch.setattr(mq, "quad_extend", no_tower)
     for E, want in cases:
-        got = [mq.nec_sizes(F, E, (), algo=a) for a in ("brute", "subspace")]
+        got = [ref.nec_sizes(F, E, (), algo=a) for a in ("brute", "subspace")]
         assert [(n.total, n.sizes) for n in got] == [(n.total, n.sizes) for n in want]
         assert all(n.omega is None and n.signs == () for n in got)
 
 
 # ---------------------------------------------------------------------------
-# omega construction
+# the reference's omega construction
 # ---------------------------------------------------------------------------
 
 
@@ -272,9 +273,9 @@ def test_choose_omega_all_branches_q2():
         E = quad_extend(Q2, d)
         if mq.hilbert2(Q2, -1, d) != 1:
             with pytest.raises(ValueError):
-                mq.choose_omega(Q2, E)
+                ref.choose_omega(Q2, E)
             continue
-        w = mq.choose_omega(Q2, E)
+        w = ref.choose_omega(Q2, E)
         expected = 0 if E.kind == "unramified" else E.disc_val + 2
         assert disc_val_quadratic(E, w) == expected
 
@@ -290,7 +291,7 @@ def test_omega_small_disc_states():
             continue
         if mq.hilbert2(F, -1, d) != 1:
             continue
-        st = mq.omega_small_disc(F, E, with_state=True)
+        st = ref.omega_small_disc(F, E, with_state=True)
         assert disc_val_quadratic(E, st.output) == 3 * E.disc_val - 2
         # the invariants restated here, independently of the asserts
         # inside the construction
@@ -326,14 +327,14 @@ def test_omega_small_disc_minimality_by_scan():
 
 def test_omega_small_disc_domain():
     with pytest.raises(ValueError):
-        mq.omega_small_disc(Q2, mq._unramified_quadratic(Q2))
+        ref.omega_small_disc(Q2, ref._unramified_quadratic(Q2))
     with pytest.raises(ValueError):
         # m1 = 2 > e_F = 1 over Q2
-        mq.omega_small_disc(Q2, quad_extend(Q2, Q2.from_int(3)))
+        ref.omega_small_disc(Q2, quad_extend(Q2, Q2.from_int(3)))
 
 
 # ---------------------------------------------------------------------------
-# tower signs (beta, omega)_E from symbols over F
+# the reference's tower signs (beta, omega)_E from symbols over F
 # ---------------------------------------------------------------------------
 
 
@@ -348,7 +349,7 @@ def test_tower_symbol_matches_tower_norms(e, f):
         if mq.hilbert2(F, -1, d) != 1:
             continue
         E = quad_extend(F, d)
-        w = mq.choose_omega(F, E)
+        w = ref.choose_omega(F, E)
         M = quad_extend(E, w)
         betas = [ug.solve_norm_equation(E, random_element(F, rng)) for _ in range(6)]
         t = random_element(F, rng)
@@ -357,8 +358,8 @@ def test_tower_symbol_matches_tower_norms(e, f):
             if beta is None:
                 continue
             want = ug.norm_class_contains(M, beta)
-            assert (mq._tower_symbol(E, beta, w) == 0) == want, (e, f, E.kind, E.disc_val)
-            assert mq.omega_norm_signs(E, w, (E.norm(beta),)) == (want,)
+            assert (ref._tower_symbol(E, beta, w) == 0) == want, (e, f, E.kind, E.disc_val)
+            assert ref.omega_norm_signs(E, w, (E.norm(beta),)) == (want,)
             checked += 1
     assert checked >= 15
 
@@ -368,12 +369,12 @@ def test_tower_signs_unramified_closed_form(e, f):
     # over the unramified E, M/F is the unramified quartic, whose norms
     # are the elements of valuation 0 mod 4
     F = LocalField(2, e, f)
-    E = mq._unramified_quadratic(F)
-    w = mq.choose_omega(F, E)
+    E = ref._unramified_quadratic(F)
+    w = ref.choose_omega(F, E)
     rng = np.random.default_rng(41 + 10 * e + f)
     gens = [F.shift(random_unit(F, rng), v) for v in range(8)]
     want = tuple(v % 4 == 0 for v in range(8))
-    assert mq.omega_norm_signs(E, w, gens) == want
+    assert ref.omega_norm_signs(E, w, gens) == want
 
 
 def test_omega_side_read_once_per_call(monkeypatch):
@@ -383,7 +384,7 @@ def test_omega_side_read_once_per_call(monkeypatch):
     E = next(
         quad_extend(F, d) for d in square_class_reps(F) if mq.hilbert2(F, -1, d) == 1
     )
-    w = mq.choose_omega(F, E)
+    w = ref.choose_omega(F, E)
     rng = np.random.default_rng(53)
     gens = [E.norm(random_unit(E, rng)) for _ in range(2)]
     assert all(not ug.solve_norm_equation(E, g).data[1].exact for g in gens)
@@ -397,16 +398,16 @@ def test_omega_side_read_once_per_call(monkeypatch):
         reads.append(x.data)
         return ug.class_vec(F_, x, ell)
 
-    want = tuple(mq._tower_symbol(E, ug.solve_norm_equation(E, g), w) == 0 for g in gens)
-    monkeypatch.setattr(mq, "class_vec", counting)
-    assert mq.omega_norm_signs(E, w, gens) == want
+    want = tuple(ref._tower_symbol(E, ug.solve_norm_equation(E, g), w) == 0 for g in gens)
+    monkeypatch.setattr(ref, "class_vec", counting)
+    assert ref.omega_norm_signs(E, w, gens) == want
     assert sum(x in omega_side for x in reads) == 2
 
 
 def test_tower_symbol_beta_an_f_multiple_of_omega():
-    # here solve_norm_equation returns a beta with beta/omega in F, so
-    # A1 - A2 vanishes to working precision; the parts are those the
-    # quartic tower M gave
+    # on the omega route, solve_norm_equation returns a beta with
+    # beta/omega in F here, so A1 - A2 vanishes to working precision; the
+    # parts are those the quartic tower M gave
     F = LocalField(2, 1, 2)
     gens = (F.from_int(-1) * F.power(F.from_int(45) + F.pi(), 4),)
     want = (
@@ -429,27 +430,11 @@ def test_tower_symbol_beta_an_f_multiple_of_omega():
 def test_tower_symbol_precision_loss_raises():
     # beta = x0 + rho with x0 known only modulo 2: the square class of
     # N(beta) is not determined, so no sign may be returned
-    E = mq._unramified_quadratic(Q2)
-    w = mq.choose_omega(Q2, E)
+    E = ref._unramified_quadratic(Q2)
+    w = ref.choose_omega(Q2, E)
     x0 = padic.Elt(Q2, Q2.from_int(3).data, 1)
     with pytest.raises(PrecisionError):
-        mq._tower_symbol(E, E._mk(x0, Q2.one()), w)
-
-
-def test_premass4_builds_no_quartic_tower(monkeypatch):
-    # tower signs come from symbols over F: no quadratic extension of a
-    # quadratic extension is built
-    bases = []
-
-    def counting(base, d):
-        bases.append(base)
-        return quad_extend(base, d)
-
-    monkeypatch.setattr(padic, "quad_extend", counting)
-    monkeypatch.setattr(mq, "quad_extend", counting)
-    mq.premass4(LocalField(2, 2, 1), (-1, 2))
-    assert bases
-    assert not any(isinstance(b, QuadExt) for b in bases)
+        ref._tower_symbol(E, E._mk(x0, Q2.one()), w)
 
 
 # ---------------------------------------------------------------------------
@@ -762,34 +747,34 @@ def test_premass4_leaves_no_fields():
     ],
 )
 def test_premass4_totals_on_one_field(e, f, want1, want2):
-    # the second call reuses the quadratic extensions, norm images and
-    # omegas the first one left on F
+    # the second call on the same F reuses the unit levels and classes
+    # the first one left on it
     F = LocalField(2, e, f)
     assert mq.premass4(F, (-1,)).total == want1
     assert mq.premass4(F, (-1, 2)).total == want2
 
 
-def test_premass4_builds_each_quadratic_once(monkeypatch):
-    F = LocalField(2, 2, 1)
-    classes = []
+def test_premass4_builds_no_quadratic_extension(monkeypatch):
+    # the wild counts come from square classes and from characters of
+    # F^x/F^{x4}, so no quadratic extension is built, on any base and
+    # with any generators
+    fields = [LocalField(2, 2, 1), Q2F2, quad_extend(Q2, Q2.from_int(-1)), LocalField(3, 1, 1)]
+    bases = []
 
     def counting(base, d):
-        classes.append(ug.class_vec(base, d, 2))
+        bases.append(base)
         return quad_extend(base, d)
 
+    monkeypatch.setattr(padic, "quad_extend", counting)
     monkeypatch.setattr(mq, "quad_extend", counting)
-    mq.premass4(F, (-1,))
-    assert classes and len(classes) == len(set(classes))
-    # other generators on the same F: no new extension, no new norm image
-    built = len(classes)
-    misses = ug.norm_class_matrix.cache_info().misses
-    mq.premass4(F, (-1, 2))
-    assert len(classes) == built
-    assert ug.norm_class_matrix.cache_info().misses == misses
+    for F in fields:
+        for gens in [(), (-1,), (-1, 2), (F.pi(), F.ugen())]:
+            mq.premass4(F, gens)
+    assert bases == []
 
 
 # ---------------------------------------------------------------------------
-# the rank count of _span_size and the F_2-vector sweep of counts_14
+# the reference's rank count, and the cyclic layers against the reference
 # ---------------------------------------------------------------------------
 
 
@@ -813,18 +798,18 @@ def test_span_size_matches_brute_count():
             if all(x >> j & 1 == 0 for j in range(dim) if j not in cols)
             and all(sum(r[j] * (x >> j & 1) for j in range(dim)) % 2 == 0 for r in base + extra)
         )
-        assert mq._span_size(dim, base, extra, coord_cols) == brute, (dim, base, extra, coord_cols)
+        assert ref._span_size(dim, base, extra, coord_cols) == brute, (dim, base, extra, coord_cols)
 
 
 def c4_counts_by_class(F, gens):
-    """The C4 entries of counts_14, from counts_12E_C4 on every nonzero
-    square class d whose E = F(sqrt(d)) is ramified."""
+    """The C4 entries of counts_14 on the omega route: counts_12E_C4 on
+    every nonzero square class d whose E = F(sqrt(d)) is ramified."""
     out = {}
     for d in square_class_reps(F):
         E = quad_extend(F, d)
         if E.kind != "ramified":
             continue
-        for mm, n in mq.counts_12E_C4(F, E, gens).items():
+        for mm, n in ref.counts_12E_C4(F, E, gens).items():
             key = ("C4", 2 * E.disc_val + mm)
             out[key] = out.get(key, 0) + n
     return out
@@ -836,3 +821,70 @@ def test_counts_14_cyclic_sweep_matches_per_class_counts(e, f):
     for gens in [(), (-1,), (-1, 2), (5,), (F.pi(), F.ugen())]:
         got = {k: n for k, n in mq.counts_14(F, gens).items() if k[0] == "C4"}
         assert got == c4_counts_by_class(F, gens), gens
+
+
+def c4_22_by_nec(F, gens):
+    """The C4 entries of counts_22 on the omega route: the layers of the
+    norm-class set of the unramified quadratic E."""
+    e = F.e
+    nec = ref.nec_sizes(F, ref._unramified_quadratic(F), gens)
+    layers = {4 * c: nec.size_at(2 * e - 2 * c) - nec.size_at(2 * e - 2 * c + 2) for c in range(1, e + 1)}
+    layers[4 * e + 2] = nec.total - nec.size_at(0)
+    return {("C4", m): n // 2 for m, n in layers.items() if n}
+
+
+@pytest.mark.parametrize("e,f", [(1, 1), (1, 2), (2, 1)])
+def test_counts_22_cyclic_layers_match_norm_class_layers(e, f):
+    F = LocalField(2, e, f)
+    for gens in [(), (-1,), (5,), (-1, 5), (F.ugen(),), (4 * F.ugen(),)]:
+        got = {k: n for k, n in mq.counts_22(F, gens).items() if k[0] == "C4"}
+        assert got == c4_22_by_nec(F, gens), gens
+
+
+# ---------------------------------------------------------------------------
+# the character tables of F^x/F^{x4}
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("base", ["Q2", "F22", "Q2F2", "Q2(i)"])
+def test_char_table_brute_equals_subspace(base):
+    # Q2(i) contains mu_4, so there G = (Z/4)^r has no relation
+    F = {"Q2": Q2, "F22": F22, "Q2F2": Q2F2, "Q2(i)": quad_extend(Q2, Q2.from_int(-1))}[base]
+    r = ug.unit_basis(F).dim
+    trivial = not any(ug.class_vec(F, F.from_int(-1), 2))
+    assert trivial == (base == "Q2(i)")
+    top = 3 * F.e + 1
+    rng = np.random.default_rng(61 + F.e + 2 * F.f)
+    for k in range(10):
+        gens = tuple(random_element(F, rng) for _ in range(k % 4))
+        S, T = mq._char_table(F, gens, "subspace")
+        assert (S, T) == mq._char_table(F, gens, "brute"), gens
+        if not gens:
+            # every character: |F^x/F^x4| = 4 |mu_4(F)| q^(2e)
+            assert S[top, top] == 4 ** r // (1 if trivial else 2) == 4 * (4 if trivial else 2) * F.q ** (2 * F.e)
+            assert T[top] == 2**r
+
+
+def test_char_table_brute_guard():
+    with pytest.raises(GuardError):
+        mq._char_table(LocalField(2, 7, 1), (), "brute")
+    with pytest.raises(ValueError):
+        mq._char_table(Q2, (), "omega")
+
+
+@pytest.mark.parametrize(
+    "e,f,want",
+    [
+        (6, 1, Fraction(4672798160891, 2199023255552)),
+        (7, 1, Fraction(299044740730747, 140737488355328)),
+        (8, 1, Fraction(19140297988759295, 9007199254740992)),
+        (10, 1, Fraction(78398649591407050619, 36893488147419103232)),
+        (3, 3, Fraction(42730091792241917503, 36893488147419103232)),
+        (5, 2, Fraction(410439499519327944655, 295147905179352825856)),
+    ],
+)
+def test_premass4_totals_on_large_bases(e, f, want):
+    # (6,1) to (10,1) equal the totals at doubled precision; (3,3) and
+    # (5,2) those of the omega route
+    F = LocalField(2, e, f)
+    assert mq.premass4(F, (F.from_int(-1),)).total == want

@@ -74,3 +74,36 @@ def test_every_import_is_used():
     sources = sorted((ROOT / "src" / "etmass").glob("*.py"))
     assert sources
     assert {(path.name, name) for path in sources for name in unused_imports(path)} == set()
+
+
+def imported_modules(path):
+    """Dotted names of the modules a file imports, relative imports of
+    etmass written out as ``etmass.<name>``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "etmass" if node.level else node.module
+            if node.level and node.module:
+                base += "." + node.module
+            if node.level and not node.module:
+                yield from (f"{base}.{alias.name}" for alias in node.names)
+            else:
+                yield base
+
+
+def test_oracles_consult_no_formula_and_the_library_no_test():
+    # the oracles check the mass formulas, so they may not import them;
+    # and the test-side references stay outside the library
+    src = ROOT / "src" / "etmass"
+    formulas = {f"etmass.{m}" for m in ("massquartic", "massprime", "density")}
+    assert set(imported_modules(src / "oracle.py")) & formulas == set()
+    test_modules = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
+    assert "omega_reference" in test_modules
+    assert {
+        (path.name, name)
+        for path in sorted(src.glob("*.py"))
+        for name in imported_modules(path)
+        if name.split(".")[0] in test_modules
+    } == set()

@@ -703,7 +703,7 @@ def digit_fields():
     ramified and an unramified quadratic over it; last a tower
     M = E(sqrt(omega)) over Q_2.  A generator, so that each base field is
     tested before its extensions, whose construction reads digits."""
-    from etmass.massquartic import choose_omega
+    from omega_reference import choose_omega
     from etmass.unitgroups import square_class_basis
 
     for p, e, f, seed in [(2, 1, 1, 0), (2, 3, 1, 0), (2, 2, 2, 3), (3, 2, 2, 5), (5, 1, 1, 0)]:
@@ -730,10 +730,13 @@ def test_digit_matches_residue_of_shift():
         for pshift in range(4):
             for _ in range(3):
                 z = F.mul(random_unit(F, rng), F.power(F.pi(), int(rng.integers(0, 4))))
-                # same value, carried over p^pshift when F is a base field
-                x = F.shift(F.shift(z, pshift), -pshift)
                 if isinstance(F, LocalField):
+                    # the same value, carried over p^pshift
+                    vec, s = F.normalize_pshift(z).data
+                    x = F._mk(tuple(a * F.p**pshift % F.pK for a in vec), s + pshift, z.prec)
                     assert x.data[1] == pshift
+                else:
+                    x = F.shift(F.shift(z, pshift), -pshift)
                 v = F.val(x)
                 for k in range(v + 1):
                     assert F.digit(x, k) == F.residue(F.shift(x, -k)), (F, pshift, k)
@@ -742,6 +745,38 @@ def test_digit_matches_residue_of_shift():
                 for k in (v + 1, v + 3, -1):
                     with pytest.raises(ArithmeticError):
                         F.digit(x, k)
+
+
+def test_residue_refuses_unknown_digit():
+    # an element known only modulo pi^0 has no known digit 0
+    for F in digit_fields():
+        x = F.from_int(3)
+        assert F.residue(cut(F, x, 1)) == F.residue(x)
+        with pytest.raises(PrecisionError):
+            F.residue(cut(F, x, 0))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 10])
+def test_negative_shift_costs_its_digits_only(e):
+    # pi^-k adds ceil(k/e) to the p-denominator, not k, so the shifted
+    # element keeps all but k of its digits, up to the last p-digit
+    F = LocalField(2, e, 1)
+    u = F.from_int(3)
+    for k in range(1, 3 * e + 2):
+        x = F.shift(u, -k)
+        assert x.data[1] == -(-k // e)
+        assert x.prec >= u.prec - k - (e - 1), (e, k)
+        assert F.unit_eq(F.shift(x, k), u)
+
+
+def test_unramified_quadratic_of_a_large_base():
+    # the build shifts t = d/lam^2 - 1 by pi^-2e; at e = 10 the shift
+    # once left t no digit, and its residue was read as 0
+    from etmass.unitgroups import unit_basis
+
+    F = LocalField(2, 10, 1)
+    E = quad_extend(F, unit_basis(F).elems[-1])
+    assert E.kind == "unramified" and E.disc_val == 0
 
 
 def full_product(E, x, y):

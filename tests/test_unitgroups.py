@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from etmass import unitgroups as ug
 from etmass.fplinalg import FpMatrix, in_colspan
 from etmass.fplinalg import rank as fp_rank
-from etmass.massquartic import choose_omega, hilbert2
+from etmass.massquartic import hilbert2
 from etmass.padic import INF, Elt, LocalField, PrecisionError, quad_extend
 
+from omega_reference import choose_omega
 from test_padic import cut, random_unit
 
 
@@ -533,3 +534,50 @@ def test_sqrt_exact_on_random_squares(F, monkeypatch):
             ug.sqrt_exact(F, F.mul(x2, b))
     with pytest.raises(ValueError):
         ug.sqrt_exact(F, F.shift(x2, 3))
+
+
+# ---------------------------------------------------------------------------
+# classes modulo fourth powers
+# ---------------------------------------------------------------------------
+
+
+def _class4_fields():
+    Q2 = make_field(2, 1, 1)
+    return [Q2, make_field(2, 2, 1), make_field(2, 1, 2), make_field(2, 3, 1), quad_extend(Q2, Q2.from_int(-1))]
+
+
+@pytest.mark.parametrize("F", _class4_fields(), ids=repr)
+def test_class4_vec_is_a_homomorphism_onto_g(F):
+    # class4_vec is additive modulo the relation 2c(-1), kills fourth
+    # powers, and sends b_j to the unit vector e_j
+    rel = tuple(2 * a % 4 for a in ug.class_vec(F, F.from_int(-1), 2))
+
+    def same(v, w):
+        d = tuple((a - b) % 4 for a, b in zip(v, w))
+        return not any(d) or d == rel
+
+    basis = ug.unit_basis(F)
+    for j, b in enumerate(basis.elems):
+        assert same(ug.class4_vec(F, b), tuple(int(i == j) for i in range(basis.dim)))
+    rng = np.random.default_rng(71 + F.e + 2 * F.f)
+    for _ in range(6):
+        x = F.mul(random_unit(F, rng), F.power(F.pi(), int(rng.integers(0, 4))))
+        y = random_unit(F, rng)
+        vx, vy = ug.class4_vec(F, x), ug.class4_vec(F, y)
+        assert same(ug.class4_vec(F, F.mul(x, y)), tuple((a + b) % 4 for a, b in zip(vx, vy)))
+        assert same(ug.class4_vec(F, F.power(x, 4)), (0,) * basis.dim)
+
+
+@pytest.mark.parametrize("F", _class4_fields(), ids=repr)
+def test_level_classes4_stop_at_3e(F):
+    # 1 + theta pi^j is a fourth power for j > 3e but not, for some
+    # theta, at j = 3e; the levels are listed in order, f per level
+    levels = ug.level_classes4(F)
+    e = F.e
+    assert [j for j, _ in levels] == [j for j in range(1, 3 * e + 1) for _ in range(F.rf.f)]
+    rel = tuple(2 * a % 4 for a in ug.class_vec(F, F.from_int(-1), 2))
+    assert any(v != rel and any(v) for j, v in levels if j == 3 * e)
+    one = F.one()
+    for t in F.residue_lifts():
+        v = ug.class4_vec(F, one + F.shift(t, 3 * e + 1))
+        assert not any(v) or v == rel
