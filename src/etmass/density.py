@@ -292,8 +292,8 @@ def _tame_rank_case(pairs, p: int) -> int:
     u, so its class is the vector (a, log chi).  Two classes are
     dependent exactly when chi_j^(a_i) == chi_i^(a_j) mod p.  Returns 0
     when every class is trivial, 1 when the classes span one line
-    through a class of valuation prime to ell (``strat_gens`` finds no
-    A0 and one A1), and 2 otherwise.
+    through a class of valuation prime to ell (the filtration profile
+    has group size ell and a trivial level 0), and 2 otherwise.
     """
     if all(a == 0 and chi == 1 for a, chi in pairs):
         return 0

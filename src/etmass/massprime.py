@@ -27,7 +27,6 @@ from .unitgroups import (
     ceil_frac,
     contains_mu_p,
     filtration_profile,
-    strat_gens,
 )
 from .padic import INF, is_prime
 
@@ -370,14 +369,16 @@ def premass_ell_total(F, ell: int, gens=()) -> MassReport:
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     q = Fraction(F.q)
-    s = strat_gens(F, gens, ell)
-    part_unram = Fraction(1, ell) if not s.A1 else Fraction(0)
+    prof = filtration_profile(F, gens, ell)
+    # a class of valuation prime to ell (size_at(0) < group_size) is a
+    # norm from no unramified field
+    part_unram = Fraction(1, ell) if prof.size_at(0) == prof.group_size else Fraction(0)
     if ell == F.p:
-        prof = filtration_profile(F, gens, ell)
         part_ram = q ** (1 - ell) - premass_Cp_wild(F) + premass_Cp_wild(F, prof)
-    elif (F.q - 1) % ell != 0 or s.is_trivial():
+    elif (F.q - 1) % ell != 0 or prof.is_trivial():
         part_ram = q ** (1 - ell)
-    elif not s.A0 and len(s.A1) == 1:
+    elif prof.group_size == ell and prof.size_at(0) == 1:
+        # Abar is one line, through a class of valuation prime to ell
         part_ram = q ** (1 - ell) / ell
     else:
         part_ram = Fraction(0)

@@ -2,10 +2,11 @@
 
 For an odd residue characteristic every quartic etale algebra is tame
 and the five constrained splitting symbols have short closed forms,
-driven by stratified generating sets of the image of the constraint
-group A in F^x/F^{x2} and F^x/F^{x4}.  Over a 2-adic field the three
-wild symbols (1^2 1^2), (2^2) and (1^4) are weighed per Galois closure
-group from counts by discriminant valuation.
+driven by the filtration profile of the image of the constraint group
+A in F^x/F^{x2} and by stratified generating sets of its image in
+F^x/F^{x4}.  Over a 2-adic field the three wild symbols (1^2 1^2),
+(2^2) and (1^4) are weighed per Galois closure group from counts by
+discriminant valuation.
 
 The cyclic (C4) layers come from F alone, by local class field theory
 (Serre, *Local Fields*, GTM 67, ch. VI and chs. XIII-XV): a cyclic
@@ -41,7 +42,6 @@ from .unitgroups import (
     level_classes4,
     norm_class_matrix,
     square_class_basis,
-    strat_gens,
     unit_basis,
 )
 
@@ -292,13 +292,11 @@ def _char_table(F, gens_c, algo):
     S[c, c2] counts those with f(chi) <= c and f(2 chi) <= c2, T[c] those
     of order at most 2 with f(chi) <= c.  A group of exponent 4 is its
     own dual, so S[c, c2] = |G/(A + U_c + 2U_c2)| and T[c] =
-    |G/(A + U_c + 2G)|, U_c the image of U^(c).  ``algo`` is ``brute``
-    (test every candidate character; guarded by the degree of F),
-    ``subspace`` (elimination over Z/4) or ``auto`` (``subspace``).  One
-    table per (F, algo, generator classes) is kept on F.
+    |G/(A + U_c + 2G)|, U_c the image of U^(c).  ``algo`` is
+    ``subspace`` (elimination over Z/4) or ``brute`` (test every
+    candidate character; guarded by the degree of F).  One table per
+    (F, algo, generator classes) is kept on F.
     """
-    if algo == "auto":
-        algo = "subspace"
     if algo not in ("brute", "subspace"):
         raise ValueError(f"unknown algorithm {algo!r}")
     A = tuple(class4_vec(F, g) for g in gens_c)
@@ -351,7 +349,7 @@ def counts_1212(F, gens=()):
     return out
 
 
-def counts_22(F, gens=(), algo: str = "auto"):
+def counts_22(F, gens=(), algo: str = "subspace"):
     """Counts of constrained (2^2) quartic fields by closure group and
     discriminant valuation."""
     if F.p != 2:
@@ -384,7 +382,7 @@ def counts_22(F, gens=(), algo: str = "auto"):
     return out
 
 
-def counts_14(F, gens=(), algo: str = "auto"):
+def counts_14(F, gens=(), algo: str = "subspace"):
     """Counts of constrained totally ramified quartic fields (1^4) by
     closure group and discriminant valuation.  The S4/A4 part is not
     included: it does not depend on the constraint group."""
@@ -393,6 +391,8 @@ def counts_14(F, gens=(), algo: str = "auto"):
     gens_c = tuple(F.coerce(g) for g in gens)
     e, q = F.e, F.q
     prof2 = filtration_profile(F, gens_c, 2)
+    # count_Cp by index: the loops below read indices up to 4e + 1
+    cp = [count_Cp(F, m, prof2) for m in range(4 * e + 2)]
     out = {}
 
     # biquadratic: unordered pairs of distinct ramified quadratics,
@@ -403,7 +403,7 @@ def counts_14(F, gens=(), algo: str = "auto"):
         for m2 in range(1, m):
             m1 = m - 2 * m2
             if 0 < m1 < m2:
-                tot += Fraction(count_Cp(F, m1, prof2) * count_Cp(F, m2, prof2), 2)
+                tot += Fraction(cp[m1] * cp[m2], 2)
         if m % 3 == 0:
             k = m // 3
             sz = prof2.size_at
@@ -422,15 +422,16 @@ def counts_14(F, gens=(), algo: str = "auto"):
     # only concerns the E admitting a cyclic quartic extension, i.e.
     # those with -1 a norm, so it gets a -1-augmented constraint group
     prof2x = filtration_profile(F, gens_c + (F.from_int(-1),), 2)
+    cpx = [count_Cp(F, m, prof2x) for m in range(4 * e + 2)]
     for m in range(6, 8 * e + 4):
         s = 0
         for m1 in range(2, (m - 1) // 2 + 1):
-            n1 = count_Cp(F, m1, prof2)
+            n1 = cp[m1]
             if n1 == 0:
                 continue
             m2 = m - 2 * m1
             s += n1 * (_h_nc2(q, e, m2) - _h_nv4(q, e, m1, m2))
-            s -= count_Cp(F, m1, prof2x) * _h_nc4(q, e, m1, m2)
+            s -= cpx[m1] * _h_nc4(q, e, m1, m2)
         assert s >= 0
         if s:
             ok = (
@@ -588,10 +589,10 @@ def premass4_tame(F, gens=()) -> MassReport:
         ("(2 2)", Fraction(1, 8) if all(v % 2 == 0 for v in vals) else Fraction(0)),
     ]
     if F.p != 2:
-        s2 = strat_gens(F, gens_c, 2)
-        if s2.is_trivial():
+        prof2 = filtration_profile(F, gens_c, 2)
+        if prof2.is_trivial():
             v1212 = Fraction(1, 2 * q * q)
-        elif not s2.A0 and len(s2.A1) == 1:
+        elif prof2.group_size == 2 and prof2.size_at(0) == 1:
             v1212 = Fraction(3, 8 * q * q)
         else:
             v1212 = Fraction(1, 4 * q * q)
@@ -617,7 +618,7 @@ _AUT = {
 }
 
 
-def premass4_wild(F, gens=(), symbol: str = "(1^4)", algo: str = "auto") -> MassReport:
+def premass4_wild(F, gens=(), symbol: str = "(1^4)", algo: str = "subspace") -> MassReport:
     """Constrained pre-mass of one wild quartic symbol of a 2-adic F,
     broken down by Galois closure group and weighed from the count
     tables of :func:`counts_1212`, :func:`counts_22` and
@@ -650,7 +651,7 @@ def premass4_wild(F, gens=(), symbol: str = "(1^4)", algo: str = "auto") -> Mass
     return MassReport(tuple(parts.items()))
 
 
-def premass4(F, gens=(), algo: str = "auto") -> MassReport:
+def premass4(F, gens=(), algo: str = "subspace") -> MassReport:
     """The full constrained quartic pre-mass of F, all eleven symbols.
 
     Tame parts are labelled by their symbol; wild parts (p = 2) are

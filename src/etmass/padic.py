@@ -817,7 +817,8 @@ class LocalField(PadicField):
         yv = self._w_inv(uv[: self.f]) + self._zero_vec[self.f :]
         if self.e > 1:
             yv = self._newton_inv(self._vec_mul, uv, yv, self._one_vec)
-        return self.shift(self._mk(yv, 0, x.prec - 2 * v), -v)
+        # 1/u is known to as many digits as u, and 1/x = pi^(-v)/u
+        return self.shift(self._mk(yv, 0, u.prec), -v)
 
     def residue(self, x):
         x = self.normalize_pshift(x)

@@ -22,6 +22,12 @@ stored coefficients (``F.digit``) of m - 1, which ``F.minus_one`` forms
 in place without a negation and a sum, and a fixed number of products
 per level to strip it with stored factors.
 
+A constraint group A = <gens> enters the mass formulas only through its
+:class:`FiltrationProfile`: the order of its image Abar in F^x/F^{x n}
+and the orders of its intersections with the images of U^(t), which
+:func:`filtration_profile` reads as ranks of the generators' class
+vectors, forming no element of A.
+
 For p = 2 the class of an element modulo fourth powers
 (:func:`class4_vec`) takes two square-class reads and one square root,
 and the classes that span the images of the unit levels in F^x/F^{x4}
@@ -326,7 +332,7 @@ def quotient_size(F, c) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tame class coordinates (ell != p) and stratified generating sets
+# tame class coordinates (ell != p)
 # ---------------------------------------------------------------------------
 
 
@@ -367,82 +373,6 @@ def class_vec(F, alpha, ell: int) -> tuple:
         return (v % ell,)
     u = F.shift(alpha, -v) if v else alpha
     return (v % ell, dlog_mod(F, F.residue(u), ell))
-
-
-@dataclass(frozen=True)
-class StratGens:
-    """A stratified generating set for the image of <gens> in F^x/F^{x ell}.
-
-    ``A0`` are the generators of valuation 0, ``A1`` those of valuation 1
-    (at most one).  ``mat`` has the class vectors of A0 + A1 as columns;
-    its rank is the number of generators.
-    """
-
-    field: object
-    ell: int
-    A0: tuple
-    A1: tuple
-    mat: FpMatrix
-
-    @property
-    def rank(self) -> int:
-        return self.mat.cols
-
-    @property
-    def group_size(self) -> int:
-        return self.ell**self.rank
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0
-
-
-def strat_gens(F, gens, ell: int) -> StratGens:
-    """Build a stratified generating set from arbitrary nonzero elements.
-
-    Gaussian elimination on class vectors (valuation coordinate first)
-    keeps track of actual field elements, so the output elements have
-    the exact classes of the reduced basis.  Each output element is then
-    moved within its class to valuation 0, except the at-most-one
-    element whose valuation is prime to ell, which is moved to
-    valuation 1.
-    """
-    pivots = []  # (element, vector, pivot column)
-    pi = F.pi()
-    for g in gens:
-        g = F.coerce(g)
-        # slide to the least nonnegative valuation in the class, so the
-        # reduction products below stay inside the precision window
-        v = F.val(g)
-        if v != v % ell:
-            g = F.normalize_pshift(F.shift(g, v % ell - v))
-        vec = class_vec(F, g, ell)
-        elt = g
-        for pe_elt, pv, pc in pivots:
-            c = vec[pc]
-            if c:
-                vec = [(a - c * b) % ell for a, b in zip(vec, pv)]
-                elt = F.mul(elt, F.power(pe_elt, ell - c))
-        pc = next((j for j, x in enumerate(vec) if x), None)
-        if pc is None:
-            continue
-        s = pow(vec[pc], -1, ell)
-        if s != 1:
-            elt = F.power(elt, s)
-            vec = [s * x % ell for x in vec]
-        # normalize the valuation immediately: 1 on the uniformizer
-        # pivot, 0 on unit pivots
-        v = F.val(elt)
-        want = 1 if pc == 0 else 0
-        assert (v - want) % ell == 0
-        if v != want:
-            elt = F.normalize_pshift(F.shift(elt, want - v))
-        pivots.append((elt, vec, pc))
-    A0, A1 = [], []
-    for elt, vec, pc in pivots:
-        (A1 if pc == 0 else A0).append(elt)
-    order = A0 + A1
-    mat = FpMatrix.from_columns(ell, [class_vec(F, e_, ell) for e_ in order], class_dim(F, ell))
-    return StratGens(F, ell, tuple(A0), tuple(A1), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -669,36 +599,24 @@ class FiltrationProfile:
 def filtration_profile(F, gens, n: int) -> FiltrationProfile:
     """Filtration data for the subgroup generated by ``gens`` mod n-th powers.
 
-    Supports prime n.  For n equal to the residue characteristic the
-    unit filtration is computed on the unit-class basis; for tame n the
-    principal units are all n-th powers, so only the level-0 unit part
-    survives.
+    Supports prime n.  Each generator's class vector is read once; in
+    those coordinates the image of U^(t) F^{x n} is the coordinate
+    subspace of the levels >= t, so |Abar_t| is n to the corank, on the
+    span of the generators, of the rows below level t.  For n = p the
+    levels are those of the unit-class basis; for tame n the principal
+    units are all n-th powers, so the coordinates are the valuation
+    (level -1) and, when n | q - 1, the residue class (level 0).
     """
     if not is_prime(n):
         raise ValueError(f"n = {n} is not prime")
-    s = strat_gens(F, gens, n)
     if n == F.p:
-        return FiltrationProfile(n, s.group_size, tuple(abar_p_filtration_sizes(F, s)))
-    return FiltrationProfile(n, s.group_size, (n ** len(s.A0), 1))
-
-
-def abar_p_filtration_sizes(F, strat: StratGens):
-    """Sizes of Abar^p_c for c = 0, ..., ceil(pe/(p-1)).
-
-    Abar^p_c is the intersection of the subgroup generated by the given
-    classes with the image of U^(c) F^{x p}.  In unit-basis coordinates
-    the latter is the coordinate subspace of levels >= c, so the size is
-    p to the corank of the low-level rows on the generator span.
-    """
-    p, e = F.p, F.e
-    if strat.ell != p:
-        raise ValueError("filtration sizes only defined for ell = p")
-    levels = unit_basis(F).levels
-    B = strat.mat
+        levels, top = unit_basis(F).levels, ceil_frac(n * F.e, n - 1)
+    else:
+        levels, top = (-1, 0)[: class_dim(F, n)], 1
+    B = FpMatrix.from_columns(n, [class_vec(F, F.coerce(g), n) for g in gens], len(levels))
     full = fp_rank(B)
     sizes = []
-    for c in range(ceil_frac(p * e, p - 1) + 1):
-        rows = [j for j, lev in enumerate(levels) if lev < c]
-        low_rank = fp_rank(FpMatrix(p, tuple(B.data[j] for j in rows), B.cols))
-        sizes.append(p ** (full - low_rank))
-    return sizes
+    for t in range(top + 1):
+        low = FpMatrix(n, tuple(r for r, lv in zip(B.data, levels) if lv < t), B.cols)
+        sizes.append(n ** (full - fp_rank(low)))
+    return FiltrationProfile(n, n**full, tuple(sizes))

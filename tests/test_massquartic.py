@@ -493,6 +493,14 @@ def test_wild_counts_match_oracle(tower_data, base, name, algo):
     assert got == want
 
 
+def test_unknown_algorithm_raises():
+    # "subspace" is the default and "brute" the other choice; no alias
+    assert mq.counts_14(Q2, (-1,)) == mq.counts_14(Q2, (-1,), algo="subspace")
+    for algo in ("auto", "gauss"):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            mq.premass4(LocalField(2, 1, 1), (-1,), algo=algo)
+
+
 @pytest.mark.parametrize("base,name", TOWER_CASES)
 def test_1212_counts_match_character_pairs(tower_data, base, name):
     # the (1^2 1^2) algebras are L x L' for ramified quadratics L, L':

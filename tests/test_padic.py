@@ -885,3 +885,74 @@ def test_quad_mul_with_embedded_operand_matches_full_formula():
                     assert E.unit_eq(got, ref), E
                     assert E.val(got) == E.val(ref), E
                     assert got.prec >= ref.prec, E
+
+
+# ---------------------------------------------------------------------------
+# precision claims: one op chain at precision P and at 2P
+# ---------------------------------------------------------------------------
+
+# bases with e >= 2 at p = 2 and at odd p, and quadratics over Q_2: d = 3
+# is ramified with a != 0, d = 5 unramified, d = 2 ramified with a = 0
+SOUNDNESS_BASES = [(2, 1, 1), (2, 3, 1), (2, 6, 1), (3, 2, 2), (5, 1, 1), (2, 2, 2), (3, 3, 1)]
+SOUNDNESS_CASES = [(*b, None) for b in SOUNDNESS_BASES] + [(2, 1, 1, d) for d in (3, 5, 2)]
+CHAIN_OPS = ("add", "sub", "mul", "inv", "shift", "power", "half")
+
+
+def lift_to(K2, x):
+    """x as an element of K2, the same field at a higher precision: the
+    same payload (pairwise over a quadratic) and the same claim."""
+    if K2.base is None:
+        return Elt(K2, x.data, x.prec, x.exact)
+    x0, x1 = x.data
+    return Elt(K2, (lift_to(K2.base, x0), lift_to(K2.base, x1)), x.prec, x.exact)
+
+
+def chain_op(K, op, x, y, k):
+    if op == "half":
+        return K.mul(x, K.half())
+    if op in ("add", "sub", "mul"):
+        return getattr(K, op)(x, y)
+    if op == "inv":
+        return K.inv(x)
+    return getattr(K, op)(x, k)  # shift or power, by k in [-3, 3]
+
+
+@pytest.mark.parametrize("p,e,f,d", SOUNDNESS_CASES)
+def test_precision_claims_hold_at_double_precision(p, e, f, d):
+    # seeded chains of ops run on the same values at the default
+    # precision P and at 2P; the 2P inputs know all their digits, the P
+    # inputs are sometimes cut short.  Every digit a P result claims
+    # must be the 2P result's, and 2P must claim at least as many.
+    K = LocalField(p, e, f)
+    K2 = LocalField(p, e, f, prec=2 * K.prec)
+    if d is not None:
+        K, K2 = quad_extend(K, K.from_int(d)), quad_extend(K2, K2.from_int(d))
+    for seed in range(3):
+        rng = random.Random(seed)
+
+        def fresh():
+            x, x2 = K.zero(), K2.zero()
+            for i in range(rng.randrange(1, 6)):
+                coords = [rng.randrange(p) for _ in range(K.rf.f)]
+                x = x + K.mul(K.power(K.pi(), i), K.lift(K.rf.from_coords(coords)))
+                x2 = x2 + K2.mul(K2.power(K2.pi(), i), K2.lift(K2.rf.from_coords(coords)))
+            s = rng.randrange(-3, 4)
+            x, x2 = K.shift(x, s), K2.shift(x2, s)
+            if rng.random() < 0.5 and not x.exact:
+                x = cut(K, x, rng.randrange(K.prec // 2, x.prec + 1))
+            return x, x2
+
+        pool = [fresh() for _ in range(4)]
+        for _ in range(200):
+            op, k = rng.choice(CHAIN_OPS), rng.choice((-3, -2, -1, 1, 2, 3))
+            (x, x2), (y, y2) = rng.choice(pool), rng.choice(pool)
+            try:
+                r, r2 = chain_op(K, op, x, y, k), chain_op(K2, op, x2, y2, k)
+            except ArithmeticError:  # an inverse of zero, or digits run out
+                pool[rng.randrange(len(pool))] = fresh()
+                continue
+            assert agrees(K2, r2, lift_to(K2, r)), (K, seed, op)
+            # keep the pool away from exhausted or far-off elements
+            if r.exact or r.prec < K.prec // 4 or abs(K.val_lower(r)) > K.prec // 2:
+                r, r2 = fresh()
+            pool[rng.randrange(len(pool))] = (r, r2)

@@ -12,6 +12,7 @@ from etmass.fplinalg import rank as fp_rank
 from etmass.massquartic import hilbert2
 from etmass.padic import INF, Elt, LocalField, PrecisionError, quad_extend
 
+import strat_reference as ref_strat
 from omega_reference import choose_omega
 from test_padic import cut, random_unit
 
@@ -274,7 +275,20 @@ def test_tame_class_vec():
     assert ug.class_vec(F, F.from_int(7), 5) == (1,)
 
 
+def strata_agree_with_profile(F, gens, ell):
+    """The reference's stratified set and the profile read off it match
+    the library's profile; returns the set."""
+    s = ref_strat.strat_gens(F, gens, ell)
+    prof = ug.filtration_profile(F, gens, ell)
+    assert ref_strat.profile_from_strata(F, gens, ell) == prof
+    assert prof.group_size == ell ** (len(s.A0) + len(s.A1))
+    assert prof.size_at(0) == ell ** len(s.A0)
+    return s
+
+
 def test_strat_gens_q2_square_classes():
+    # (|A0|, |A1|) of a stratified generating set, read off the profile:
+    # |Abar| = 2^(|A0| + |A1|) and |Abar_0| = 2^|A0|
     F = make_field(2, 1, 1)
     cases = {
         (-1,): (1, 0),
@@ -286,29 +300,26 @@ def test_strat_gens_q2_square_classes():
         (6, 10): (1, 1),
         (2, 8): (0, 1),
     }
-    for gens, (n0, n1) in cases.items():
-        s = ug.strat_gens(F, [F.from_int(g) for g in gens], 2)
-        assert (len(s.A0), len(s.A1)) == (n0, n1), gens
-        for a in s.A0:
-            assert F.val(a) == 0
-        for a in s.A1:
-            assert F.val(a) == 1
-        # classes of the output generate the same subgroup as the input
-        in_vecs = [ug.class_vec(F, F.from_int(g), 2) for g in gens]
+    def rank(vecs):
+        return fp_rank(FpMatrix.from_columns(2, vecs, 3))
+
+    for ints, (n0, n1) in cases.items():
+        gens = [F.from_int(g) for g in ints]
+        prof = ug.filtration_profile(F, gens, 2)
+        assert (prof.size_at(0), prof.group_size) == (2**n0, 2 ** (n0 + n1)), ints
+        # the reference's elements have valuations 0 (A0) and 1 (A1), and
+        # their classes generate the same subgroup as the input's
+        s = strata_agree_with_profile(F, gens, 2)
+        assert [F.val(a) for a in s.A0 + s.A1] == [0] * n0 + [1] * n1, ints
+        in_vecs = [ug.class_vec(F, g, 2) for g in gens]
         out_vecs = [ug.class_vec(F, a, 2) for a in s.A0 + s.A1]
-        from etmass.fplinalg import FpMatrix, rank
-
-        def mat(vs):
-            return FpMatrix.from_columns(2, vs, 3)
-
-        both = in_vecs + out_vecs
-        assert rank(mat(both)) == rank(mat(in_vecs)) == rank(mat(out_vecs)) == s.rank
+        assert rank(in_vecs + out_vecs) == rank(in_vecs) == rank(out_vecs) == s.rank, ints
 
 
 def test_strat_gens_distinct_classes_and_minimality():
     F = make_field(2, 2, 1)
     gens = [F.from_int(n) for n in (3, 5, 7, -1, 2, 6)]
-    s = ug.strat_gens(F, gens, 2)
+    s = strata_agree_with_profile(F, gens, 2)
     vecs = [tuple(ug.class_vec(F, a, 2)) for a in s.A0 + s.A1]
     assert len(set(vecs)) == len(vecs)
     assert all(any(v) for v in vecs)
@@ -327,8 +338,8 @@ def test_filtration_sizes_q2():
         (): [1, 1, 1],
     }
     for gens, sizes in table.items():
-        s = ug.strat_gens(F, [F.from_int(g) for g in gens], 2)
-        assert ug.abar_p_filtration_sizes(F, s) == sizes, gens
+        prof = ug.filtration_profile(F, [F.from_int(g) for g in gens], 2)
+        assert list(prof.sizes) == sizes, gens
 
 
 def test_filtration_monotone_and_bounded():
@@ -336,10 +347,11 @@ def test_filtration_monotone_and_bounded():
         F = make_field(p, e, f)
         rng = np.random.default_rng(23)
         gens = [random_unit(F, rng) for _ in range(2)] + [F.pi()]
-        s = ug.strat_gens(F, gens, p)
-        sizes = ug.abar_p_filtration_sizes(F, s)
+        prof = ug.filtration_profile(F, gens, p)
+        assert ref_strat.profile_from_strata(F, gens, p) == prof
+        sizes = prof.sizes
         assert all(sizes[i] >= sizes[i + 1] for i in range(len(sizes) - 1))
-        assert sizes[0] <= s.group_size
+        assert sizes[0] <= prof.group_size
         assert sizes[-1] in (1, p)
 
 
@@ -352,7 +364,7 @@ def test_strat_gens_property(seed):
     F = make_field(p, e, f)
     ints = [int(n) for n in rng.integers(-40, 40, size=3) if n != 0]
     gens = [F.from_int(n) for n in ints]
-    s = ug.strat_gens(F, gens, ell)
+    s = strata_agree_with_profile(F, gens, ell)
     assert len(s.A1) <= 1
     for a in s.A0:
         assert F.val(a) == 0
