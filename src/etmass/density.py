@@ -29,10 +29,18 @@ power-residue symbols of its unit part.  Only at the wild primes p | n
 and run the local pre-mass machinery.
 
 The finite products are exact: the factors are multiplied in a
-balanced tree (``exact_product``), so the big gcds of ``Fraction``
-multiplication fall on operands of equal size rather than on one
-ever-growing running product.  The result is the same reduced
-``Fraction`` a sequential product gives.
+balanced tree (``exact_product``), so the big gcds fall on operands of
+equal size rather than on one ever-growing running product.  Each
+factor comes with a radical, an integer that every prime of its
+denominator divides, and a merge cancels each numerator against the
+other side's denominator through that side's radical.  A mass whose
+denominator divides c * p^n (c = 3, 8, 5 for n = 3, 4, 5) comes with
+the radical p * gcd(denominator, c), a third to a fifth the size of
+its denominator, so the product of masses runs no gcd against a
+full-size denominator; a wild mass with generators and every ratio
+come with their own denominators.  The merged pairs stay coprime, so
+no final gcd runs, and the result is the same reduced ``Fraction`` a
+sequential product gives.
 
 Everything is a ``Fraction``; decimal rendering is display-only.
 """
@@ -403,26 +411,68 @@ def tail_constant(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def exact_product(factors) -> Fraction:
-    """The exact product of ``Fraction``s, multiplied in a balanced tree.
+def _fraction_from_coprime(numerator: int, denominator: int) -> Fraction:
+    """The ``Fraction`` numerator/denominator, for coprime integers with
+    denominator > 0, built without the gcd ``Fraction()`` would take.
 
-    A binary-counter stack of (partial product, factor count): each
-    factor is pushed, and the top two entries merge while they cover
-    equally many factors, so at most log2(N) + 1 partial products are
-    held.  Every merge is an ordinary ``Fraction`` product of reduced
-    operands, so the result is the reduced product.
+    The only place the library sets ``Fraction``'s ``_numerator`` and
+    ``_denominator`` slots; the tests check that its output behaves as
+    ``Fraction(numerator, denominator)`` does.
     """
+    out = object.__new__(Fraction)
+    out._numerator = numerator
+    out._denominator = denominator
+    return out
+
+
+def _cancel(num: int, den: int, radical: int):
+    """num and den divided by their gcd, where every prime of den divides
+    ``radical``: only the primes of gcd(num, radical) are tried."""
+    h = gcd(num, radical)
+    while h > 1:
+        h = gcd(h, den)
+        num //= h
+        den //= h
+        h = gcd(num, h)
+    return num, den
+
+
+def exact_product(factors) -> Fraction:
+    """The exact product of (numerator, denominator, radical) triples.
+
+    Each triple is a reduced fraction numerator/denominator, with
+    denominator > 0, and a radical: any integer that every prime of the
+    denominator divides (the denominator itself always is one).  The
+    factors are multiplied in a balanced tree, a binary-counter stack of
+    (partial product, factor count): each factor is pushed, and the top
+    two entries merge while they cover equally many factors, so at most
+    log2(N) + 1 partial products are held.  A merge cancels each side's
+    numerator against the other side's denominator through the other
+    side's radical, then multiplies numerators, denominators and
+    radicals; the merged pair is coprime again, so the result is the
+    reduced product with no gcd of its own (``Fraction(0)`` when a
+    factor is zero).
+    """
+
+    def merge(a, b):
+        n1, d1, r1 = a
+        n2, d2, r2 = b
+        n1, d2 = _cancel(n1, d2, r2)
+        n2, d1 = _cancel(n2, d1, r1)
+        return n1 * n2, d1 * d2, r1 * r2
+
     stack = []
     for x in factors:
         count = 1
         while stack and stack[-1][1] == count:
-            x = stack.pop()[0] * x
+            x = merge(stack.pop()[0], x)
             count *= 2
         stack.append((x, count))
-    out = Fraction(1)
+    out = (1, 1, 1)
     for x, _ in reversed(stack):
-        out = x * out
-    return out
+        out = merge(x, out)
+    num, den, _ = out
+    return _fraction_from_coprime(num, den) if num else Fraction(0)
 
 
 def euler_density(spec: GlobalSpec) -> DensityInterval:
@@ -432,10 +482,14 @@ def euler_density(spec: GlobalSpec) -> DensityInterval:
     to n, ``local_mass`` (a ``LocalField`` per call) at p | n.  At a
     tame prime the mass and the full factor are integer numerators over
     the same denominator, so the ratio is read off without dividing
-    ``Fraction``s.  The finite product over p <= B is exact.  The tail multiplier lies
-    in [1 - C_n/B, 1/(1 - C_n/B)] since each omitted factor is within
-    C_n/p^2 of 1 and sum_{p>B} p^{-2} <= 1/B; the tail of the ratio
-    product lies in [1 - C_n/B, 1] since each ratio is in (0, 1].
+    ``Fraction``s.  The finite product over p <= B is exact.  Each mass
+    enters ``exact_product`` with the radical p * gcd(denominator, scale)
+    when its denominator divides scale * p^n, and with its own
+    denominator otherwise (a wild mass with generators; every ratio).
+    The tail multiplier lies in [1 - C_n/B, 1/(1 - C_n/B)] since each
+    omitted factor is within C_n/p^2 of 1 and sum_{p>B} p^{-2} <= 1/B;
+    the tail of the ratio product lies in [1 - C_n/B, 1] since each
+    ratio is in (0, 1].
     """
     n, bound = spec.n, spec.prime_bound
     c_n = tail_constant(n)
@@ -464,8 +518,17 @@ def euler_density(spec: GlobalSpec) -> DensityInterval:
             if m != full:
                 ratios.append(m / full)
         per_prime.append((p, m))
-    finite = exact_product(m for _, m in per_prime)
-    ratio = exact_product(ratios)
+    # every mass's denominator divides scale * p^n but a wild one's with
+    # generators, which is its own radical, as is every ratio's
+    finite = exact_product(
+        (
+            m.numerator,
+            m.denominator,
+            m.denominator if spec.gens and n % p == 0 else p * gcd(m.denominator, scale),
+        )
+        for p, m in per_prime
+    )
+    ratio = exact_product((r.numerator, r.denominator, r.denominator) for r in ratios)
 
     arch = archimedean_mass(n, all_positive=all(g > 0 for g in spec.gens))
     arch_ratio = arch / archimedean_mass(n, all_positive=True)

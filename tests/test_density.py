@@ -1,11 +1,12 @@
 """Tests for the Euler-product density assembly."""
 
 import gc
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etmass import density as dens
@@ -253,6 +254,11 @@ def test_tail_constant_values():
 # ---------------------------------------------------------------------------
 
 
+def _triples(factors):
+    # each fraction with its denominator as the radical
+    return [(x.numerator, x.denominator, x.denominator) for x in factors]
+
+
 _small = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
 _large = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
 _nonzero = st.one_of(_small, _large).filter(bool)
@@ -272,18 +278,122 @@ def test_exact_product_equals_sequential_product(factors):
     want = Fraction(1)
     for x in factors:
         want *= x
-    got = dens.exact_product(factors)
+    got = dens.exact_product(_triples(factors))
     assert type(got) is Fraction
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 def test_exact_product_short_lists():
     assert dens.exact_product([]) == 1
-    assert dens.exact_product(iter([Fraction(3, 4)])) == Fraction(3, 4)
-    assert dens.exact_product([Fraction(2, 3), Fraction(3, 2), Fraction(0)]) == 0
+    assert dens.exact_product(iter(_triples([Fraction(3, 4)]))) == Fraction(3, 4)
+    assert dens.exact_product(_triples([Fraction(2, 3), Fraction(3, 2), Fraction(0)])) == 0
 
 
-@pytest.mark.parametrize("n,gens,bound", [(3, (), 5000), (4, ("-10/3",), 2000)])
+_POOL = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def _radical_leaf(draw):
+    """A reduced fraction whose denominator has primes from a small pool,
+    with one of three radicals: the denominator's exact radical, that
+    radical times extra primes, or the denominator itself."""
+    exps = draw(st.lists(st.integers(0, 6), min_size=len(_POOL), max_size=len(_POOL)))
+    den = 1
+    rad = 1
+    for q, e in zip(_POOL, exps):
+        den *= q**e
+        rad *= q if e else 1
+    num = draw(st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**30), 10**30)))
+    x = Fraction(num, den)
+    kind = draw(st.sampled_from(("exact", "extra", "denominator")))
+    if kind == "extra":
+        rad *= draw(st.sampled_from(_POOL + (17, 19))) * draw(st.sampled_from(_POOL))
+    if kind == "denominator":
+        rad = x.denominator
+    # rad is still a radical of the reduced denominator
+    return x, (x.numerator, x.denominator, rad)
+
+
+_ZERO_LEAF = (Fraction(0), (0, 1, 1))
+_LEAF_A = (Fraction(-5, 72), (-5, 72, 6))
+_LEAF_B = (Fraction(9, 5), (9, 5, 5 * 7 * 17))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_radical_leaf(), max_size=200))
+@example([_LEAF_A, _ZERO_LEAF, _LEAF_B])
+@example([_LEAF_A, _LEAF_B, _LEAF_A, _LEAF_A])
+def test_exact_product_with_radicals(leaves):
+    want = Fraction(1)
+    for x, _ in leaves:
+        want *= x
+    got = dens.exact_product([t for _, t in leaves])
+    assert type(got) is Fraction
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert math.gcd(got.numerator, got.denominator) == 1
+
+
+@pytest.mark.parametrize(
+    "num,den",
+    [(0, 1), (1, 1), (-1, 1), (7, 8), (-7, 8), (3, 10**40 + 1), (-(10**50) - 3, 2**90), (10**30, 7)],
+)
+def test_fraction_from_coprime_acts_as_fraction(num, den):
+    # the helper fills Fraction's private slots: on this interpreter its
+    # output must equal, hash, print and multiply as Fraction(num, den)
+    got = dens._fraction_from_coprime(num, den)
+    want = Fraction(num, den)
+    assert type(got) is Fraction
+    assert got == want and not got != want
+    assert hash(got) == hash(want)
+    assert (str(got), repr(got)) == (str(want), repr(want))
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got.as_integer_ratio() == want.as_integer_ratio()
+    for other in (Fraction(3, 7), Fraction(-10, 9), Fraction(den, 5), 2, Fraction(0)):
+        assert got * other == want * other
+        assert (got * other).denominator == (want * other).denominator
+        assert got + other == want + other
+        assert (got < other) == (want < other)
+    assert got / 3 == want / 3
+    assert float(got) == float(want)
+
+
+@pytest.mark.parametrize("n,cls", [(3, ("19/7",)), (4, ("-10/3",)), (5, ("-2/3", "11/7"))])
+def test_leaf_radicals_cover_their_denominators(monkeypatch, n, cls):
+    # the density-local constraint classes at B = 2000: every prime of a
+    # per-prime mass's denominator divides the radical it is passed with
+    calls = []
+    product = dens.exact_product
+
+    def recording(factors):
+        factors = list(factors)
+        calls.append(factors)
+        return product(factors)
+
+    monkeypatch.setattr(dens, "exact_product", recording)
+    di = dens.euler_density(dens.GlobalSpec(n, cls, 2000))
+    leaves, ratios = calls
+    assert [(num, den) for num, den, _ in leaves] == [
+        (m.numerator, m.denominator) for _, m in di.per_prime
+    ]
+    # a ratio's denominator has primes above B: it is its own radical
+    assert ratios and all(rad == den for _, den, rad in ratios)
+    for num, den, rad in leaves:
+        assert math.gcd(num, den) == 1
+        rest = den
+        q = 2
+        while q * q <= rest:
+            if rest % q == 0:
+                assert rad % q == 0, (n, den, rad, q)
+                while rest % q == 0:
+                    rest //= q
+            q += 1
+        assert rest == 1 or rad % rest == 0, (n, den, rad, rest)
+
+
+@pytest.mark.parametrize(
+    "n,gens,bound", [(3, (), 5000), (4, ("-10/3",), 2000), (5, ("-2/3", "11/7"), 3000)]
+)
 def test_euler_density_matches_sequential_product(n, gens, bound):
     # the interval ends rebuilt from per_prime with one running product
     spec = dens.GlobalSpec(n, gens, bound)

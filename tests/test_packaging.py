@@ -107,3 +107,62 @@ def test_oracles_consult_no_formula_and_the_library_no_test():
         for name in imported_modules(path)
         if name.split(".")[0] in test_modules
     } == set()
+
+
+FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def fraction_slot_writes(path):
+    """(function, slot) for each write of a ``Fraction`` slot in a file:
+    an assignment to ``x._numerator`` or ``x._denominator``, or a
+    ``setattr`` naming one."""
+
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for elt in node.elts:
+                yield from targets(elt)
+        elif isinstance(node, ast.Starred):
+            yield from targets(node.value)
+        else:
+            yield node
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Assign):
+            written = [t for target in node.targets for t in targets(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            written = list(targets(node.target))
+        else:
+            written = []
+        for t in written:
+            if isinstance(t, ast.Attribute) and t.attr in FRACTION_SLOTS:
+                yield func, t.attr
+        if isinstance(node, ast.Call) and len(node.args) > 1:
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            slot = node.args[1]
+            if (
+                name in ("setattr", "__setattr__")
+                and isinstance(slot, ast.Constant)
+                and slot.value in FRACTION_SLOTS
+            ):
+                yield func, slot.value
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), None)
+
+
+def test_fraction_slots_are_set_in_one_helper():
+    # a Fraction built around its constructor skips the reduction; only
+    # the helper the tests check against Fraction() may do it
+    writes = {
+        (path.name, func, slot)
+        for path in sorted((ROOT / "src" / "etmass").glob("*.py"))
+        for func, slot in fraction_slot_writes(path)
+    }
+    assert writes == {
+        ("density.py", "_fraction_from_coprime", "_numerator"),
+        ("density.py", "_fraction_from_coprime", "_denominator"),
+    }
