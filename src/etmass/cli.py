@@ -14,7 +14,7 @@ import csv
 import json
 import random
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import click
@@ -142,12 +142,16 @@ def frac_str(x: Fraction) -> str:
 
 
 def decimal_str(x: Fraction, digits: int) -> str:
-    """``x`` rounded to ``digits`` decimal places; the process-wide
-    Decimal context is left as it was."""
-    with localcontext() as ctx:
-        ctx.prec = digits + 5
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-        return str(+d.quantize(Decimal(1).scaleb(-digits)))
+    """``x`` rounded to ``digits`` decimal places, half to even, printed
+    as ``Decimal`` prints a number with that exponent.
+
+    The rounding is one ``divmod`` of x * 10^digits, in time linear in
+    the size of x; only the rounded integer becomes a ``Decimal``, so
+    the process-wide Decimal context is neither read nor changed.
+    """
+    q = round(abs(x) * Fraction(10) ** digits)
+    sign = "-" if x < 0 and q else ""
+    return str(Decimal(f"{sign}{q}E{-digits}"))
 
 
 _GROUP_NAMES = {"C4", "V4", "D4", "C2", "A4/S4"}

@@ -40,7 +40,15 @@ its denominator, so the product of masses runs no gcd against a
 full-size denominator; a wild mass with generators and every ratio
 come with their own denominators.  The merged pairs stay coprime, so
 no final gcd runs, and the result is the same reduced ``Fraction`` a
-sequential product gives.
+sequential product gives.  ``euler_density`` builds each triple in its
+per-prime loop from the integers it holds: the full factor's numerator
+is -1 mod p, so that factor is reduced as it stands, and a tame mass
+is reduced by one small gcd with its scale * p^n.
+
+The returned ``DensityInterval`` checks its ends' order exactly, but
+reads it off their floats whenever those differ, so certifying an
+interval whose ends have hundreds of thousands of bits multiplies no
+two of them.
 
 Everything is a ``Fraction``; decimal rendering is display-only.
 """
@@ -180,6 +188,13 @@ class DensityInterval:
     exact local mass factors (p, m_{A,p}) for p up to the bound.
     ``prop_hi == 1`` exactly when every computed local mass equals the
     full mass and the archimedean factor is unconstrained.
+
+    Construction checks ``0 <= coeff_lo <= coeff_hi`` and
+    ``0 <= prop_lo <= prop_hi <= 1`` exactly and raises ``ValueError``
+    when either fails.  The ends can be fractions of hundreds of
+    thousands of bits, so ``lo <= hi`` is decided by ``_ordered``:
+    from the ends' floats when those differ, by the exact comparison
+    otherwise.
     """
 
     coeff_lo: Fraction
@@ -189,10 +204,30 @@ class DensityInterval:
     per_prime: tuple
 
     def __post_init__(self):
-        if not (0 <= self.coeff_lo <= self.coeff_hi):
+        if not (0 <= self.coeff_lo and _ordered(self.coeff_lo, self.coeff_hi)):
             raise ValueError("bad coefficient interval")
-        if not (0 <= self.prop_lo <= self.prop_hi <= 1):
+        if not (0 <= self.prop_lo and _ordered(self.prop_lo, self.prop_hi) and self.prop_hi <= 1):
             raise ValueError("bad proportion interval")
+
+
+def _ordered(lo, hi) -> bool:
+    """Whether lo <= hi, exactly, with no product of the two ends.
+
+    ``float()`` of a ``Fraction`` is the true division of its numerator
+    by its denominator, which CPython rounds correctly in time linear in
+    their size.  Correct rounding is monotone: lo <= hi implies
+    float(lo) <= float(hi).  So float(lo) < float(hi) proves lo < hi,
+    and float(lo) > float(hi) proves lo > hi.  Only when the floats are
+    equal, or when either end overflows a float, is the exact
+    comparison run; it cross-multiplies the ends.
+    """
+    try:
+        flo, fhi = float(lo), float(hi)
+    except OverflowError:
+        return lo <= hi
+    if flo != fhi:
+        return flo < fhi
+    return lo <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +300,11 @@ def full_local_factor(n: int, p: int) -> Fraction:
 
     1 - p^-3, 1 + p^-2 - p^-3 - p^-4 and 1 + p^-2 - p^-4 - p^-5 for
     n = 3, 4, 5, over p^n; each numerator is -1 mod p, so the fraction
-    is already reduced.
+    is already reduced and is built without a gcd.
     """
-    return Fraction(_full_numerator(n, p), p**n)
+    if p < 2:
+        raise ValueError(f"{p} is not a prime")
+    return _fraction_from_coprime(_full_numerator(n, p), p**n)
 
 
 def local_mass(n: int, p: int, gens=()) -> Fraction:
@@ -478,14 +515,17 @@ def exact_product(factors) -> Fraction:
 def euler_density(spec: GlobalSpec) -> DensityInterval:
     """Enclose the density coefficient and the proportion for ``spec``.
 
-    Each local mass at p <= B is exact: ``tame_local_mass`` at p prime
-    to n, ``local_mass`` (a ``LocalField`` per call) at p | n.  At a
-    tame prime the mass and the full factor are integer numerators over
-    the same denominator, so the ratio is read off without dividing
-    ``Fraction``s.  The finite product over p <= B is exact.  Each mass
-    enters ``exact_product`` with the radical p * gcd(denominator, scale)
-    when its denominator divides scale * p^n, and with its own
-    denominator otherwise (a wild mass with generators; every ratio).
+    Each local mass at p <= B is exact: the integer numerator behind
+    ``tame_local_mass`` at p prime to n, ``local_mass`` (a
+    ``LocalField`` per call) at p | n.  At a tame prime the mass and the
+    full factor are integer numerators over the same denominator, so
+    the mass and the ratio are reduced by one small-integer gcd each,
+    and no ``Fraction`` is divided; such a mass, and a full factor, is
+    built by ``_fraction_from_coprime``.  The finite product over
+    p <= B is exact.  Each mass enters ``exact_product`` with the radical
+    p * gcd(denominator, scale) when its denominator divides
+    scale * p^n, and with its own denominator otherwise (a wild mass
+    with generators; every ratio).
     The tail multiplier lies in [1 - C_n/B, 1/(1 - C_n/B)] since each
     omitted factor is within C_n/p^2 of 1 and sum_{p>B} p^{-2} <= 1/B;
     the tail of the ratio product lies in [1 - C_n/B, 1] since each
@@ -499,36 +539,48 @@ def euler_density(spec: GlobalSpec) -> DensityInterval:
         )
     fracs = [(g.numerator, g.denominator) for g in spec.gens]
     per_prime = []
-    ratios = []
+    ratios = []  # (numerator, denominator, radical) of each ratio other than 1
     scale = _tame_scale(n)
-    for p in primes_up_to(bound):
-        if not spec.gens:
-            m = full_local_factor(n, p)
-        elif n % p:
-            t = _tame_numerator(n, p, fracs)
-            full_t = scale * _full_numerator(n, p)
-            assert 0 < t <= full_t, (p, t, full_t)
-            m = Fraction(t, scale * p**n)
-            if t != full_t:
-                ratios.append(Fraction(t, full_t))
-        else:
-            m = local_mass(n, p, spec.gens)
-            full = full_local_factor(n, p)
-            assert 0 < m <= full, (p, m, full)
-            if m != full:
-                ratios.append(m / full)
-        per_prime.append((p, m))
-    # every mass's denominator divides scale * p^n but a wild one's with
-    # generators, which is its own radical, as is every ratio's
-    finite = exact_product(
-        (
-            m.numerator,
-            m.denominator,
-            m.denominator if spec.gens and n % p == 0 else p * gcd(m.denominator, scale),
-        )
-        for p, m in per_prime
-    )
-    ratio = exact_product((r.numerator, r.denominator, r.denominator) for r in ratios)
+
+    def masses():
+        # The per-prime loop: it yields each mass's triple to
+        # exact_product as it goes, so no list of triples is held beside
+        # per_prime, and it fills per_prime and ratios on the way.
+        for p in primes_up_to(bound):
+            den = p**n
+            if not spec.gens:
+                num = _full_numerator(n, p)  # -1 mod p: prime to den
+                # an exactly sized copy: p**n keeps its last product's
+                # spare digit, 16 bytes on each denominator per_prime keeps
+                den //= 1
+            elif n % p:
+                t = _tame_numerator(n, p, fracs)
+                full_t = scale * _full_numerator(n, p)
+                assert 0 < t <= full_t, (p, t, full_t)
+                if t != full_t:
+                    h = gcd(t, full_t)
+                    ratios.append((t // h, full_t // h, full_t // h))
+                den *= scale
+                h = gcd(t, den)
+                num, den = t // h, den // h
+            else:
+                # a wild mass with generators and its ratio take their
+                # own denominators as radicals
+                m = local_mass(n, p, spec.gens)
+                full = full_local_factor(n, p)
+                assert 0 < m <= full, (p, m, full)
+                if m != full:
+                    r = m / full
+                    ratios.append((r.numerator, r.denominator, r.denominator))
+                per_prime.append((p, m))
+                yield m.numerator, m.denominator, m.denominator
+                continue
+            # den divides scale * p^n
+            per_prime.append((p, _fraction_from_coprime(num, den)))
+            yield num, den, p * gcd(den, scale)
+
+    finite = exact_product(masses())
+    ratio = exact_product(ratios)  # complete once masses() is exhausted
 
     arch = archimedean_mass(n, all_positive=all(g > 0 for g in spec.gens))
     arch_ratio = arch / archimedean_mass(n, all_positive=True)

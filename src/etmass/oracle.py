@@ -298,6 +298,7 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
         e_EF = 2 if E.kind == "ramified" else 1
         f_EF = 2 // e_EF
         betas = [solve_norm_equation(E, g) for g in gens]
+        beta_vecs = [None if beta is None else class_vec(E, beta, 2) for beta in betas]
         for wvec in _lines(2, eb.dim):
             delta = _basis_product(E, wvec)
             if span_contains(M_im, wvec):
@@ -310,14 +311,13 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
             e_LF = e_EF * (2 if dl > 0 else 1)
             symbol = {1: "(4)", 2: "(2^2)", 4: "(1^4)"}[e_LF]
             disc = 2 * E.disc_val + f_EF * dl
-            if group != "D4" and any(beta is not None for beta in betas):
+            if group != "D4" and any(vec is not None for vec in beta_vecs):
                 M_L = _tower_norm_image(E, tuple(wvec), delta)
                 flags = tuple(
-                    beta is not None and in_colspan(M_L, class_vec(E, beta, 2)) is not None
-                    for beta in betas
+                    vec is not None and in_colspan(M_L, vec) is not None for vec in beta_vecs
                 )
             else:
-                flags = tuple(beta is not None for beta in betas)
+                flags = tuple(vec is not None for vec in beta_vecs)
             out.append(
                 QuarticTower(
                     symbol=symbol,

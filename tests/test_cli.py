@@ -98,6 +98,80 @@ def test_decimal_str_keeps_context_precision():
         assert decimal.getcontext().prec == 28
 
 
+def _decimal_reference(x, digits):
+    """x rounded half to even at ``digits`` places by ``Decimal``.
+
+    A tie point t of that rounding differs from x = a/b, when not equal
+    to it, by at least 1/(2b * 10^digits); the quotient is rounded at
+    more places than that, so quantizing it rounds once, as x would."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + len(str(x.numerator)) + 2 * len(str(x.denominator)) + 10
+        ctx.rounding = decimal.ROUND_HALF_EVEN
+        d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+        return str(+d.quantize(decimal.Decimal(1).scaleb(-digits)))
+
+
+@pytest.mark.parametrize(
+    "x,digits,want",
+    [
+        (Fraction(0), 0, "0"),
+        (Fraction(0), 6, "0.000000"),
+        (Fraction(0), 30, "0E-30"),
+        (Fraction(1), 0, "1"),
+        (Fraction(1), 6, "1.000000"),
+        (Fraction(1), 30, "1." + "0" * 30),
+        # exact ties go to the even neighbour
+        (Fraction(1, 2), 0, "0"),
+        (Fraction(3, 2), 0, "2"),
+        (Fraction(-5, 2), 0, "-2"),
+        (Fraction(1, 8), 2, "0.12"),
+        (Fraction(3, 8), 2, "0.38"),
+        # just off a tie
+        (Fraction(1, 8) + Fraction(1, 10**40), 2, "0.13"),
+        (Fraction(3, 8) - Fraction(1, 10**40), 2, "0.37"),
+        # below 10^-digits: zero, without a sign
+        (Fraction(1, 10**8), 6, "0.000000"),
+        (Fraction(-1, 3 * 10**40), 30, "0E-30"),
+        (Fraction(-1, 10**7), 6, "0.000000"),
+        # printed as Decimal prints them
+        (Fraction(1, 10**7), 30, "1.00000000000000000000000E-7"),
+        (Fraction(12345, 100), -2, "1E+2"),
+    ],
+)
+def test_decimal_str_edge_values(x, digits, want):
+    assert cli.decimal_str(x, digits) == _decimal_reference(x, digits) == want
+
+
+_tie = st.builds(
+    lambda k, digits, sign: (Fraction(sign * (2 * k + 1), 2 * 10**digits), digits),
+    st.integers(0, 10**20),
+    st.integers(0, 40),
+    st.sampled_from((1, -1)),
+)
+_any = st.tuples(
+    st.builds(Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**60)),
+    st.integers(0, 40),
+)
+_tiny = st.builds(
+    lambda num, digits, extra: (Fraction(num, 10 ** (digits + extra)), digits),
+    st.integers(-(10**6), 10**6),
+    st.integers(0, 40),
+    st.integers(7, 30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_any, _tie, _tiny))
+def test_decimal_str_matches_a_decimal_reference(case):
+    x, digits = case
+    with decimal.localcontext() as ctx:
+        # the result reads nothing from the ambient context
+        ctx.prec = 3
+        ctx.rounding = decimal.ROUND_DOWN
+        got = cli.decimal_str(x, digits)
+    assert got == _decimal_reference(x, digits)
+
+
 # ---------------------------------------------------------------------------
 # mass
 # ---------------------------------------------------------------------------

@@ -104,6 +104,97 @@ def test_density_interval_validation():
         dens.DensityInterval(one / 2, one, one / 2, 2 * one, ())
 
 
+_TINY = Fraction(1, 10**400)  # below float range: float() gives 0.0
+_HUGE = Fraction(10**400, 3)  # beyond float range: float() overflows
+_THIRD = Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,ok",
+    [
+        # adjacent ends whose floats coincide
+        (_THIRD, _THIRD + _TINY, True),
+        (_THIRD + _TINY, _THIRD, False),
+        (_HUGE, _HUGE + 1, True),
+        (_HUGE + 1, _HUGE, False),
+        (_HUGE, Fraction(1), False),
+        (Fraction(1), _HUGE, True),
+        (_TINY, 2 * _TINY, True),
+        (2 * _TINY, _TINY, False),
+        (Fraction(0), _TINY, True),
+        (_THIRD, _THIRD, True),
+        (_HUGE, _HUGE, True),
+        (-_TINY, Fraction(1), False),
+        (Fraction(-1), Fraction(1), False),
+    ],
+)
+def test_density_interval_orders_coefficient_ends(lo, hi, ok):
+    make = lambda: dens.DensityInterval(lo, hi, Fraction(0), Fraction(1), ())  # noqa: E731
+    if ok:
+        assert make().coeff_hi == hi
+    else:
+        with pytest.raises(ValueError, match="coefficient"):
+            make()
+
+
+@pytest.mark.parametrize(
+    "lo,hi,ok",
+    [
+        (_THIRD, _THIRD + _TINY, True),
+        (_THIRD + _TINY, _THIRD, False),
+        (1 - _TINY, Fraction(1), True),
+        (Fraction(1), 1 - _TINY, False),
+        (_TINY, 2 * _TINY, True),
+        (2 * _TINY, _TINY, False),
+        (_THIRD, _THIRD, True),
+        (Fraction(1), Fraction(1), True),
+        (-_TINY, _THIRD, False),
+        # prop_hi just above 1
+        (_THIRD, 1 + _TINY, False),
+        (Fraction(1), 1 + _TINY, False),
+        (_HUGE, _HUGE + 1, False),
+        (_HUGE, _THIRD, False),
+        (_THIRD, _HUGE, False),
+    ],
+)
+def test_density_interval_orders_proportion_ends(lo, hi, ok):
+    make = lambda: dens.DensityInterval(Fraction(0), Fraction(1), lo, hi, ())  # noqa: E731
+    if ok:
+        assert make().prop_hi == hi
+    else:
+        with pytest.raises(ValueError, match="proportion"):
+            make()
+
+
+_end = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers(-(10**500), 10**500), st.integers(1, 10**500)),
+    st.sampled_from((Fraction(0), Fraction(1), _THIRD, _TINY, _HUGE)),
+)
+# an end and a second one a tiny step away, on either side, or equal
+_pair = st.one_of(
+    st.tuples(_end, _end),
+    st.builds(
+        lambda x, k, e: (x, x + Fraction(k, 10**e)),
+        _end,
+        st.integers(-3, 3),
+        st.integers(300, 500),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair, _pair)
+def test_density_interval_raises_exactly_when_out_of_order(coeff, prop):
+    (coeff_lo, coeff_hi), (prop_lo, prop_hi) = coeff, prop
+    if 0 <= coeff_lo <= coeff_hi and 0 <= prop_lo <= prop_hi <= 1:
+        dens.DensityInterval(coeff_lo, coeff_hi, prop_lo, prop_hi, ())
+    else:
+        # ValueError and nothing else: no OverflowError from float()
+        with pytest.raises(ValueError):
+            dens.DensityInterval(coeff_lo, coeff_hi, prop_lo, prop_hi, ())
+
+
 def test_euler_density_tail_guard():
     # the tail bound is vacuous unless B exceeds C_n
     spec = dens.GlobalSpec(3, (), 8)
@@ -389,6 +480,31 @@ def test_leaf_radicals_cover_their_denominators(monkeypatch, n, cls):
                     rest //= q
             q += 1
         assert rest == 1 or rad % rest == 0, (n, den, rad, rest)
+
+
+@pytest.mark.parametrize(
+    "n,gens",
+    [(3, ()), (4, ()), (5, ()), (3, ("19/7",)), (4, ("-10/3",)), (5, ("-2/3", "11/7"))],
+)
+def test_per_prime_masses_are_reduced_fractions(n, gens):
+    # no generators, and the density-local classes, at B = 2000: each
+    # per-prime mass is built without Fraction()'s reduction, so it must
+    # be the reduced fraction Fraction() gives, and equal the local mass
+    di = dens.euler_density(dens.GlobalSpec(n, gens, 2000))
+    assert [p for p, _ in di.per_prime] == list(dens.primes_up_to(2000))
+    for p, m in di.per_prime:
+        assert type(m) is Fraction
+        assert m.denominator > 0 and math.gcd(m.numerator, m.denominator) == 1
+        want = Fraction(m.numerator, m.denominator)
+        assert (m.numerator, m.denominator) == (want.numerator, want.denominator)
+        local = dens.tame_local_mass(n, p, gens) if n % p else dens.local_mass(n, p, gens)
+        assert (m.numerator, m.denominator) == (local.numerator, local.denominator)
+
+
+def test_full_local_factor_needs_a_positive_denominator():
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            dens.full_local_factor(3, p)
 
 
 @pytest.mark.parametrize(
