@@ -1,12 +1,13 @@
-"""Dense exact linear algebra over prime fields.
+"""Dense exact linear algebra over Z/p^k, prime fields included.
 
-A matrix is a tuple of row tuples of Python ints reduced into
-``{0, ..., p-1}``, and one Gauss-Jordan kernel does all the elimination
-for every p.  The matrices met here are tiny (side about [E:Q_p] + 2 for
-the largest field E in play), so plain integer loops beat any array
-library's per-call overhead, and Python ints never overflow.
-
-Everything here is exact; there is no floating point anywhere.
+One echelon form, :class:`Span`, does all the elimination: it holds a
+submodule of (Z/p^k)^n and takes rows one at a time, so a caller whose
+spans only grow reads every order with one insertion per row; k = 1 is
+elimination over GF(p).  A matrix is a tuple of row tuples of ints in
+``{0, ..., p-1}``; :func:`rank`, :func:`in_colspan` and
+:func:`kernel_basis` are thin calls on a span of its rows or columns.
+The matrices are tiny (side about [E:Q_p] + 2), so plain integer loops
+beat any array library's per-call overhead.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -14,34 +15,75 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def _rowreduce(rows, p, npiv):
-    """Reduced row echelon form in place on the first `npiv` columns.
+class Span:
+    """A submodule of (Z/p^k)^n in echelon form, grown one row at a time.
 
-    ``rows`` is a list of lists of ints mod p.  Row operations act on the
-    full width of each row (so callers may augment).  Returns the pivot
-    column indices; their number is the rank.
+    ``rows`` maps each pivot column c to a row that is 0 before c and
+    p^b at c.  When b > 0 the row times p^(k-b), which is 0 at c, is
+    inserted too (Howell's saturation), so an element of the span that
+    is 0 before a column is spanned by the rows pivoting there or later.
+    Hence reduction decides membership, and the order is p^``log``,
+    ``log`` the sum of k - b over the pivots.
+
+    Rows may carry ``tail`` more columns that never pivot; a row entered
+    with e_j there records, through reduction, the combination of entered
+    rows subtracted from it.  ``kernel`` collects the tails of the rows
+    that were already in the span when entered.
     """
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(npiv):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        row = rows[r]
-        if row[c] != 1:
-            s = pow(row[c], -1, p)
-            row = rows[r] = [x * s % p for x in row]
-        for i in range(m):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], row)]
-        pivots.append(c)
-        r += 1
-    return pivots
+
+    def __init__(self, p: int, n: int, k: int = 1, tail: int = 0):
+        self.p, self.k, self.q, self.n, self.tail = p, k, p**k, n, tail
+        self.rows, self.log, self.kernel = {}, 0, []
+
+    def copy(self) -> "Span":
+        """A span with the same rows, which are never mutated."""
+        s = Span(self.p, self.n, self.k, self.tail)
+        s.rows, s.log = dict(self.rows), self.log
+        return s
+
+    def reduce(self, v):
+        """(c, w), w being v minus a combination of the rows: w is 0 before
+        column c, where it cannot be cleared, and c is None when w is 0 on
+        all n pivot columns, that is when v lies in the span."""
+        q, rows = self.q, self.rows
+        v = [x % q for x in v]
+        for c in range(self.n):
+            x = v[c]
+            if x:
+                row = rows.get(c)
+                if row is None or x % row[c]:
+                    return c, v
+                f = x // row[c]
+                v = [(a - f * b) % q for a, b in zip(v, row)]
+        return None, v
+
+    def insert(self, v) -> None:
+        """Add the row v, and with it what the saturation requires."""
+        c, v = self.reduce(v)
+        if c is None:
+            if self.tail:
+                self.kernel.append(tuple(v[self.n :]))
+            return
+        p, x, b = self.p, v[c], 0
+        while x % p == 0:
+            x, b = x // p, b + 1
+        if x != 1:
+            s = pow(x, -1, self.q)
+            v = [a * s % self.q for a in v]
+        old = self.rows.get(c)  # its pivot is a higher power of p
+        self.rows[c] = v
+        self.log += self.k - b
+        if old is not None:
+            self.log -= self.k - next(j for j in range(self.k) if old[c] == p**j)
+            self.insert(old)
+        if b:
+            self.insert([a * p ** (self.k - b) for a in v])
+
+    def solve(self, v):
+        """The tail coefficients x with v = sum_j x_j (row entered with
+        e_j), as a tuple, or None when v is not in the span."""
+        c, w = self.reduce([*v, *[0] * self.tail])
+        return None if c is not None else tuple(-x % self.q for x in w[self.n :])
 
 
 def backend_name() -> str:
@@ -84,44 +126,34 @@ class FpMatrix:
 
 
 def rank(M: FpMatrix) -> int:
-    return len(_rowreduce([list(r) for r in M.data], M.p, M.cols))
+    span = Span(M.p, M.cols)
+    for r in M.data:
+        span.insert(r)
+    return span.log
+
+
+def colspan(M: FpMatrix) -> Span:
+    """The span of the columns of M, column j entered with e_j in its tail.
+
+    The pivots come from the leftmost independent columns, so
+    :meth:`Span.solve` gives the solution of M x = v supported on them,
+    and ``kernel`` holds, for each other column c, the null vector that
+    is 1 at c and supported on c and the columns before it.
+    """
+    n = M.cols
+    span = Span(M.p, M.rows, tail=n)
+    for j, col in enumerate(zip(*M.data) if M.data else [()] * n):
+        span.insert([*col, *[0] * j, 1, *[0] * (n - j - 1)])
+    return span
 
 
 def kernel_basis(M: FpMatrix) -> list:
-    """A basis of the right null space {x : M x = 0}, as tuples.
-
-    One vector per non-pivot column c of the reduced form: 1 at c, minus
-    the column's entries at the pivots, 0 elsewhere.
-    """
-    p, n = M.p, M.cols
-    rows = [list(r) for r in M.data]
-    piv = _rowreduce(rows, p, n)
-    basis = []
-    for c in range(n):
-        if c in piv:
-            continue
-        x = [0] * n
-        x[c] = 1
-        for row, pc in zip(rows, piv):
-            x[pc] = -row[c] % p
-        basis.append(tuple(x))
-    return basis
+    """A basis of the right null space {x : M x = 0}, as tuples."""
+    return colspan(M).kernel
 
 
 def in_colspan(M: FpMatrix, v):
     """Solve M x = v; return the coefficient tuple or None."""
-    p, n = M.p, M.cols
     if len(v) != M.rows:
         raise ValueError("vector length does not match the row count")
-    aug = [list(r) + [x % p] for r, x in zip(M.data, v)]
-    piv = _rowreduce(aug, p, n)
-    if any(row[n] for row in aug[len(piv):]):
-        return None
-    x = [0] * n
-    for row, pc in zip(aug, piv):
-        x[pc] = row[n]
-    return tuple(x)
-
-
-def span_contains(M: FpMatrix, v) -> bool:
-    return in_colspan(M, v) is not None
+    return colspan(M).solve(v)

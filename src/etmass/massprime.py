@@ -14,12 +14,11 @@ All arithmetic is exact: counts are integers and every mass is a
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 
 from .unitgroups import (
     FiltrationProfile,
@@ -146,18 +145,6 @@ def symbol_premass(sigma: SplittingSymbol, q: int) -> Fraction:
 def disc_layer_premass(n: int, d: int, q: int) -> Fraction:
     """Pre-mass of all degree-n algebras with discriminant exponent d."""
     return Fraction(partition_count(d, n - d), q**d)
-
-
-def norm_group_pred(sigma: SplittingSymbol) -> int:
-    """The g with norm group {x : g | v(x)}, for pairwise coprime e_i."""
-    es = [e for e, _ in sigma.pairs]
-    for a, b in itertools.combinations(es, 2):
-        if gcd(a, b) != 1:
-            raise ValueError(f"{sigma} has non-coprime ramification indices")
-    g = 0
-    for _, f in sigma.pairs:
-        g = gcd(g, f)
-    return g
 
 
 # ---------------------------------------------------------------------------

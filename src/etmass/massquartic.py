@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
-from .fplinalg import in_colspan
+from .fplinalg import Span, in_colspan
 from .massprime import MassReport, count_Cp
 from .padic import GuardError, field_cache, quad_extend
 from .unitgroups import (
@@ -196,58 +196,32 @@ def _h_nv4(q, e, m1, m2):
 # ---------------------------------------------------------------------------
 
 
-def _pack(v) -> int:
-    """A vector over Z/4 as an int, four bits per coordinate, so that
-    x + k y with k <= 4 never carries out of a coordinate."""
-    return sum(a << 4 * j for j, a in enumerate(v))
-
-
-def _span_log2(rows, r) -> int:
-    """log2 of the order of the subgroup of (Z/4)^r spanned by packed rows.
-
-    Column by column: a row with a unit entry spans a copy of Z/4 that
-    meets the rows it clears from the column only in 0, so it counts 4;
-    failing one, a row with entry 2 counts 2, and twice it, which is 0
-    in the column, goes back among the rows.
-    """
-    mask = _pack((3,) * r)
-    rows = [x for x in rows if x]
-    n = 0
-    for s in range(0, 4 * r, 4):
-        k = next((i for i, x in enumerate(rows) if x >> s & 1), None)
-        if k is not None:
-            piv = rows.pop(k)
-            piv, d = piv * (piv >> s & 3) & mask, 1  # units of Z/4 are self-inverse
-            n += 2
-        else:
-            k = next((i for i, x in enumerate(rows) if x >> s & 2), None)
-            if k is None:
-                continue
-            piv, d = rows.pop(k), 2
-            rows.append(2 * piv & mask)
-            n += 1
-        rows = [y for x in rows if (y := (x + (4 - (x >> s & 3) // d) * piv) & mask)]
-    return n
-
-
 def _tables_subspace(F, rows, levels, top):
     """:func:`_char_table` by elimination: S(c, c2) = |G/(A + U_c + 2U_c2)|
-    and T(c) = |G/(A + U_c + 2G)|, A given with the relation as ``rows``."""
+    and T(c) = |G/(A + U_c + 2G)|, A given with the relation as ``rows``.
+
+    The spans only grow: one echelon over Z/4 (:class:`Span`) takes A and
+    the levels as c falls from ``top``, a copy of it per c the rows 2v of
+    the levels below c as c2 falls and then 2G, each read after a level.
+    """
     r = unit_basis(F).dim
-    mask = _pack((3,) * r)
-    rows = [_pack(a) for a in rows]
-    levels = [(j, _pack(v)) for j, v in levels]
-    twice_g = [2 << 4 * k for k in range(r)]
-
-    def size(extra):
-        return 1 << (2 * r - _span_log2(rows + extra, r))
-
-    S, T = {}, []
-    for c in range(top + 1):
-        U = [v for j, v in levels if j >= c]
-        T.append(size(U + twice_g))
-        for c2 in range(c + 1):
-            S[c, c2] = size(U + [2 * v & mask for j, v in levels if c2 <= j < c])
+    by_level = [[v for j, v in levels if j == c] for c in range(top + 1)]
+    span = Span(2, r, 2)
+    for a in rows:
+        span.insert(a)
+    S, T = {}, [0] * (top + 1)
+    for c in range(top, -1, -1):
+        for v in by_level[c]:
+            span.insert(v)
+        S[c, c] = 1 << (2 * r - span.log)
+        low = span.copy()
+        for c2 in range(c - 1, -1, -1):
+            for v in by_level[c2]:
+                low.insert([2 * x for x in v])
+            S[c, c2] = 1 << (2 * r - low.log)
+        for k in range(r):
+            low.insert([2 * (i == k) for i in range(r)])
+        T[c] = 1 << (2 * r - low.log)
     return S, tuple(T)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fplinalg import FpMatrix, in_colspan, kernel_basis, span_contains
+from .fplinalg import FpMatrix, Span, in_colspan, kernel_basis
 from .padic import GuardError, disc_val_quadratic, field_cache, quad_extend
 from .unitgroups import (
     class_dim,
@@ -293,15 +293,16 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
         d_class = tuple(dvec)
         E = _quadratic(F, d_class)
         eb = unit_basis(E)
-        im_cols = [p_class_coords(E, E.embed(b)) for b in fb.elems]
-        M_im = FpMatrix.from_columns(2, im_cols, eb.dim)
+        im = Span(2, eb.dim)
+        for b in fb.elems:
+            im.insert(p_class_coords(E, E.embed(b)))
         e_EF = 2 if E.kind == "ramified" else 1
         f_EF = 2 // e_EF
         betas = [solve_norm_equation(E, g) for g in gens]
         beta_vecs = [None if beta is None else class_vec(E, beta, 2) for beta in betas]
         for wvec in _lines(2, eb.dim):
             delta = _basis_product(E, wvec)
-            if span_contains(M_im, wvec):
+            if im.reduce(wvec)[0] is None:
                 group = "V4"
             elif p_class_coords(F, E.norm(delta)) == d_class:
                 group = "C4"
@@ -413,13 +414,14 @@ def cyclic_quartic_towers(F):
     out = []
     f_reps = _square_class_product_reps(F)
     for E in quadratic_extensions(F):
-        fcols = [class_vec(E, E.embed(g), 2) for g in f_reps]
-        M = FpMatrix.from_columns(2, fcols, class_dim(E, 2))
+        base = Span(2, class_dim(E, 2))
+        for g in f_reps:
+            base.insert(class_vec(E, E.embed(g), 2))
         for d in _square_class_product_reps(E):
             ratio = E.mul(E.conj(d), E.inv(d))
             if any(class_vec(E, ratio, 2)):
                 continue  # not Galois over F
-            if in_colspan(M, class_vec(E, d, 2)) is not None:
+            if base.reduce(class_vec(E, d, 2))[0] is None:
                 continue  # biquadratic
             out.append(quad_extend(E, d))
     return out

@@ -12,15 +12,15 @@ Field structure is built once per field and kept on the field itself
 (:func:`etmass.padic.field_cache`), so it dies with the field.  The
 unit-class basis (:class:`UnitClassBasis`) stores, besides its elements
 and their levels, the inverse of each level element 1 + pi^i u (made on
-first use), and for a field containing mu_p the matrix [phi | u*], u*
-the residue outside the image of phi.  Each field also keeps the root
-1 + pi^(i/p) y and the strip factor 1/(1 + pi^(i/p) y)^p of each wild
-level i and residue y, made on first use and shared by class
-coordinates and :func:`c_alpha`.  Reading the class coordinates of an
-element then costs no product per digit, since a digit is read off the
-stored coefficients (``F.digit``) of m - 1, which ``F.minus_one`` forms
-in place without a negation and a sum, and a fixed number of products
-per level to strip it with stored factors.
+first use), and for a field containing mu_p the column span of the
+matrix [phi | u*], u* the residue outside the image of phi.  Each field
+also keeps the root 1 + pi^(i/p) y and the strip factor
+1/(1 + pi^(i/p) y)^p of each wild level i and residue y, made on first
+use and shared by class coordinates and :func:`c_alpha`.  Reading the
+class coordinates of an element then costs no product per digit, since
+a digit is read off the stored coefficients (``F.digit``) of m - 1,
+which ``F.minus_one`` forms in place without a negation and a sum, and
+a fixed number of products per level to strip it with stored factors.
 
 A constraint group A = <gens> enters the mass formulas only through its
 :class:`FiltrationProfile`: the order of its image Abar in F^x/F^{x n}
@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fplinalg import FpMatrix, in_colspan
-from .fplinalg import rank as fp_rank
+from .fplinalg import FpMatrix, Span, colspan, in_colspan
 from .padic import INF, PrecisionError, field_cache, is_prime
 
 
@@ -178,16 +177,17 @@ class UnitClassBasis:
 
     ``inverses`` maps j to the inverse of ``elems[j]``; :meth:`inverse`
     fills it on first use, since most fields never strip every level.
-    When mu_p is in F, ``top_aug`` is the matrix [phi | u*] over F_p,
-    whose last column is the residue u* of the top element; otherwise it
-    is None.
+    When mu_p is in F, ``top_aug`` is the column span of the matrix
+    [phi | u*] over F_p, whose last column is the residue u* of the top
+    element, built once for the solves of :func:`p_class_coords`;
+    otherwise it is None.
     """
 
     field: object
     elems: tuple
     levels: tuple
     inverses: dict
-    top_aug: FpMatrix | None
+    top_aug: Span | None
 
     @property
     def dim(self) -> int:
@@ -249,19 +249,19 @@ def unit_basis(F) -> UnitClassBasis:
         elems.append(one + F.shift(F.mul(F.from_int(p), F.lift(ustar)), e // (p - 1)))
         levels.append((p * e) // (p - 1))
         phi = phi_matrix(F)
-        top_aug = FpMatrix.make(p, [r + (u,) for r, u in zip(phi.data, F.rf.coords(ustar))])
+        top_aug = colspan(FpMatrix.make(p, [r + (u,) for r, u in zip(phi.data, F.rf.coords(ustar))]))
     assert p ** len(elems) == quotient_size(F, INF)
     return UnitClassBasis(F, tuple(elems), tuple(levels), {}, top_aug)
 
 
 def _non_phi_value(F):
     """A residue element outside the image of phi (exists when mu_p in F)."""
-    M = phi_matrix(F)
+    image = colspan(phi_matrix(F))
     rf = F.rf
     for j in range(rf.f):
         v = [0] * rf.f
         v[j] = 1
-        if in_colspan(M, v) is None:
+        if image.solve(v) is None:
             return rf.from_coords(v)
     raise ArithmeticError("phi is surjective; no such element")
 
@@ -303,7 +303,7 @@ def p_class_coords(F, alpha) -> tuple:
             if basis.top_aug is None:
                 break
             r = _top_digit(F, F.minus_one(m))
-            sol = in_colspan(basis.top_aug, rf.coords(r))
+            sol = basis.top_aug.solve(rf.coords(r))
             if sol is None:  # pragma: no cover - phi + u* spans everything
                 raise ArithmeticError("top-level digit not decomposable")
             out[pos] = sol[-1]
@@ -465,13 +465,13 @@ def _norm_image(E):
     """(:func:`norm_class_matrix`, the walked elements of its columns)."""
     F = E.base
     dim = class_dim(F, 2)
-    cols, walked = [], []
+    span, cols, walked = Span(2, dim), [], []
     for b in _norm_walk(E):
         walked.append(b)
         cols.append(class_vec(F, E.norm(b), 2))
-        M = FpMatrix.from_columns(2, cols, dim)
-        if fp_rank(M) == dim - 1:
-            return M, tuple(walked)
+        span.insert(cols[-1])
+        if span.log == dim - 1:
+            return FpMatrix.from_columns(2, cols, dim), tuple(walked)
     raise ArithmeticError("norm image is not a hyperplane")  # pragma: no cover
 
 
@@ -602,10 +602,12 @@ def filtration_profile(F, gens, n: int) -> FiltrationProfile:
     Supports prime n.  Each generator's class vector is read once; in
     those coordinates the image of U^(t) F^{x n} is the coordinate
     subspace of the levels >= t, so |Abar_t| is n to the corank, on the
-    span of the generators, of the rows below level t.  For n = p the
-    levels are those of the unit-class basis; for tame n the principal
-    units are all n-th powers, so the coordinates are the valuation
-    (level -1) and, when n | q - 1, the residue class (level 0).
+    span of the generators, of the rows below level t: the levels ascend,
+    so one echelon (:class:`Span`) takes the rows in turn and is read
+    after each level.  For n = p the levels are those of the unit-class
+    basis; for tame n the principal units are all n-th powers, so the
+    coordinates are the valuation (level -1) and, when n | q - 1, the
+    residue class (level 0).
     """
     if not is_prime(n):
         raise ValueError(f"n = {n} is not prime")
@@ -613,10 +615,12 @@ def filtration_profile(F, gens, n: int) -> FiltrationProfile:
         levels, top = unit_basis(F).levels, ceil_frac(n * F.e, n - 1)
     else:
         levels, top = (-1, 0)[: class_dim(F, n)], 1
-    B = FpMatrix.from_columns(n, [class_vec(F, F.coerce(g), n) for g in gens], len(levels))
-    full = fp_rank(B)
-    sizes = []
-    for t in range(top + 1):
-        low = FpMatrix(n, tuple(r for r, lv in zip(B.data, levels) if lv < t), B.cols)
-        sizes.append(n ** (full - fp_rank(low)))
-    return FiltrationProfile(n, n**full, tuple(sizes))
+    vecs = [class_vec(F, F.coerce(g), n) for g in gens]
+    span, low = Span(n, len(vecs)), []
+    for i, lv in enumerate(levels):
+        while len(low) <= min(lv, top):
+            low.append(span.log)
+        span.insert([v[i] for v in vecs])
+    low += [span.log] * (top + 1 - len(low))
+    full = span.log
+    return FiltrationProfile(n, n**full, tuple(n ** (full - x) for x in low))

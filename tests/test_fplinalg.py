@@ -1,10 +1,11 @@
-"""Tests for dense linear algebra over prime fields."""
+"""Tests for dense linear algebra over Z/p^k and prime fields."""
 
 import itertools
 
 import numpy as np
+import pytest
 
-from etmass.fplinalg import FpMatrix, in_colspan, kernel_basis, rank, span_contains
+from etmass.fplinalg import FpMatrix, Span, in_colspan, kernel_basis, rank
 
 
 def random_matrix(rng, p, m, n):
@@ -24,7 +25,7 @@ def test_dimension_formula():
                 tuple(sum(c * v[i] for c, v in zip(cs, cols1)) % p for i in range(7))
                 for cs in itertools.product(range(p), repeat=M1.cols)
             }
-            inter = sum(1 for v in span1 if span_contains(M2, v))
+            inter = sum(1 for v in span1 if in_colspan(M2, v) is not None)
             dim_sum = rank(FpMatrix.make(p, [a + b for a, b in zip(M1.data, M2.data)]))
             assert inter == p ** (rank(M1) + rank(M2) - dim_sum)
 
@@ -58,3 +59,57 @@ def test_kernel_basis_solves_and_has_full_dimension():
     # the zero matrix: every unit vector; a square invertible one: none
     assert kernel_basis(FpMatrix.make(3, [[0, 0]])) == [(1, 0), (0, 1)]
     assert kernel_basis(FpMatrix.make(5, [[1, 2], [3, 4]])) == []
+
+
+def closure(q, rows, n):
+    """The subgroup of (Z/q)^n generated by ``rows``, by brute force."""
+    seen = {(0,) * n}
+    frontier = list(seen)
+    while frontier:
+        new = {tuple((a + b) % q for a, b in zip(s, r)) for s in frontier for r in rows}
+        frontier = list(new - seen)
+        seen |= new
+    return seen
+
+
+def span_of(p, k, n, rows, tail=0):
+    span = Span(p, n, k, tail)
+    for r in rows:
+        span.insert(r)
+    return span
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 1)])
+def test_span_order_and_membership_by_brute_force(p, k):
+    # rows with entries scaled by random powers of p, so that pivots of
+    # every valuation occur
+    rng = np.random.default_rng(29)
+    q = p**k
+    for _ in range(30):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+        rows = (rng.integers(0, q, size=(m, n)) * p ** rng.integers(0, k, size=(m, 1)) % q).tolist()
+        group = closure(q, rows, n)
+        span = span_of(p, k, n, rows)
+        assert p**span.log == len(group), rows
+        shuffled = [rows[i] for i in rng.permutation(m)]
+        assert span_of(p, k, n, shuffled).log == span.log, rows
+        # rows entered with unit vectors in their tail solve for coefficients
+        tracked = span_of(p, k, n, [r + [int(i == j) for i in range(m)] for j, r in enumerate(rows)], m)
+        for v in itertools.product(range(q), repeat=n):
+            assert (span.reduce(v)[0] is None) == (v in group), (rows, v)
+            x = tracked.solve(v)
+            assert (x is not None) == (v in group), (rows, v)
+            if x is not None:
+                assert tuple(sum(c * r[i] for c, r in zip(x, rows)) % q for i in range(n)) == v
+
+
+def test_span_unit_pivot_replaces_pivot_p():
+    # over Z/4, (2, 1) pivots at 2 and saturates to (0, 2); the unit row
+    # (1, 0) then takes column 0, and the old row, reduced to (0, 1),
+    # replaces (0, 2) at column 1: the span is everything
+    span = span_of(2, 2, 2, [[2, 1]])
+    assert (span.rows[0][0], span.rows[1][1], span.log) == (2, 2, 2)
+    span.insert([1, 0])
+    assert (span.rows[0][0], span.rows[1][1], span.log) == (1, 1, 4)
+    assert span.reduce([0, 1])[0] is None
+    assert 2**span.log == len(closure(4, [[2, 1], [1, 0]], 2))

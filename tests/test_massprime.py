@@ -99,15 +99,6 @@ def test_disc_layer_table():
     ]
 
 
-def test_norm_group_pred():
-    assert mp.norm_group_pred(mp.parse_symbol("(22)")) == 2
-    assert mp.norm_group_pred(mp.parse_symbol("(13)")) == 1
-    assert mp.norm_group_pred(mp.parse_symbol("(1^2 2)")) == 1
-    assert mp.norm_group_pred(mp.parse_symbol("(2 4)")) == 2
-    with pytest.raises(ValueError):
-        mp.norm_group_pred(mp.parse_symbol("(1^2 1^2)"))
-
-
 # ---------------------------------------------------------------------------
 # A/B helpers
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from etmass import massquartic as mq
 from etmass import padic
 from etmass import oracle as orc
 from etmass import unitgroups as ug
-from etmass.massprime import count_Cp
+from etmass.massprime import count_Cp, disc_layer_premass
 from etmass.padic import (
     GuardError,
     LocalField,
@@ -889,10 +889,28 @@ def test_char_table_brute_guard():
         (10, 1, Fraction(78398649591407050619, 36893488147419103232)),
         (3, 3, Fraction(42730091792241917503, 36893488147419103232)),
         (5, 2, Fraction(410439499519327944655, 295147905179352825856)),
+        (16, 1, Fraction(5387515050969967911471884787455, 2535301200456458802993406410752)),
+        (
+            24,
+            1,
+            Fraction(
+                1516450673500082373623599618402744952833171451,
+                713623846352979940529142984724747568191373312,
+            ),
+        ),
     ],
 )
 def test_premass4_totals_on_large_bases(e, f, want):
     # (6,1) to (10,1) equal the totals at doubled precision; (3,3) and
-    # (5,2) those of the omega route
+    # (5,2) those of the omega route; (16,1) and (24,1) those of the
+    # character tables built by from-scratch eliminations
     F = LocalField(2, e, f)
     assert mq.premass4(F, (F.from_int(-1),)).total == want
+
+
+def test_premass4_unconstrained_large_base_is_serre():
+    # Serre's mass formula: sum_d Part(d, 4 - d)/q^d over all quartic
+    # etale algebras
+    F = LocalField(2, 16, 1)
+    want = sum((disc_layer_premass(4, d, F.q) for d in range(4)), Fraction(0))
+    assert mq.premass4(F, ()).total == want
