@@ -3,16 +3,15 @@
 One echelon form, :class:`Span`, does all the elimination: it holds a
 submodule of (Z/p^k)^n and takes rows one at a time, so a caller whose
 spans only grow reads every order with one insertion per row; k = 1 is
-elimination over GF(p).  A matrix is a tuple of row tuples of ints in
-``{0, ..., p-1}``; :func:`rank`, :func:`in_colspan` and
-:func:`kernel_basis` are thin calls on a span of its rows or columns.
-The matrices are tiny (side about [E:Q_p] + 2), so plain integer loops
-beat any array library's per-call overhead.  Everything is exact.
+elimination over GF(p).  It is the one linear-algebra type: a caller
+holds a span (:func:`colspan` makes one from columns) and reads orders,
+membership, solutions and kernels off it, so a span over a field's
+fixed columns is built once and kept on the field.  The spans are tiny
+(side about [E:Q_p] + 2), so plain integer loops beat any array
+library's per-call overhead.  Everything is exact.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class Span:
@@ -91,69 +90,18 @@ def backend_name() -> str:
     return "pure"
 
 
-@dataclass(frozen=True)
-class FpMatrix:
-    """A dense matrix over the field with `p` elements.
-
-    ``data`` holds the rows, as tuples of ints in ``{0, ..., p-1}``;
-    ``cols`` is stored so that a matrix with no rows keeps its width.
-    """
-
-    p: int
-    data: tuple
-    cols: int
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @staticmethod
-    def make(p: int, rows, cols: int | None = None) -> "FpMatrix":
-        """From a sequence of rows; `cols` is needed only when there are none."""
-        data = tuple(tuple(x % p for x in r) for r in rows)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        return FpMatrix(p, data, cols)
-
-    @staticmethod
-    def from_columns(p: int, columns, rows: int) -> "FpMatrix":
-        """From a sequence of column vectors of length `rows`."""
-        columns = list(columns)
-        return FpMatrix.make(p, zip(*columns) if columns else [()] * rows, len(columns))
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
-
-
-def rank(M: FpMatrix) -> int:
-    span = Span(M.p, M.cols)
-    for r in M.data:
-        span.insert(r)
-    return span.log
-
-
-def colspan(M: FpMatrix) -> Span:
-    """The span of the columns of M, column j entered with e_j in its tail.
+def colspan(p: int, columns, height: int) -> Span:
+    """The span over GF(p) of the given columns of length ``height``,
+    column j entered with e_j in its tail.
 
     The pivots come from the leftmost independent columns, so
     :meth:`Span.solve` gives the solution of M x = v supported on them,
-    and ``kernel`` holds, for each other column c, the null vector that
-    is 1 at c and supported on c and the columns before it.
+    M the matrix of the columns, and ``kernel`` holds, for each other
+    column c, the null vector that is 1 at c and supported on c and the
+    columns before it.
     """
-    n = M.cols
-    span = Span(M.p, M.rows, tail=n)
-    for j, col in enumerate(zip(*M.data) if M.data else [()] * n):
+    n = len(columns)
+    span = Span(p, height, tail=n)
+    for j, col in enumerate(columns):
         span.insert([*col, *[0] * j, 1, *[0] * (n - j - 1)])
     return span
-
-
-def kernel_basis(M: FpMatrix) -> list:
-    """A basis of the right null space {x : M x = 0}, as tuples."""
-    return colspan(M).kernel
-
-
-def in_colspan(M: FpMatrix, v):
-    """Solve M x = v; return the coefficient tuple or None."""
-    if len(v) != M.rows:
-        raise ValueError("vector length does not match the row count")
-    return colspan(M).solve(v)

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
 
-from .fplinalg import Span, in_colspan
+from .fplinalg import Span
 from .massprime import MassReport, count_Cp
 from .padic import GuardError, field_cache, quad_extend
 from .unitgroups import (
+    basis_product,
     class4_vec,
     class_vec,
     dlog_mod,
@@ -79,7 +80,7 @@ def _quad_of_class(F, mask):
     E = table.get(mask)
     if E is None:
         basis = square_class_basis(F)
-        d = reduce(F.mul, [b for j, b in enumerate(basis) if mask >> j & 1])
+        d = basis_product(F, basis, [mask >> j & 1 for j in range(len(basis))])
         E = table[mask] = quad_extend(F, d)
     return E
 
@@ -99,7 +100,7 @@ def _hilbert_gram(F):
     cols = []
     for j in range(dim):
         N = norm_class_matrix(_quad_of_class(F, 1 << j))
-        cols.append(tuple(0 if in_colspan(N, ei) is not None else 1 for ei in units))
+        cols.append(tuple(0 if N.reduce(ei)[0] is None else 1 for ei in units))
     H = tuple(zip(*cols))
     assert H == tuple(cols), "Hilbert pairing must be symmetric"
     return H

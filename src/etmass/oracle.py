@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fplinalg import FpMatrix, Span, in_colspan, kernel_basis
+from .fplinalg import Span, colspan
 from .padic import GuardError, disc_val_quadratic, field_cache, quad_extend
 from .unitgroups import (
+    basis_product,
     class_dim,
     class_vec,
     dlog_mod,
@@ -31,6 +32,7 @@ from .unitgroups import (
     p_class_coords,
     solve_norm_equation,
     sqrt_exact,
+    square_class_basis,
     unit_basis,
 )
 
@@ -207,16 +209,6 @@ class QuarticTower:
     norm_flags: tuple
 
 
-def _basis_product(K, vec):
-    """The product of K's unit-class basis elements b_j with vec_j = 1,
-    an element whose class is vec."""
-    x = K.one()
-    for b, c in zip(unit_basis(K).elems, vec):
-        if c:
-            x = K.mul(x, b)
-    return x
-
-
 @field_cache
 def _quadratics(F):
     """The quadratic extensions of F the tower census has built, by the
@@ -225,25 +217,26 @@ def _quadratics(F):
 
 
 def _quadratic(F, dvec):
-    """E = F(sqrt(d)), d = :func:`_basis_product` of dvec, built once
-    per (F, dvec) and kept on F with the structure cached on it."""
+    """E = F(sqrt(d)), d the product of F's unit-class basis elements
+    that dvec selects, built once per (F, dvec) and kept on F with the
+    structure cached on it."""
     table = _quadratics(F)
     E = table.get(dvec)
     if E is None:
-        E = table[dvec] = quad_extend(F, _basis_product(F, dvec))
+        E = table[dvec] = quad_extend(F, basis_product(F, unit_basis(F).elems, dvec))
     return E
 
 
 @field_cache
 def _tower_norm_images(E):
-    """The norm-class matrices of the towers L = E(sqrt(delta)) the
+    """The norm-image spans of the towers L = E(sqrt(delta)) the
     census has built, by the class vector of delta."""
     return {}
 
 
 def _tower_norm_image(E, wvec, delta):
     """:func:`norm_class_matrix` of L = E(sqrt(delta)), delta of class
-    wvec, with L built once per (E, wvec).  Only the matrix is kept:
+    wvec, with L built once per (E, wvec).  Only the span is kept:
     keeping every L with its own cached structure alive until F dies
     raised the peak RSS of a census benchmark by 5%."""
     table = _tower_norm_images(E)
@@ -301,7 +294,7 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
         betas = [solve_norm_equation(E, g) for g in gens]
         beta_vecs = [None if beta is None else class_vec(E, beta, 2) for beta in betas]
         for wvec in _lines(2, eb.dim):
-            delta = _basis_product(E, wvec)
+            delta = basis_product(E, eb.elems, wvec)
             if im.reduce(wvec)[0] is None:
                 group = "V4"
             elif p_class_coords(F, E.norm(delta)) == d_class:
@@ -315,7 +308,7 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
             if group != "D4" and any(vec is not None for vec in beta_vecs):
                 M_L = _tower_norm_image(E, tuple(wvec), delta)
                 flags = tuple(
-                    vec is not None and in_colspan(M_L, vec) is not None for vec in beta_vecs
+                    vec is not None and M_L.reduce(vec)[0] is None for vec in beta_vecs
                 )
             else:
                 flags = tuple(vec is not None for vec in beta_vecs)
@@ -384,17 +377,11 @@ class WildExtension:
 
 def _square_class_product_reps(F):
     """One representative per nontrivial square class of F."""
-    from .unitgroups import square_class_basis
-
     basis = square_class_basis(F)
-    reps = []
-    for mask in range(1, 1 << len(basis)):
-        x = F.one()
-        for i, b in enumerate(basis):
-            if (mask >> i) & 1:
-                x = F.mul(x, b)
-        reps.append(x)
-    return reps
+    return [
+        basis_product(F, basis, [(mask >> i) & 1 for i in range(len(basis))])
+        for mask in range(1, 1 << len(basis))
+    ]
 
 
 def quadratic_extensions(F):
@@ -429,7 +416,7 @@ def cyclic_quartic_towers(F):
 
 def _elt_eq(K, x, y):
     """Equality of field elements to working precision."""
-    return K.is_zero(K.add(x, K.neg(y)))
+    return K.is_zero(K.sub(x, y))
 
 
 def extend_conjugation(K):
@@ -479,8 +466,8 @@ def _eigenlines(p, rows, t, max_size):
     counted against ``max_size`` before any is built.
     """
     n = len(rows)
-    A = FpMatrix.make(p, [[x - t * (i == j) for i, x in enumerate(r)] for j, r in enumerate(rows)])
-    basis = kernel_basis(A)
+    cols = [[r[i] - t * (i == j) for j, r in enumerate(rows)] for i in range(n)]
+    basis = colspan(p, cols, n).kernel
     total = (p ** len(basis) - 1) // (p - 1)
     if total > max_size:
         raise GuardError(f"{total} eigencharacters exceeds guard {max_size}")

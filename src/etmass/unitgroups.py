@@ -12,11 +12,15 @@ Field structure is built once per field and kept on the field itself
 (:func:`etmass.padic.field_cache`), so it dies with the field.  The
 unit-class basis (:class:`UnitClassBasis`) stores, besides its elements
 and their levels, the inverse of each level element 1 + pi^i u (made on
-first use), and for a field containing mu_p the column span of the
-matrix [phi | u*], u* the residue outside the image of phi.  Each field
-also keeps the root 1 + pi^(i/p) y and the strip factor
-1/(1 + pi^(i/p) y)^p of each wild level i and residue y, made on first
-use and shared by class coordinates and :func:`c_alpha`.  Reading the
+first use), and for a field containing mu_p the column span of phi's
+columns followed by u*, u* the residue outside the image of phi.  Each
+field also keeps the column span of phi (:func:`phi_matrix`) and, when
+it is a quadratic E, the span of its norm image
+(:func:`norm_class_matrix`), so a later solve on either only reduces a
+vector.  The root 1 + pi^(i/p) y and the strip factor
+1/(1 + pi^(i/p) y)^p of each wild level i and residue y are kept too,
+made on first use and shared by class coordinates and
+:func:`c_alpha`.  Reading the
 class coordinates of an element then costs no product per digit, since
 a digit is read off the stored coefficients (``F.digit``) of m - 1,
 which ``F.minus_one`` forms in place without a negation and a sum, and
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fplinalg import FpMatrix, Span, colspan, in_colspan
+from .fplinalg import Span, colspan
 from .padic import INF, PrecisionError, field_cache, is_prime
 
 
@@ -57,9 +61,9 @@ def _pi_e_over_p_residue(F):
     return F.rf.inv(F.digit(F.from_int(F.p), F.e))
 
 
-@field_cache
-def phi_matrix(F) -> FpMatrix:
-    """Matrix of y |-> y + (pi^e/p) * y^p on the residue field over F_p.
+def _phi_columns(F) -> list:
+    """The images under y |-> y + (pi^e/p) * y^p of the F_p-coordinate
+    basis of the residue field, as coordinate vectors.
 
     Only meaningful when (p-1) | e, which is when the map is ever used.
     """
@@ -70,14 +74,19 @@ def phi_matrix(F) -> FpMatrix:
         v = [0] * rf.f
         v[j] = 1
         y = rf.from_coords(v)
-        img = rf.add(y, rf.mul(c0, rf.pow(y, F.p)))
-        cols.append(rf.coords(img))
-    return FpMatrix.from_columns(F.p, cols, rf.f)
+        cols.append(rf.coords(rf.add(y, rf.mul(c0, rf.pow(y, F.p)))))
+    return cols
+
+
+@field_cache
+def phi_matrix(F) -> Span:
+    """The column span of phi over F_p (:func:`_phi_columns`), kept on F."""
+    return colspan(F.p, _phi_columns(F), F.rf.f)
 
 
 def phi_preimage(F, r):
     """A residue element y with phi(y) = r, or None if r is not a value."""
-    sol = in_colspan(phi_matrix(F), F.rf.coords(r))
+    sol = phi_matrix(F).solve(F.rf.coords(r))
     if sol is None:
         return None
     return F.rf.from_coords(sol)
@@ -177,10 +186,9 @@ class UnitClassBasis:
 
     ``inverses`` maps j to the inverse of ``elems[j]``; :meth:`inverse`
     fills it on first use, since most fields never strip every level.
-    When mu_p is in F, ``top_aug`` is the column span of the matrix
-    [phi | u*] over F_p, whose last column is the residue u* of the top
-    element, built once for the solves of :func:`p_class_coords`;
-    otherwise it is None.
+    When mu_p is in F, ``top_aug`` is the column span over F_p of phi's
+    columns followed by the residue u* of the top element, built once
+    for the solves of :func:`p_class_coords`; otherwise it is None.
     """
 
     field: object
@@ -248,15 +256,14 @@ def unit_basis(F) -> UnitClassBasis:
         ustar = _non_phi_value(F)
         elems.append(one + F.shift(F.mul(F.from_int(p), F.lift(ustar)), e // (p - 1)))
         levels.append((p * e) // (p - 1))
-        phi = phi_matrix(F)
-        top_aug = colspan(FpMatrix.make(p, [r + (u,) for r, u in zip(phi.data, F.rf.coords(ustar))]))
+        top_aug = colspan(p, [*_phi_columns(F), F.rf.coords(ustar)], F.rf.f)
     assert p ** len(elems) == quotient_size(F, INF)
     return UnitClassBasis(F, tuple(elems), tuple(levels), {}, top_aug)
 
 
 def _non_phi_value(F):
     """A residue element outside the image of phi (exists when mu_p in F)."""
-    image = colspan(phi_matrix(F))
+    image = phi_matrix(F)
     rf = F.rf
     for j in range(rf.f):
         v = [0] * rf.f
@@ -387,6 +394,16 @@ def square_class_basis(F):
     return [F.pi(), F.lift(F.rf.generator())]
 
 
+def basis_product(K, elems, vec):
+    """The product in K of the ``elems[j]`` with ``vec[j]`` = 1, taken
+    from K.one() in the order of ``elems``."""
+    x = K.one()
+    for b, c in zip(elems, vec):
+        if c:
+            x = K.mul(x, b)
+    return x
+
+
 def _rf_sqrt(rf, r):
     """A square root in the residue field, or None."""
     for y in rf.elements():
@@ -462,30 +479,32 @@ def _norm_walk(E):
 
 @field_cache
 def _norm_image(E):
-    """(:func:`norm_class_matrix`, the walked elements of its columns)."""
+    """(:func:`norm_class_matrix`, the walked elements of its columns).
+
+    The span's tail has one column per possible walk step, counted by
+    ``class_dim(E, 2)`` so that no unit basis of E is built for it."""
     F = E.base
-    dim = class_dim(F, 2)
-    span, cols, walked = Span(2, dim), [], []
-    for b in _norm_walk(E):
+    dim, steps = class_dim(F, 2), class_dim(E, 2)
+    span, walked = Span(2, dim, tail=steps), []
+    for j, b in enumerate(_norm_walk(E)):
         walked.append(b)
-        cols.append(class_vec(F, E.norm(b), 2))
-        span.insert(cols[-1])
+        span.insert([*class_vec(F, E.norm(b), 2), *(int(i == j) for i in range(steps))])
         if span.log == dim - 1:
-            return FpMatrix.from_columns(2, cols, dim), tuple(walked)
+            return span, tuple(walked)
     raise ArithmeticError("norm image is not a hyperplane")  # pragma: no cover
 
 
-def norm_class_matrix(E) -> FpMatrix:
-    """Columns spanning the image of N_{E/F} in F^x/F^{x2}.
+def norm_class_matrix(E) -> Span:
+    """The column span of the image of N_{E/F} in F^x/F^{x2}.
 
     By local class field theory the norm group of a quadratic E/F has
     index 2 in F^x, so its image is a hyperplane of F^x/F^{x2}.  Column
     j is the class of the norm of the j-th element of E's square-class
-    walk (:func:`_norm_walk`), and the walk stops as soon as the columns
-    reach rank dim - 1: the columns span the image, one per walked
-    element, not one per basis element of E.  The matrix and the walked
-    elements are kept on E together (:func:`_norm_image`), so
-    :func:`solve_norm_equation` walks E once.
+    walk (:func:`_norm_walk`), entered with e_j in the tail, and the
+    walk stops as soon as the span reaches rank dim - 1: one column per
+    walked element, not one per basis element of E.  The span and the
+    walked elements are kept on E together (:func:`_norm_image`), so
+    :func:`solve_norm_equation` walks E once and eliminates nothing.
     """
     return _norm_image(E)[0]
 
@@ -498,29 +517,25 @@ def norm_class_contains(E, alpha) -> bool:
     """Whether alpha in F^x is a norm from the quadratic extension E."""
     F = E.base
     v = class_vec(F, F.coerce(alpha), 2)
-    return in_colspan(norm_class_matrix(E), v) is not None
+    return norm_class_matrix(E).reduce(v)[0] is None
 
 
 def solve_norm_equation(E, alpha):
     """An element beta of E with N_{E/F}(beta) = alpha, or None.
 
-    Linear algebra over F_2 on the columns of :func:`norm_class_matrix`
-    finds beta, a product of the walked elements those columns come
-    from, up to a square of F.  The square w = alpha N(beta) is then
-    removed exactly: beta alpha / sqrt(w) has norm alpha, and
-    :func:`_inv_sqrt` gives 1/sqrt(w) = pi^(-v/2) z with one inverse of
-    F.
+    A solve on the span of :func:`norm_class_matrix` finds beta, a
+    product of the walked elements its columns come from, up to a square
+    of F.  The square w = alpha N(beta) is then removed exactly:
+    beta alpha / sqrt(w) has norm alpha, and :func:`_inv_sqrt` gives
+    1/sqrt(w) = pi^(-v/2) z with one inverse of F.
     """
     F = E.base
     alpha = F.coerce(alpha)
-    M, walked = _norm_image(E)
-    x = in_colspan(M, class_vec(F, alpha, 2))
+    span, walked = _norm_image(E)
+    x = span.solve(class_vec(F, alpha, 2))
     if x is None:
         return None
-    beta = E.one()
-    for c, b in zip(x, walked):
-        if c:
-            beta = E.mul(beta, b)
+    beta = basis_product(E, walked, x)
     v, _, z = _inv_sqrt(F, F.mul(alpha, E.norm(beta)))
     return E.normalize_pshift(E.mul(beta, E.embed(F.shift(F.mul(alpha, z), -(v // 2)))))
 

@@ -14,8 +14,7 @@ towers E(sqrt(omega)) that the p-adic and unit-group tests build.
 import itertools
 from dataclasses import dataclass
 
-from etmass.fplinalg import FpMatrix
-from etmass.fplinalg import rank as fp_rank
+from etmass.fplinalg import colspan
 from etmass.massquartic import _gram_apply, _half, _hilbert_exp, _quad_of_class, hilbert2
 from etmass.padic import GuardError, disc_val_quadratic, field_cache
 from etmass.unitgroups import (
@@ -330,7 +329,7 @@ def _span_size(dim, base_rows, extra_rows, coord_cols):
     """
     cols = range(dim) if coord_cols is None else coord_cols
     R = [[r[j] for j in cols] for r in (*base_rows, *extra_rows)]
-    return 1 << (len(cols) - fp_rank(FpMatrix.make(2, R, len(cols))))
+    return 1 << (len(cols) - colspan(2, R, len(cols)).log)
 
 
 def _nec_subspace(F, rows, targets, levels):

@@ -12,9 +12,8 @@ with.
 
 from dataclasses import dataclass
 
-from etmass.fplinalg import FpMatrix
-from etmass.fplinalg import rank as fp_rank
-from etmass.unitgroups import FiltrationProfile, ceil_frac, class_dim, class_vec, unit_basis
+from etmass.fplinalg import colspan
+from etmass.unitgroups import FiltrationProfile, ceil_frac, class_vec, unit_basis
 
 
 @dataclass(frozen=True)
@@ -22,19 +21,19 @@ class StratGens:
     """A stratified generating set for the image of <gens> in F^x/F^{x ell}.
 
     ``A0`` are the generators of valuation 0, ``A1`` those of valuation 1
-    (at most one).  ``mat`` has the class vectors of A0 + A1 as columns;
-    its rank is the number of generators.
+    (at most one).  ``cols`` holds the class vectors of A0 + A1, which
+    are independent, so their number is the rank.
     """
 
     field: object
     ell: int
     A0: tuple
     A1: tuple
-    mat: FpMatrix
+    cols: tuple
 
     @property
     def rank(self) -> int:
-        return self.mat.cols
+        return len(self.cols)
 
     @property
     def group_size(self) -> int:
@@ -88,8 +87,8 @@ def strat_gens(F, gens, ell: int) -> StratGens:
     for elt, vec, pc in pivots:
         (A1 if pc == 0 else A0).append(elt)
     order = A0 + A1
-    mat = FpMatrix.from_columns(ell, [class_vec(F, e_, ell) for e_ in order], class_dim(F, ell))
-    return StratGens(F, ell, tuple(A0), tuple(A1), mat)
+    cols = tuple(class_vec(F, e_, ell) for e_ in order)
+    return StratGens(F, ell, tuple(A0), tuple(A1), cols)
 
 
 def abar_p_filtration_sizes(F, strat: StratGens):
@@ -104,12 +103,12 @@ def abar_p_filtration_sizes(F, strat: StratGens):
     if strat.ell != p:
         raise ValueError("filtration sizes only defined for ell = p")
     levels = unit_basis(F).levels
-    B = strat.mat
-    full = fp_rank(B)
+    cols = strat.cols
+    full = colspan(p, cols, len(levels)).log
     sizes = []
     for c in range(ceil_frac(p * e, p - 1) + 1):
         rows = [j for j, lev in enumerate(levels) if lev < c]
-        low_rank = fp_rank(FpMatrix(p, tuple(B.data[j] for j in rows), B.cols))
+        low_rank = colspan(p, [[col[j] for j in rows] for col in cols], len(rows)).log
         sizes.append(p ** (full - low_rank))
     return sizes
 

@@ -5,11 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from etmass.fplinalg import FpMatrix, Span, in_colspan, kernel_basis, rank
+from etmass.fplinalg import Span, colspan
 
 
 def random_matrix(rng, p, m, n):
-    return FpMatrix.make(p, rng.integers(0, p, size=(m, n)).tolist())
+    """The columns of a random m x n matrix over GF(p)."""
+    return [tuple(c) for c in zip(*rng.integers(0, p, size=(m, n)).tolist())]
 
 
 def test_dimension_formula():
@@ -18,30 +19,30 @@ def test_dimension_formula():
     rng = np.random.default_rng(9)
     for p in (2, 3):
         for _ in range(25):
-            M1 = random_matrix(rng, p, 7, rng.integers(1, 6))
-            M2 = random_matrix(rng, p, 7, rng.integers(1, 6))
-            cols1 = [M1.column(j) for j in range(M1.cols)]
+            cols1 = random_matrix(rng, p, 7, rng.integers(1, 6))
+            cols2 = random_matrix(rng, p, 7, rng.integers(1, 6))
             span1 = {
                 tuple(sum(c * v[i] for c, v in zip(cs, cols1)) % p for i in range(7))
-                for cs in itertools.product(range(p), repeat=M1.cols)
+                for cs in itertools.product(range(p), repeat=len(cols1))
             }
-            inter = sum(1 for v in span1 if in_colspan(M2, v) is not None)
-            dim_sum = rank(FpMatrix.make(p, [a + b for a, b in zip(M1.data, M2.data)]))
-            assert inter == p ** (rank(M1) + rank(M2) - dim_sum)
+            W = colspan(p, cols2, 7)
+            inter = sum(1 for v in span1 if W.solve(v) is not None)
+            dim_sum = colspan(p, cols1 + cols2, 7).log
+            assert inter == p ** (colspan(p, cols1, 7).log + W.log - dim_sum)
 
 
 def test_in_colspan_roundtrip():
-    def apply(M, x):
-        return tuple(sum(a * b for a, b in zip(row, x)) % M.p for row in M.data)
+    def apply(cols, x):
+        return tuple(sum(a * b for a, b in zip(row, x)) % p for row in zip(*cols))
 
     rng = np.random.default_rng(13)
     for p in (2, 5):
-        M = random_matrix(rng, p, 6, 4)
+        cols = random_matrix(rng, p, 6, 4)
         x = rng.integers(0, p, size=4).astype(np.int64).tolist()
-        v = apply(M, x)
-        sol = in_colspan(M, v)
+        v = apply(cols, x)
+        sol = colspan(p, cols, 6).solve(v)
         assert sol is not None
-        assert apply(M, sol) == v
+        assert apply(cols, sol) == v
 
 
 def test_kernel_basis_solves_and_has_full_dimension():
@@ -49,16 +50,17 @@ def test_kernel_basis_solves_and_has_full_dimension():
     for p in (2, 3, 5):
         for _ in range(20):
             m, n = rng.integers(1, 6), rng.integers(1, 7)
-            M = random_matrix(rng, p, m, n)
-            K = kernel_basis(M)
+            cols = random_matrix(rng, p, m, n)
+            span = colspan(p, cols, m)
+            K = span.kernel
             for x in K:
-                assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in M.data)
-            assert len(K) == n - rank(M)
+                assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in zip(*cols))
+            assert len(K) == n - span.log
             if K:
-                assert rank(FpMatrix.make(p, K)) == len(K)
+                assert colspan(p, K, n).log == len(K)
     # the zero matrix: every unit vector; a square invertible one: none
-    assert kernel_basis(FpMatrix.make(3, [[0, 0]])) == [(1, 0), (0, 1)]
-    assert kernel_basis(FpMatrix.make(5, [[1, 2], [3, 4]])) == []
+    assert colspan(3, [(0,), (0,)], 1).kernel == [(1, 0), (0, 1)]
+    assert colspan(5, [(1, 3), (2, 4)], 2).kernel == []
 
 
 def closure(q, rows, n):

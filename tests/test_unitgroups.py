@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etmass import unitgroups as ug
-from etmass.fplinalg import FpMatrix, in_colspan
-from etmass.fplinalg import rank as fp_rank
+from etmass.fplinalg import Span, colspan
 from etmass.massquartic import hilbert2
 from etmass.padic import INF, Elt, LocalField, PrecisionError, quad_extend
 
@@ -301,7 +300,7 @@ def test_strat_gens_q2_square_classes():
         (2, 8): (0, 1),
     }
     def rank(vecs):
-        return fp_rank(FpMatrix.from_columns(2, vecs, 3))
+        return colspan(2, vecs, 3).log
 
     for ints, (n0, n1) in cases.items():
         gens = [F.from_int(g) for g in ints]
@@ -407,39 +406,45 @@ def _norm_image_cases():
     return cases
 
 
+def _norm_cols(E, elems):
+    """The norm classes of the given elements of E, as columns."""
+    return [ug.class_vec(E.base, E.norm(b), 2) for b in elems]
+
+
 def _full_norm_image(E):
-    """Reference: the norm classes of E's whole square-class basis."""
-    F = E.base
-    cols = [ug.class_vec(F, E.norm(b), 2) for b in ug.square_class_basis(E)]
-    return FpMatrix.from_columns(2, cols, ug.class_dim(F, 2))
+    """Reference: the span of the norm classes of E's whole square-class
+    basis, and their number."""
+    cols = _norm_cols(E, ug.square_class_basis(E))
+    return colspan(2, cols, ug.class_dim(E.base, 2)), len(cols)
 
 
 def test_norm_class_matrix_spans_full_basis_image():
-    # the matrix may stop early but must span the same hyperplane
+    # the span may stop early but must be the same hyperplane
     full_walks = early_stops = 0
     for E in _norm_image_cases():
-        ref = _full_norm_image(E)
+        ref, ref_cols = _full_norm_image(E)
         M = ug.norm_class_matrix(E)
-        both = FpMatrix.make(2, [r + s for r, s in zip(ref.data, M.data)], ref.cols + M.cols)
-        assert fp_rank(ref) == fp_rank(M) == fp_rank(both) == ref.rows - 1
-        assert M.cols <= ref.cols
+        walked = ug._norm_image(E)[1]
+        both = colspan(2, _norm_cols(E, [*ug.square_class_basis(E), *walked]), ref.n)
+        assert ref.log == M.log == both.log == ref.n - 1
+        assert len(walked) <= ref_cols
         # for p = 2 a full walk is one that needed the top element
-        full_walks += M.cols == ref.cols and E.p == 2
-        early_stops += M.cols < ref.cols
+        full_walks += len(walked) == ref_cols and E.p == 2
+        early_stops += len(walked) < ref_cols
     assert full_walks and early_stops
 
 
 def test_solve_norm_equation_round_trips():
     for E in _norm_image_cases():
         F = E.base
-        ref = _full_norm_image(E)
+        ref = _full_norm_image(E)[0]
         # every basis class of F, and each basis norm of E times one
         fb = ug.square_class_basis(F)
         eb = ug.square_class_basis(E)
         alphas = fb + [F.mul(E.norm(b), fb[j % len(fb)]) for j, b in enumerate(eb)]
         for alpha in alphas:
             beta = ug.solve_norm_equation(E, alpha)
-            if in_colspan(ref, ug.class_vec(F, alpha, 2)) is None:
+            if ref.solve(ug.class_vec(F, alpha, 2)) is None:
                 assert beta is None
             else:
                 assert beta is not None
@@ -465,6 +470,49 @@ def test_second_solve_walks_no_element(monkeypatch):
         assert ug.solve_norm_equation(K, alphas[1]) is not None
         assert ug.solve_norm_equation(K, alphas[0]) is not None
         assert shifts == []
+
+
+def test_second_solves_insert_no_row(monkeypatch):
+    # the spans of phi and of a norm image are kept on their fields, so
+    # a repeated solve on the same field eliminates nothing
+    inserts, insert = [], Span.insert
+    monkeypatch.setattr(Span, "insert", lambda self, v: inserts.append(v) or insert(self, v))
+    F = make_field(2, 2, 1)
+    E = quad_extend(F, F.from_int(-1))
+    alpha = E.norm(E.one() + E.rho())
+    r = F.rf.from_coords([1])
+    assert ug.solve_norm_equation(E, alpha) is not None
+    ug.phi_preimage(F, r)
+    assert inserts
+    inserts.clear()
+    assert ug.solve_norm_equation(E, alpha) is not None
+    ug.phi_preimage(F, r)
+    assert inserts == []
+
+
+def _phi(F, y):
+    """phi(y) = y + (pi^e/p) y^p, from its definition."""
+    rf = F.rf
+    return rf.add(y, rf.mul(ug._pi_e_over_p_residue(F), rf.pow(y, F.p)))
+
+
+@pytest.mark.parametrize("p,e,f", [(2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 1), (3, 2, 2)])
+def test_phi_preimage_and_non_phi_value(p, e, f):
+    F = make_field(p, e, f)
+    rf = F.rf
+    image = {_phi(F, y) for y in rf.elements()}
+    for r in rf.elements():
+        y = ug.phi_preimage(F, r)
+        assert (y is None) == (r not in image), r
+        if y is not None:
+            assert _phi(F, y) == r
+    # phi misses a residue exactly when mu_p lies in F
+    assert (len(image) < F.q) == ug.contains_mu_p(F)
+    if ug.contains_mu_p(F):
+        assert ug._non_phi_value(F) not in image
+    else:
+        with pytest.raises(ArithmeticError):
+            ug._non_phi_value(F)
 
 
 # ---------------------------------------------------------------------------
