@@ -63,7 +63,7 @@ from math import factorial, gcd
 
 from .massprime import partition_count, premass_ell_total
 from .massquartic import premass4, tame_coefficients
-from .padic import LocalField, PrecisionError, trial_divide
+from .padic import LocalField, PrecisionError, is_prime, trial_divide
 
 
 SUPPORTED_DEGREES = (3, 4, 5)
@@ -91,8 +91,15 @@ def primes_up_to(bound: int) -> tuple:
     return tuple(m for m in range(2, bound + 1) if flags[m])
 
 
+def _require_prime(p: int) -> None:
+    """Raise ``ValueError`` unless p is a prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
+
+
 def rational_valuation(r: Fraction, p: int) -> int:
-    """The exact p-adic valuation of a nonzero rational."""
+    """The exact p-adic valuation of a nonzero rational, p a prime."""
+    _require_prime(p)
     if r == 0:
         raise ValueError("valuation of zero")
     v = 0
@@ -302,8 +309,7 @@ def full_local_factor(n: int, p: int) -> Fraction:
     n = 3, 4, 5, over p^n; each numerator is -1 mod p, so the fraction
     is already reduced and is built without a gcd.
     """
-    if p < 2:
-        raise ValueError(f"{p} is not a prime")
+    _require_prime(p)
     return _fraction_from_coprime(_full_numerator(n, p), p**n)
 
 
@@ -317,6 +323,7 @@ def local_mass(n: int, p: int, gens=()) -> Fraction:
     p^(n*floor(v/n)), which is a norm from every degree-n algebra, so
     the embedded valuations lie in [0, n) however large the input's.
     """
+    _require_prime(p)
     if not gens:
         return full_local_factor(n, p)
     gens = tuple(Fraction(g) for g in gens)
@@ -361,6 +368,7 @@ def tame_local_mass(n: int, p: int, gens=()) -> Fraction:
     """
     if n not in SUPPORTED_DEGREES:
         raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
+    _require_prime(p)
     if n % p == 0:
         raise ValueError(f"{p} divides the degree {n}: the mass there is wild")
     gens = tuple(Fraction(g) for g in gens)
@@ -401,14 +409,7 @@ def _tame_numerator(n: int, p: int, fracs) -> int:
             chi = pow(u, (q - 1) // g4, q)
             b = 0 if chi == 1 else g4 // 2 if chi == q - 1 else 1 if chi < q - chi else 3
             images.append((v % 4, b))
-        k22, k14 = tame_coefficients(frozenset(images), g4)
-        squares = {(a % 2, b % 2) for a, b in images} - {(0, 0)}
-        if not squares:
-            k1212 = 4
-        elif len(squares) == 1 and next(iter(squares))[0]:
-            k1212 = 3
-        else:
-            k1212 = 2
+        k1212, k22, k14 = tame_coefficients(frozenset(images), g4)
         # over 8 q^3: epi, (4), (2 2), (1^2 1^2), (2^2), (1^4)
         total = (
             q * (5 * q * q + 8 * q + 8)

@@ -341,9 +341,6 @@ class MassReport:
                 return v
         raise KeyError(label)
 
-    def as_dict(self):
-        return dict(self.parts)
-
 
 def premass_ell_total(F, ell: int, gens=()) -> MassReport:
     """Pre-mass of degree-ell etale algebras whose norms contain <gens>.

@@ -1,12 +1,12 @@
 """Quartic pre-masses with a prescribed norm subgroup.
 
 For an odd residue characteristic every quartic etale algebra is tame
-and the five constrained splitting symbols have short closed forms,
-driven by the filtration profile of the image of the constraint group
-A in F^x/F^{x2} and by stratified generating sets of its image in
-F^x/F^{x4}.  Over a 2-adic field the three wild symbols (1^2 1^2),
-(2^2) and (1^4) are weighed per Galois closure group from counts by
-discriminant valuation.
+and the five constrained splitting symbols have short closed forms:
+(4) and (2 2) read the generators' valuations, and (1^2 1^2), (2^2)
+and (1^4) count the characters of F^x/F^{x4} that kill the image of
+the constraint group A there (:func:`tame_coefficients`).  Over a
+2-adic field the three wild symbols (1^2 1^2), (2^2) and (1^4) are
+weighed per Galois closure group from counts by discriminant valuation.
 
 The cyclic (C4) layers come from F alone, by local class field theory
 (Serre, *Local Fields*, GTM 67, ch. VI and chs. XIII-XV): a cyclic
@@ -436,115 +436,62 @@ def counts_14(F, gens=(), algo: str = "subspace"):
 # ---------------------------------------------------------------------------
 
 
-def _abar4_closure(elems, g4):
-    S = {(0, 0)} | set(elems)
-    while True:
-        new = {((a0 + b0) % 4, (a1 + b1) % g4) for a0, a1 in S for b0, b1 in S}
-        if new <= S:
-            return frozenset(S)
-        S |= new
-
-
-def _abar4_strata(S, g4):
-    """All stratified minimal generating sets (A0, A1, A2) of S.
-
-    Candidate generators keep valuation coordinate 0, 1 or 2 (an
-    element of valuation 3 is replaced by its inverse) and at most one
-    generator of odd valuation is allowed.
-    """
-    cands = sorted(x for x in S if x != (0, 0) and x[0] in (0, 1, 2))
-    found = []
-    for k in range(0, 3):
-        for combo in itertools.combinations(cands, k):
-            if sum(x[0] % 2 for x in combo) > 1:
-                continue
-            if _abar4_closure(combo, g4) == S:
-                A0 = tuple(x for x in combo if x[0] == 0)
-                A1 = tuple(x for x in combo if x[0] == 1)
-                A2 = tuple(x for x in combo if x[0] == 2)
-                found.append((A0, A1, A2))
-        if found:
-            return found
-    raise ArithmeticError("no stratified generating set found")  # pragma: no cover
-
-
-def _unique_value(values):
-    vals = set(values)
-    assert len(vals) == 1, "value must not depend on the stratification"
-    return vals.pop()
-
-
 @lru_cache(maxsize=1024)
 def tame_coefficients(images: frozenset, g4: int) -> tuple:
-    """The integers (k22, k14) of the tame (2^2) and (1^4) closed forms.
+    """The integers (k1212, k22, k14) of the tame quartic closed forms.
 
-    Over F with odd residue characteristic the two pre-masses are
-    k22/(8 q^2) and k14/(8 q^3).  ``images`` is the set of generator images
-    (v mod 4, dlog mod g4) in F^x/F^{x4}, g4 = gcd(4, q - 1), and the
-    pair depends on nothing else, so it is memoised on that key.  The
-    dlog may be taken against any primitive g4-th root of unity: another
-    choice maps the image set by an automorphism, which fixes the pair.
+    Over F with odd residue characteristic the (1^2 1^2), (2^2) and
+    (1^4) pre-masses are k1212/(8 q^2), k22/(8 q^2) and k14/(8 q^3).
+    ``images`` holds the classes (a, b) of the generators in
+    G = F^x/F^{x4} = Z/4 x Z/g4, g4 = gcd(4, q - 1): a = v mod 4 and b
+    the dlog mod g4 of the residue of the unit part.  By local class
+    field theory an algebra meets A exactly when the characters of G
+    that cut out its abelian part kill every image (Serre, *Local
+    Fields*, GTM 67, ch. XIV; a non-Galois tame quartic has the norm
+    group of its largest abelian subfield), so each count is a
+    homomorphism test on the images, in units of the masses above:
+
+    - (1^2 1^2): r2 counts the ramified quadratic characters
+      (a, b) -> a s + b mod 2, s in {0, 1}, that kill A, one L x L each;
+      the pair L x L' of distinct ramified quadratics has norm group
+      F^x and adds 2, so k1212 = 2 + r2.
+    - (2^2): E(sqrt(pi)), E the unramified quadratic, is biquadratic
+      with norm group 2G and adds 2 when every a and b is even; the
+      cyclic quartic chi with 2 chi unramified, chi(a, b) = +-a + 2b,
+      adds 2 when a + 2b = 0 mod 4 on every image (then a is even, so
+      both signs kill A).
+    - (1^4): when g4 = 4, the totally ramified Kummer characters
+      chi(a, b) = a s + b t, s in Z/4, t in {1, 3}, one each; when
+      g4 = 2 the quartics are not Galois and each counts through its
+      ramified quadratic subfield, so k14 = 4 r2.
+
+    The result depends on nothing else, so it is memoised on that key.
+    b may be read against either primitive g4-th root of unity: the
+    other maps b to -b, which fixes b mod 2 and 2b mod 4 and swaps
+    t = 1 with t = 3, so it fixes each count.
     """
-    S = _abar4_closure(images, g4)
-    twoM = _abar4_two_m(g4)
-    strata = _abar4_strata(S, g4)
-
-    def value22(strat):
-        A0, A1, A2 = strat
-        a0_sq = all(x in twoM for x in A0)
-        if a0_sq and not A1 and not A2:
-            return 4
-        if (
-            a0_sq
-            and not A1
-            and all(
-                ((x[0] - y[0]) % 4, (x[1] - y[1]) % g4) in twoM
-                for x in A2
-                for y in A2
-            )
-        ):
-            return 2
-        return 0
-
-    if g4 == 4:
-
-        def value14(strat):
-            A0, A1, A2 = strat
-            if S == frozenset({(0, 0)}):
-                return 8
-            if not A0 and not A1 and len(A2) == 1 and A2[0] in twoM:
-                return 4
-            if not A0 and not A2 and len(A1) == 1:
-                return 2
-            return 0
-
-    else:
-
-        def value14(strat):
-            A0, A1, A2 = strat
-            if S <= twoM:
-                return 8
-            if not A0 and not A2 and len(A1) == 1:
-                return 4
-            return 0
-
-    return (
-        _unique_value(value22(s) for s in strata),
-        _unique_value(value14(s) for s in strata),
+    r2 = sum(all((a * s + b) % 2 == 0 for a, b in images) for s in (0, 1))
+    k22 = 2 * all(a % 2 == b % 2 == 0 for a, b in images) + 2 * all(
+        (a + 2 * b) % 4 == 0 for a, b in images
     )
+    if g4 == 4:
+        k14 = sum(
+            all((a * s + b * t) % 4 == 0 for a, b in images) for s in range(4) for t in (1, 3)
+        )
+    else:
+        k14 = 4 * r2
+    return 2 + r2, k22, k14
 
 
-def _abar4_images(F, gens_c, g4):
+def _tame_images(F, gens_c, g4):
+    """The classes (v mod 4, residue dlog mod g4) of the generators in
+    F^x/F^{x4}, as :func:`tame_coefficients` reads them."""
     out = []
     for g in gens_c:
         v = F.val(g)
         u = F.shift(g, -v) if v else g
         out.append((v % 4, dlog_mod(F, F.residue(u), g4)))
-    return out
-
-
-def _abar4_two_m(g4):
-    return frozenset(((2 * a) % 4, (2 * b) % g4) for a in range(4) for b in range(g4))
+    return frozenset(out)
 
 
 def premass4_tame(F, gens=()) -> MassReport:
@@ -564,16 +511,9 @@ def premass4_tame(F, gens=()) -> MassReport:
         ("(2 2)", Fraction(1, 8) if all(v % 2 == 0 for v in vals) else Fraction(0)),
     ]
     if F.p != 2:
-        prof2 = filtration_profile(F, gens_c, 2)
-        if prof2.is_trivial():
-            v1212 = Fraction(1, 2 * q * q)
-        elif prof2.group_size == 2 and prof2.size_at(0) == 1:
-            v1212 = Fraction(3, 8 * q * q)
-        else:
-            v1212 = Fraction(1, 4 * q * q)
-        parts.append(("(1^2 1^2)", v1212))
         g4 = gcd(4, q - 1)
-        k22, k14 = tame_coefficients(frozenset(_abar4_images(F, gens_c, g4)), g4)
+        k1212, k22, k14 = tame_coefficients(_tame_images(F, gens_c, g4), g4)
+        parts.append(("(1^2 1^2)", Fraction(k1212, 8 * q * q)))
         parts.append(("(2^2)", Fraction(k22, 8 * q * q)))
         parts.append(("(1^4)", Fraction(k14, 8 * q**3)))
     return MassReport(tuple(parts))

@@ -519,13 +519,6 @@ class PadicField:
             raise PrecisionError(f"precision below congruence level {t}")
         return self.val_lower(d) >= t
 
-    def unit_eq(self, x, y):
-        """Equality as field values at the shared known precision."""
-        d = x - y
-        if d.exact:
-            return True
-        return self.val_lower(d) >= min(x.prec, y.prec)
-
 
 class LocalField(PadicField):
     """A finite extension of the p-adic rationals, e.f presentation.

@@ -306,6 +306,18 @@ def test_tame_local_mass_validation():
         dens.tame_local_mass(5, 7, (Fraction(0),))
     with pytest.raises(ValueError):
         dens.tame_local_mass(6, 7, (Fraction(2),))
+    # every local-mass entry point refuses a p that is not a prime
+    for call, args in [
+        (dens.local_mass, (5, 1, (Fraction(2),))),
+        (dens.rational_valuation, (Fraction(2), 1)),
+        (dens.tame_local_mass, (3, 4, (Fraction(2),))),
+        (dens.tame_local_mass, (3, -7, (Fraction(2),))),
+        (dens.tame_local_mass, (3, 0, (Fraction(2),))),
+        (dens.local_mass, (4, 9, ())),
+        (dens.full_local_factor, (4, 9)),
+    ]:
+        with pytest.raises(ValueError, match="not a prime"):
+            call(*args)
 
 
 def test_euler_density_builds_local_fields_only_at_wild_primes(monkeypatch):

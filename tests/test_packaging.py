@@ -221,7 +221,6 @@ def unnamed_definitions():
 # it stays
 UNNAMED_ALLOWED = {
     "fplinalg.backend_name": "perfbench/worker.py records it with each run",
-    "massprime.MassReport.as_dict": "test_massquartic compares reports through it",
     "massprime.SplittingSymbol.degree": "test_massprime reads it",
     "massprime.all_symbols": "ROADMAP item 4 must settle it (tests call it)",
     "massprime.closed_form_alpha": "ROADMAP item 4 must settle it (tests call it)",
@@ -230,7 +229,6 @@ UNNAMED_ALLOWED = {
     "oracle.enum_tame": "ROADMAP item 4 must settle it (tests call it)",
     "oracle.quartic_premass": "ROADMAP item 4 must settle it (tests call it)",
     "padic.PadicField.congruent": "test_padic checks precision through it",
-    "padic.PadicField.unit_eq": "ROADMAP item 4 must settle it (tests call it)",
     "padic.QuadExt.trace": "test_padic checks the trace form through it",
     "unitgroups.norm_class_contains": "ROADMAP item 4 must settle it (tests call it)",
 }
