@@ -67,10 +67,6 @@ class SplittingSymbol:
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
 
     @property
-    def degree(self) -> int:
-        return sum(e * f for e, f in self.pairs)
-
-    @property
     def d_sigma(self) -> int:
         return sum(f * (e - 1) for e, f in self.pairs)
 

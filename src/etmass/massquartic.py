@@ -17,7 +17,9 @@ M has symbol (1^4) when 2 chi is ramified and (2^2) when 2 chi is
 unramified and nonzero but chi is ramified.  The characters are counted
 by index computations in G = F^x/F^{x4}, whose classes and unit levels
 come from :func:`etmass.unitgroups.class4_vec` and
-:func:`etmass.unitgroups.level_classes4`; no extension of F is built.
+:func:`etmass.unitgroups.level_classes4`; no extension of F is built,
+and no square root is taken.  The generators' classes are read once per
+:func:`premass4` call.
 
 Quadratic Hilbert symbols come from a Gram matrix on the square-class
 basis, whose columns are the norm images of the quadratic extensions
@@ -37,9 +39,9 @@ from .padic import GuardError, field_cache, quad_extend
 from .unitgroups import (
     basis_product,
     class4_vec,
+    class_profile,
     class_vec,
     dlog_mod,
-    filtration_profile,
     level_classes4,
     norm_class_matrix,
     square_class_basis,
@@ -53,7 +55,6 @@ __all__ = [
     "counts_14",
     "premass4_tame",
     "tame_coefficients",
-    "premass4_wild",
     "premass4",
 ]
 
@@ -197,6 +198,15 @@ def _h_nv4(q, e, m1, m2):
 # ---------------------------------------------------------------------------
 
 
+def _classes4(F, gens) -> tuple:
+    """The classes in G = F^x/F^{x4} of ``gens`` and, last, of -1: all the
+    wild counts read of the constraint group.  Mod 2 they are the square
+    classes, and twice the last is the relation of G."""
+    if F.p != 2:
+        raise ValueError("only defined over 2-adic fields")
+    return tuple(class4_vec(F, F.coerce(g)) for g in (*gens, -1))
+
+
 def _tables_subspace(F, rows, levels, top):
     """:func:`_char_table` by elimination: S(c, c2) = |G/(A + U_c + 2U_c2)|
     and T(c) = |G/(A + U_c + 2G)|, A given with the relation as ``rows``.
@@ -260,9 +270,10 @@ def _char_tables(F):
     return {}
 
 
-def _char_table(F, gens_c, algo):
+def _char_table(F, classes, algo):
     """(S, T) for the characters chi of G = F^x/F^{x4} with chi(A) = 0, A
-    generated by ``gens_c``, for 0 <= c2 <= c <= 3e + 1.
+    and the relation read as ``classes`` (:func:`_classes4`), for
+    0 <= c2 <= c <= 3e + 1.
 
     S[c, c2] counts those with f(chi) <= c and f(2 chi) <= c2, T[c] those
     of order at most 2 with f(chi) <= c.  A group of exponent 4 is its
@@ -274,11 +285,11 @@ def _char_table(F, gens_c, algo):
     """
     if algo not in ("brute", "subspace"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    A = tuple(class4_vec(F, g) for g in gens_c)
+    *A, minus = classes
     key = (algo, frozenset(A))
     tables = _char_tables(F)
     if key not in tables:
-        relation = tuple(2 * a % 4 for a in class_vec(F, F.from_int(-1), 2))
+        relation = tuple(2 * a % 4 for a in minus)
         build = _tables_brute if algo == "brute" else _tables_subspace
         tables[key] = build(F, (relation, *A), level_classes4(F), 3 * F.e + 1)
     return tables[key]
@@ -287,10 +298,6 @@ def _char_table(F, gens_c, algo):
 # ---------------------------------------------------------------------------
 # per-discriminant counts of constrained quartic fields (p = 2)
 # ---------------------------------------------------------------------------
-
-
-def _even_valuations(F, gens):
-    return all(F.val(g) % 2 == 0 for g in gens)
 
 
 def _half(n: int) -> int:
@@ -307,11 +314,12 @@ def counts_1212(F, gens=()):
     quadratics has full norm group, so those pairs (closure V4) are
     never constrained.
     """
-    if F.p != 2:
-        raise ValueError("only defined over 2-adic fields")
-    gens_c = tuple(F.coerce(g) for g in gens)
+    return _counts_1212(F, _classes4(F, gens))
+
+
+def _counts_1212(F, classes):
     e, q = F.e, F.q
-    prof2 = filtration_profile(F, gens_c, 2)
+    prof2 = class_profile(F, classes[:-1], 2)
     out = {}
     for m in range(4, 4 * e + 3, 2):
         n = count_Cp(F, m // 2, prof2)
@@ -327,13 +335,14 @@ def counts_1212(F, gens=()):
 def counts_22(F, gens=(), algo: str = "subspace"):
     """Counts of constrained (2^2) quartic fields by closure group and
     discriminant valuation."""
-    if F.p != 2:
-        raise ValueError("only defined over 2-adic fields")
-    gens_c = tuple(F.coerce(g) for g in gens)
-    if not _even_valuations(F, gens_c):
+    return _counts_22(F, _classes4(F, gens), algo)
+
+
+def _counts_22(F, classes, algo):
+    if any(v[0] % 2 for v in classes[:-1]):  # v[0] is the valuation mod 4
         return {}
     e, q = F.e, F.q
-    prof2 = filtration_profile(F, gens_c, 2)
+    prof2 = class_profile(F, classes[:-1], 2)
     out = {}
     # biquadratic: compositum of the unramified quadratic with a
     # ramified one; the two members of each unramified twin pair give
@@ -349,7 +358,7 @@ def counts_22(F, gens=(), algo: str = "subspace"):
     out[("D4", 4 * e + 2)] = q**e * (q**e - 1)
     # cyclic: the pairs {chi, -chi} of order 4 with 2 chi unramified,
     # f(chi) = c and discriminant valuation 2c
-    S, T = _char_table(F, gens_c, algo)
+    S, T = _char_table(F, classes, algo)
     for c in range(1, 3 * e + 2):
         n = _half(S[c, 0] - T[c] - S[c - 1, 0] + T[c - 1])
         if n:
@@ -361,11 +370,12 @@ def counts_14(F, gens=(), algo: str = "subspace"):
     """Counts of constrained totally ramified quartic fields (1^4) by
     closure group and discriminant valuation.  The S4/A4 part is not
     included: it does not depend on the constraint group."""
-    if F.p != 2:
-        raise ValueError("only defined over 2-adic fields")
-    gens_c = tuple(F.coerce(g) for g in gens)
+    return _counts_14(F, _classes4(F, gens), algo)
+
+
+def _counts_14(F, classes, algo):
     e, q = F.e, F.q
-    prof2 = filtration_profile(F, gens_c, 2)
+    prof2 = class_profile(F, classes[:-1], 2)
     # count_Cp by index: the loops below read indices up to 4e + 1
     cp = [count_Cp(F, m, prof2) for m in range(4 * e + 2)]
     out = {}
@@ -396,7 +406,7 @@ def counts_14(F, gens=(), algo: str = "subspace"):
     # neither cyclic nor biquadratic over F.  The cyclic subtraction
     # only concerns the E admitting a cyclic quartic extension, i.e.
     # those with -1 a norm, so it gets a -1-augmented constraint group
-    prof2x = filtration_profile(F, gens_c + (F.from_int(-1),), 2)
+    prof2x = class_profile(F, classes, 2)
     cpx = [count_Cp(F, m, prof2x) for m in range(4 * e + 2)]
     for m in range(6, 8 * e + 4):
         s = 0
@@ -421,7 +431,7 @@ def counts_14(F, gens=(), algo: str = "subspace"):
     # f(2 chi) = c2 and discriminant valuation 2c + c2, the exact (c, c2)
     # by inclusion-exclusion (f(2 chi) <= f(chi), so S[c - 1, c] is
     # S[c - 1, c - 1])
-    S, _ = _char_table(F, gens_c, algo)
+    S, _ = _char_table(F, classes, algo)
     for c in range(1, 3 * e + 2):
         for c2 in range(1, c + 1):
             n = S[c, c2] - S[c - 1, min(c2, c - 1)] - S[c, c2 - 1] + S[c - 1, c2 - 1]
@@ -533,17 +543,14 @@ _AUT = {
 }
 
 
-def premass4_wild(F, gens=(), symbol: str = "(1^4)", algo: str = "subspace") -> MassReport:
-    """Constrained pre-mass of one wild quartic symbol of a 2-adic F,
-    broken down by Galois closure group and weighed from the count
-    tables of :func:`counts_1212`, :func:`counts_22` and
-    :func:`counts_14`."""
-    if F.p != 2:
-        raise ValueError("wild quartic symbols require residue characteristic 2")
+def _wild(F, classes, symbol, algo):
+    """Constrained pre-mass of one wild quartic symbol of a 2-adic F, for
+    the classes of :func:`_classes4`, broken down by Galois closure group
+    and weighed from the count tables of :func:`counts_1212`,
+    :func:`counts_22` and :func:`counts_14`."""
     aut = _AUT.get(symbol)
     if aut is None:
         raise ValueError(f"unknown wild symbol {symbol!r}")
-    gens_c = tuple(F.coerce(g) for g in gens)
     q = F.q
 
     def by_group(counts):
@@ -553,12 +560,12 @@ def premass4_wild(F, gens=(), symbol: str = "(1^4)", algo: str = "subspace") -> 
         return acc
 
     if symbol == "(1^2 1^2)":
-        parts = by_group(counts_1212(F, gens_c))
+        parts = by_group(_counts_1212(F, classes))
     elif symbol == "(2^2)":
-        parts = by_group(counts_22(F, gens_c, algo=algo))
+        parts = by_group(_counts_22(F, classes, algo))
     else:
-        parts = by_group(counts_14(F, gens_c, algo=algo))
-        free = by_group(counts_14(F, (), algo=algo)) if gens_c else parts
+        parts = by_group(_counts_14(F, classes, algo))
+        free = by_group(_counts_14(F, classes[-1:], algo)) if len(classes) > 1 else parts
         # the S4/A4 part is what the unconstrained total 1/q^3 leaves
         s4 = Fraction(1, q**3) - sum(free.values())
         assert s4 >= 0
@@ -570,11 +577,12 @@ def premass4(F, gens=(), algo: str = "subspace") -> MassReport:
     """The full constrained quartic pre-mass of F, all eleven symbols.
 
     Tame parts are labelled by their symbol; wild parts (p = 2) are
-    labelled "symbol group".
+    labelled "symbol group".  The generators' classes are read once.
     """
     parts = list(premass4_tame(F, gens).parts)
     if F.p == 2:
+        classes = _classes4(F, gens)
         for sym in _AUT:
-            rep = premass4_wild(F, gens, sym, algo=algo)
+            rep = _wild(F, classes, sym, algo)
             parts.extend((f"{sym} {g}", v) for g, v in rep.parts)
     return MassReport(tuple(parts))

@@ -510,15 +510,6 @@ class PadicField:
             return True
         return False
 
-    def congruent(self, x, y, t):
-        """Whether x == y modulo pi^t (raises if precision cannot decide)."""
-        d = x - y
-        if d.exact:
-            return True
-        if min(x.prec, y.prec) < t:
-            raise PrecisionError(f"precision below congruence level {t}")
-        return self.val_lower(d) >= t
-
 
 class LocalField(PadicField):
     """A finite extension of the p-adic rationals, e.f presentation.
@@ -986,12 +977,6 @@ class QuadExt(PadicField):
             n = B.add(n, B.mul(B.mul(self.a, x0), x1))
         n = B.sub(n, B.mul(B.mul(self.b, x1), x1))
         return B.normalize_pshift(n)
-
-    def trace(self, x):
-        x0, x1 = x.data
-        B = self.base
-        t = B.mul(x0, B.from_int(2))
-        return t if self.a.exact else B.add(t, B.mul(self.a, x1))
 
     def inv(self, x):
         if x.exact:

@@ -19,12 +19,13 @@ it is a quadratic E, the span of its norm image
 (:func:`norm_class_matrix`), so a later solve on either only reduces a
 vector.  The root 1 + pi^(i/p) y and the strip factor
 1/(1 + pi^(i/p) y)^p of each wild level i and residue y are kept too,
-made on first use and shared by class coordinates and
-:func:`c_alpha`.  Reading the
-class coordinates of an element then costs no product per digit, since
-a digit is read off the stored coefficients (``F.digit``) of m - 1,
-which ``F.minus_one`` forms in place without a negation and a sum, and
-a fixed number of products per level to strip it with stored factors.
+made on first use and shared by class coordinates and :func:`c_alpha`,
+with the root's square class once :func:`class4_vec` has read it.
+Reading the class coordinates of an element then costs no product per
+digit, since a digit is read off the stored coefficients (``F.digit``)
+of m - 1, which ``F.minus_one`` forms in place without a negation and a
+sum, and a fixed number of products per level to strip it with stored
+factors.
 
 A constraint group A = <gens> enters the mass formulas only through its
 :class:`FiltrationProfile`: the order of its image Abar in F^x/F^{x n}
@@ -33,8 +34,9 @@ and the orders of its intersections with the images of U^(t), which
 vectors, forming no element of A.
 
 For p = 2 the class of an element modulo fourth powers
-(:func:`class4_vec`) takes two square-class reads and one square root,
-and the classes that span the images of the unit levels in F^x/F^{x4}
+(:func:`class4_vec`) takes one walk of the class coordinates and an
+inverse-free Newton root of what is left in U^(2e+1), and the classes
+that span the images of the unit levels in F^x/F^{x4}
 (:func:`level_classes4`) are kept on the field.
 """
 
@@ -141,7 +143,7 @@ def _c_alpha_unit(F, m):
     m1 = F.minus_one(m)
     for i in range(T + 1):
         if i % p != 0:
-            # whether m = 1 mod pi^(i+1), decided as F.congruent decides it
+            # whether m = 1 mod pi^(i+1), which the precision must decide
             if m.prec <= i:
                 raise PrecisionError(f"precision below congruence level {i + 1}")
             if F.val_lower(m1) > i:
@@ -155,7 +157,7 @@ def _c_alpha_unit(F, m):
             # p | i and i < pe/(p-1): strip one wild digit by a p-th root
             y = F.rf.pth_root(F.digit(m1, i))
         if not F.rf.is_zero(y):
-            root, strip = _strip(F, i, y)
+            root, strip, _ = _strip(F, i, y)
             lam = F.mul(lam, root)
             m = F.mul(m, strip)
             m1 = F.minus_one(m)
@@ -216,16 +218,24 @@ def _strip_factors(F):
 
 
 def _strip(F, i, y):
-    """(u, 1/u^p) for u = 1 + pi^(i/p) lift(y), a level i divisible by p
-    and a residue y, computed once per (F, i, y): there are at most
-    (levels x q) of them, shared by :func:`p_class_coords` and
-    :func:`c_alpha`."""
+    """[u, 1/u^p, class of u or None] for u = 1 + pi^(i/p) lift(y), a level
+    i divisible by p and a residue y, computed once per (F, i, y): there
+    are at most (levels x q) of them, shared by :func:`p_class_coords` and
+    :func:`c_alpha`; :func:`_root_class` fills in the class."""
     strips = _strip_factors(F)
     s = strips.get((i, y))
     if s is None:
         u = F.one() + F.shift(F.lift(y), i // F.p)
-        s = strips[(i, y)] = u, F.inv(F.power(u, F.p))
+        s = strips[(i, y)] = [u, F.inv(F.power(u, F.p)), None]
     return s
+
+
+def _root_class(F, i, y):
+    """The class mod squares of the root u of ``_strip(F, i, y)``, read once."""
+    s = _strip(F, i, y)
+    if s[2] is None:
+        s[2] = class_vec(F, s[0], 2)
+    return s[2]
 
 
 def _level_reps(F):
@@ -282,10 +292,17 @@ def p_class_coords(F, alpha) -> tuple:
     digit coordinate, one product with a stored basis inverse, and
     stripping a level divisible by p one product with a stored strip
     factor (:func:`_strip`)."""
+    return _class_walk(F, alpha)[0]
+
+
+def _class_walk(F, alpha, roots=None):
+    """(coordinates, v, rest m of alpha / pi^v) of the level walk of
+    :func:`p_class_coords`.  Given a list ``roots`` (p = 2), it appends the
+    (level, residue) of each strip, and at the top level it divides out
+    the top element and strips the rest, a value of phi: m is in U^(2e+1)."""
     basis = unit_basis(F)
     p, e = F.p, F.e
     T = (p * e) // (p - 1)
-    ceil_top = ceil_frac(p * e, p - 1)
     out = [0] * basis.dim
     alpha = F.normalize_pshift(alpha)
     v = F.val(alpha)
@@ -297,8 +314,6 @@ def p_class_coords(F, alpha) -> tuple:
     pos = 1  # write position in the coordinate vector
     for i in range(T + 1):
         if i % p != 0:
-            if i >= ceil_top:
-                break
             lam = rf.coords(F.digit(F.minus_one(m), i))
             for j, lj in enumerate(lam):
                 for _ in range(lj):
@@ -314,12 +329,19 @@ def p_class_coords(F, alpha) -> tuple:
             if sol is None:  # pragma: no cover - phi + u* spans everything
                 raise ArithmeticError("top-level digit not decomposable")
             out[pos] = sol[-1]
-            break
-        # p | i, i < pe/(p-1): invisible level, strip a p-th root
-        y = rf.pth_root(F.digit(F.minus_one(m), i))
+            if roots is None:
+                break
+            if sol[-1]:
+                m = F.mul(m, basis.inverse(pos))
+            y = rf.from_coords(sol[:-1])  # phi(y) = r - sol[-1] u*
+        else:
+            # p | i, i < pe/(p-1): invisible level, strip a p-th root
+            y = rf.pth_root(F.digit(F.minus_one(m), i))
         if not rf.is_zero(y):
+            if roots is not None:
+                roots.append((i, y))
             m = F.mul(m, _strip(F, i, y)[1])
-    return tuple(out)
+    return tuple(out), v, m
 
 
 # ---------------------------------------------------------------------------
@@ -549,17 +571,30 @@ def class4_vec(F, x) -> tuple:
     """Coordinates over Z/4 of [x] in G = F^x/F^{x4}, for a 2-adic F.
 
     With b_j the unit-class basis and c = ``class_vec(F, x, 2)``,
-    x prod b_j^(-c_j) is a square y^2, and y = prod b_j^(c(y)) z^2, so
-    x = prod b_j^(c + 2c(y)) z^4.  The basis elements generate G, and
+    x prod b_j^(-c_j) is a square y^2, and y = prod b_j^(c(y)) w^2, so
+    x = prod b_j^(c + 2c(y)) w^4.  The basis elements generate G, and
     G = (Z/4)^r / <2c(-1)>: the sign of y is the one relation, trivial
     when -1 is a square.
+
+    No square root is taken: the walk of :func:`p_class_coords` reads c
+    and strips squares u^2 down to a rest m in U^(2e+1), so y = pi^(v//2)
+    prod u / sqrt(m) (:func:`_root_class` keeps each class(u)).  Squaring
+    maps U^(i) onto U^(i+e) for i > e (Serre, *Local Fields*, ch. XIV), so
+    z = 1/sqrt(m) is in U^(e+1); Newton's z <- z + z t/2, t = 1 - m z^2,
+    takes no inverse (Brent-Zimmermann, ch. 4), and once v(t) > 3e is
+    known, z is known modulo U^(2e+1), which consists of squares.
     """
-    basis = unit_basis(F)
-    c = class_vec(F, x, 2)
-    for j, cj in enumerate(c):
-        if cj:
-            x = F.mul(x, basis.inverse(j))
-    cy = class_vec(F, sqrt_exact(F, x), 2)
+    roots = []
+    c, v, m = _class_walk(F, x, roots)
+    half = F.half()
+    mh = F.mul(m, half)
+    z, h = F.one(), half - mh  # h = t/2 = 1/2 - (m/2) z^2
+    while min(F.val_lower(h), h.prec) <= 2 * F.e:
+        F.val(h)  # raises PrecisionError when v(h) > 2e is not decided
+        z = F.normalize_pshift(z + F.mul(z, h))
+        h = half - F.mul(mh, F.mul(z, z))
+    ws = (_root_class(F, i, y) for i, y in roots)
+    cy = map(sum, zip([v // 2] + [0] * (len(c) - 1), class_vec(F, z, 2), *ws))
     return tuple((a + 2 * b) % 4 for a, b in zip(c, cy))
 
 
@@ -626,11 +661,16 @@ def filtration_profile(F, gens, n: int) -> FiltrationProfile:
     """
     if not is_prime(n):
         raise ValueError(f"n = {n} is not prime")
+    return class_profile(F, [class_vec(F, F.coerce(g), n) for g in gens], n)
+
+
+def class_profile(F, vecs, n: int) -> FiltrationProfile:
+    """:func:`filtration_profile` of the subgroup whose generators have
+    the class vectors ``vecs`` mod n-th powers (entries are read mod n)."""
     if n == F.p:
         levels, top = unit_basis(F).levels, ceil_frac(n * F.e, n - 1)
     else:
         levels, top = (-1, 0)[: class_dim(F, n)], 1
-    vecs = [class_vec(F, F.coerce(g), n) for g in gens]
     span, low = Span(n, len(vecs)), []
     for i, lv in enumerate(levels):
         while len(low) <= min(lv, top):

@@ -54,13 +54,18 @@ def test_partition_count_brute():
             assert mp.partition_count(d, m) == brute(d, m), (d, m)
 
 
+def degree(s):
+    """The degree sum(e_i f_i) of the algebras with splitting symbol s."""
+    return sum(e * f for e, f in s.pairs)
+
+
 def test_symbol_parse_and_invariants():
     s = mp.parse_symbol("(1^3 1)")
-    assert s.degree == 4 and s.d_sigma == 2 and s.aut == 1
+    assert degree(s) == 4 and s.d_sigma == 2 and s.aut == 1
     s = mp.parse_symbol("22")
-    assert s.degree == 4 and s.d_sigma == 0 and s.aut == 8
+    assert degree(s) == 4 and s.d_sigma == 0 and s.aut == 8
     s = mp.parse_symbol("1^2,2")
-    assert s.degree == 4 and s.d_sigma == 1 and s.aut == 2
+    assert degree(s) == 4 and s.d_sigma == 1 and s.aut == 2
     assert mp.parse_symbol("1111").aut == 24
     assert mp.parse_symbol("(4)").aut == 4
     assert mp.parse_symbol("(2^2)").aut == 2
@@ -76,7 +81,7 @@ def test_all_symbols_counts():
     for n in (2, 3, 4, 5):
         syms = mp.all_symbols(n)
         assert len(set(syms)) == len(syms)
-        assert all(s.degree == n for s in syms)
+        assert all(degree(s) == n for s in syms)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

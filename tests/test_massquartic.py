@@ -23,11 +23,17 @@ from etmass.padic import (
 )
 
 import omega_reference as ref
-from test_padic import random_unit
+from test_padic import congruent, random_unit
 
 Q2 = LocalField(2, 1, 1)
 F22 = LocalField(2, 2, 1)
 Q2F2 = LocalField(2, 1, 2)
+
+
+def premass4_wild(F, gens=(), symbol="(1^4)"):
+    """The constrained pre-mass of one wild quartic symbol, by closure
+    group, as ``premass4`` weighs it."""
+    return mq._wild(F, mq._classes4(F, gens), symbol, "subspace")
 
 
 def square_class_reps(F, nontrivial_only=True):
@@ -297,11 +303,11 @@ def test_omega_small_disc_states():
         # the invariants restated here, independently of the asserts
         # inside the construction
         m1 = E.disc_val
-        assert F.congruent(E.norm(st.omega), F.mul(st.lam, st.lam), 2 * F.e + 1 - m1)
+        assert congruent(F, E.norm(st.omega), F.mul(st.lam, st.lam), 2 * F.e + 1 - m1)
         assert E.val(st.omega - E.embed(st.lam)) >= m1 - 1
-        assert E.congruent(st.omega2, E.embed(st.lam2), m1)
+        assert congruent(E, st.omega2, E.embed(st.lam2), m1)
         assert F.val(st.s2) == m1 // 2
-        assert E.congruent(st.output, E.one(), 4 * F.e + 3 - 3 * m1)
+        assert congruent(E, st.output, E.one(), 4 * F.e + 3 - 3 * m1)
         found += 1
     assert found == 2
 
@@ -522,7 +528,7 @@ def test_1212_counts_match_character_pairs(tower_data, base, name):
             want[("V4", m)] = want.get(("V4", m), 0) + 1
             premass["V4"] += Fraction(1, 4 * F.q**m)
     assert mq.counts_1212(F, GEN_VALUES[name]) == want
-    assert dict(mq.premass4_wild(F, GEN_VALUES[name], "(1^2 1^2)").parts) == premass
+    assert dict(premass4_wild(F, GEN_VALUES[name], "(1^2 1^2)").parts) == premass
 
 
 @pytest.mark.parametrize("base,name", TOWER_CASES)
@@ -531,7 +537,7 @@ def test_wild_premass_matches_oracle(tower_data, base, name):
     js = GROUPS[name]
     gens = GEN_VALUES[name]
     for sym in ("(2^2)", "(1^4)"):
-        rep = mq.premass4_wild(F, gens, sym)
+        rep = premass4_wild(F, gens, sym)
         for grp in ("C4", "V4", "D4"):
             pm = orc.quartic_premass(
                 recs,
@@ -545,7 +551,7 @@ def test_wild_premass_matches_oracle(tower_data, base, name):
 
 def test_odd_valuation_generator_kills_22():
     assert mq.counts_22(Q2, (2,)) == {}
-    rep = mq.premass4_wild(Q2, (2,), "(2^2)")
+    rep = premass4_wild(Q2, (2,), "(2^2)")
     assert rep.total == 0
 
 
@@ -739,9 +745,9 @@ def test_premass4_breakdown_labels():
 
 def test_wild_symbol_validation():
     with pytest.raises(ValueError):
-        mq.premass4_wild(Q2, (), "(3 1)")
+        premass4_wild(Q2, (), "(3 1)")
     with pytest.raises(ValueError):
-        mq.premass4_wild(LocalField(3, 1, 1), (), "(1^4)")
+        premass4_wild(LocalField(3, 1, 1), (), "(1^4)")
 
 
 def test_premass4_leaves_no_fields():
@@ -755,6 +761,20 @@ def test_premass4_leaves_no_fields():
     for _ in range(2):
         mq.premass4(LocalField(2, 1, 2), (-1,))
     assert live_fields() - before < 10
+
+
+def test_premass4_takes_no_square_root(monkeypatch):
+    # the classes mod fourth powers come from the level walk alone; the
+    # masses are those computed before the square roots were refused
+    cases = [(e, f, gens) for e, f in [(1, 1), (2, 1), (1, 2)] for gens in [(), (-1,), (-1, 2)]]
+    want = [mq.premass4(LocalField(2, e, f), gens).parts for e, f, gens in cases]
+
+    def refuse(*args):
+        raise AssertionError("a square root on the quartic formula path")
+
+    monkeypatch.setattr(ug, "sqrt_exact", refuse)
+    monkeypatch.setattr(ug, "_inv_sqrt", refuse)
+    assert [mq.premass4(LocalField(2, e, f), gens).parts for e, f, gens in cases] == want
 
 
 @pytest.mark.parametrize(
@@ -875,8 +895,9 @@ def test_char_table_brute_equals_subspace(base):
     rng = np.random.default_rng(61 + F.e + 2 * F.f)
     for k in range(10):
         gens = tuple(random_element(F, rng) for _ in range(k % 4))
-        S, T = mq._char_table(F, gens, "subspace")
-        assert (S, T) == mq._char_table(F, gens, "brute"), gens
+        classes = mq._classes4(F, gens)
+        S, T = mq._char_table(F, classes, "subspace")
+        assert (S, T) == mq._char_table(F, classes, "brute"), gens
         if not gens:
             # every character: |F^x/F^x4| = 4 |mu_4(F)| q^(2e)
             assert S[top, top] == 4 ** r // (1 if trivial else 2) == 4 * (4 if trivial else 2) * F.q ** (2 * F.e)
@@ -885,9 +906,10 @@ def test_char_table_brute_equals_subspace(base):
 
 def test_char_table_brute_guard():
     with pytest.raises(GuardError):
-        mq._char_table(LocalField(2, 7, 1), (), "brute")
+        F = LocalField(2, 7, 1)
+        mq._char_table(F, mq._classes4(F, ()), "brute")
     with pytest.raises(ValueError):
-        mq._char_table(Q2, (), "omega")
+        mq._char_table(Q2, mq._classes4(Q2, ()), "omega")
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from etmass.padic import INF, Elt, LocalField, PrecisionError, quad_extend
 
 import strat_reference as ref_strat
 from omega_reference import choose_omega
-from test_padic import cut, random_unit
+from test_padic import congruent, cut, random_unit
 
 
 def make_field(p, e, f, seed=0):
@@ -44,7 +44,7 @@ def test_c_alpha_q2_known_values():
         assert got == c, n
         if c not in (-1, INF) and c > 0:
             ratio = F.mul(F.from_int(n), F.inv(F.power(lam, 2)))
-            assert F.congruent(ratio, F.one(), c)
+            assert congruent(F, ratio, F.one(), c)
 
 
 def test_c_alpha_even_valuation_reduces():
@@ -182,8 +182,9 @@ def test_valuation_coordinate():
 
 @pytest.mark.parametrize("e,f,d", [(1, 1, None), (2, 1, None), (1, 2, None), (1, 1, 2), (1, 1, 5)])
 def test_class_read_refuses_unknown_digits(e, f, d):
-    # a square class is fixed by 2e + 1 known relative digits, and a read
-    # from fewer must raise rather than guess
+    # a square class is fixed by 2e + 1 known relative digits, a class mod
+    # fourth powers by 3e + 1, and a read from fewer must raise rather
+    # than guess
     F = make_field(2, e, f)
     if d is not None:
         F = quad_extend(F, F.from_int(d))  # d = 2: ramified, 5: unramified
@@ -195,6 +196,16 @@ def test_class_read_refuses_unknown_digits(e, f, d):
             with pytest.raises(PrecisionError):
                 ug.class_vec(F, cut(F, x, v + r), 2)
         assert ug.class_vec(F, cut(F, x, v + 2 * F.e + 1), 2) == ug.class_vec(F, x, 2)
+        for r in range(1, 3 * F.e + 1):
+            with pytest.raises(PrecisionError):
+                ug.class4_vec(F, cut(F, x, v + r))
+        # with more digits a read may still raise, but never guesses
+        full = ug.class4_vec(F, x)
+        for r in range(3 * F.e + 1, 5 * F.e + 3):
+            try:
+                assert ug.class4_vec(F, cut(F, x, v + r)) == full, r
+            except PrecisionError:
+                pass
 
 
 def test_class_read_of_three_mod_four():
@@ -565,7 +576,7 @@ def test_sqrt_exact_on_random_squares(F, monkeypatch):
         assert d.exact or F.val_lower(d) >= min(y.prec + F.val(y), w.prec)
         # the root congruent to the start value, known no worse than by
         # Newton with inverses
-        assert F.congruent(F.shift(y, -(v // 2)), start_root, sep)
+        assert congruent(F, F.shift(y, -(v // 2)), start_root, sep)
         assert F.is_zero(F.sub(y, ref))
         assert y.prec >= ref.prec
         roots.append(y)
@@ -626,6 +637,39 @@ def test_class4_vec_is_a_homomorphism_onto_g(F):
         vx, vy = ug.class4_vec(F, x), ug.class4_vec(F, y)
         assert same(ug.class4_vec(F, F.mul(x, y)), tuple((a + b) % 4 for a, b in zip(vx, vy)))
         assert same(ug.class4_vec(F, F.power(x, 4)), (0,) * basis.dim)
+
+
+def _class4_by_square_root(F, x):
+    """c + 2 class_vec(sqrt_exact(x prod b_j^(-c_j))), c the square class
+    of x: the class of x mod fourth powers by its definition."""
+    basis = ug.unit_basis(F)
+    c = ug.class_vec(F, x, 2)
+    for b, cj in zip(basis.elems, c):
+        if cj:
+            x = F.mul(x, F.inv(b))
+    cy = ug.class_vec(F, ug.sqrt_exact(F, x), 2)
+    return tuple((a + 2 * b) % 4 for a, b in zip(c, cy))
+
+
+@pytest.mark.parametrize("F", _class4_fields() + [make_field(2, 4, 1), make_field(2, 2, 2)], ids=repr)
+def test_class4_vec_matches_square_root_reference(F):
+    # the walk's class equals the square-root definition up to the
+    # relation 2c(-1): on the basis, on every level element 1 + theta pi^j
+    # with 1 <= j <= 3e + 1, and on seeded elements of mixed valuation
+    rel = tuple(2 * a % 4 for a in ug.class_vec(F, F.from_int(-1), 2))
+    basis = ug.unit_basis(F)
+    one = F.one()
+    xs = list(basis.elems)
+    xs += [one + F.shift(t, j) for j in range(1, 3 * F.e + 2) for t in F.residue_lifts()]
+    rng = np.random.default_rng(83 + F.e + 2 * F.f)
+    for _ in range(20):
+        x = F.mul(random_unit(F, rng), F.power(F.pi(), int(rng.integers(-3, 5))))
+        for b in basis.elems[1:]:
+            x = F.mul(x, F.power(b, int(rng.integers(0, 4))))
+        xs.append(x)
+    for x in xs:
+        d = tuple((a - b) % 4 for a, b in zip(ug.class4_vec(F, x), _class4_by_square_root(F, x)))
+        assert not any(d) or d == rel, x
 
 
 @pytest.mark.parametrize("F", _class4_fields(), ids=repr)
