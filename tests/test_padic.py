@@ -910,11 +910,36 @@ def test_quad_mul_with_embedded_operand_matches_full_formula():
 # precision claims: one op chain at precision P and at 2P
 # ---------------------------------------------------------------------------
 
-# bases with e >= 2 at p = 2 and at odd p, and quadratics over Q_2: d = 3
-# is ramified with a != 0, d = 5 unramified, d = 2 ramified with a = 0
+# bases with e >= 2 at p = 2 and at odd p, quadratics over Q_2 (d = 3
+# is ramified with a != 0, d = 5 unramified, d = 2 ramified with a = 0)
+# and two towers of the kinds the quartic census builds: Q_2(sqrt 3)
+# by sqrt(1 + rho), ramified over ramified with a != 0 at both levels
+# (a (1^4) field), and by sqrt(-1), unramified over ramified (a (2^2) field)
 SOUNDNESS_BASES = [(2, 1, 1), (2, 3, 1), (2, 6, 1), (3, 2, 2), (5, 1, 1), (2, 2, 2), (3, 3, 1)]
-SOUNDNESS_CASES = [(*b, None) for b in SOUNDNESS_BASES] + [(2, 1, 1, d) for d in (3, 5, 2)]
-CHAIN_OPS = ("add", "sub", "mul", "inv", "shift", "power", "half")
+SOUNDNESS_CASES = (
+    [(*b, None) for b in SOUNDNESS_BASES]
+    + [(2, 1, 1, d) for d in (3, 5, 2)]
+    + [(2, 1, 1, (3, (1, 1))), (2, 1, 1, (3, (-1, 0)))]
+)
+CHAIN_OPS = ("add", "sub", "mul", "inv", "shift", "power", "half", "neg", "minus_one")
+
+
+def soundness_field(p, e, f, d, prec=None):
+    """The base (p, e, f), its quadratic F(sqrt d) for an int d, or for
+    d = (d1, (c0, c1)) the tower E(sqrt(c0 + c1 rho)) over E = F(sqrt d1)."""
+    K = LocalField(p, e, f, prec=prec)
+    if d is None:
+        return K
+    d1, top = (d, None) if isinstance(d, int) else d
+    K = quad_extend(K, K.from_int(d1))
+    if top is not None:
+        K = quad_extend(K, K.add(K.from_int(top[0]), K.mul(K.from_int(top[1]), K.rho())))
+    return K
+
+
+def case_id(v):
+    """Test ids for the towers: d1_c0+c1rho."""
+    return f"{v[0]}_{v[1][0]}{v[1][1]:+d}rho" if isinstance(v, tuple) else None
 
 
 def lift_to(K2, x):
@@ -931,47 +956,111 @@ def chain_op(K, op, x, y, k):
         return K.mul(x, K.half())
     if op in ("add", "sub", "mul"):
         return getattr(K, op)(x, y)
-    if op == "inv":
-        return K.inv(x)
+    if op in ("inv", "neg", "minus_one"):
+        return getattr(K, op)(x)
     return getattr(K, op)(x, k)  # shift or power, by k in [-3, 3]
 
 
-@pytest.mark.parametrize("p,e,f,d", SOUNDNESS_CASES)
+def chain_fresh(rng, fields):
+    """One seeded chain input, built alike in each of ``fields`` (one
+    field at several precisions); the first is sometimes cut short."""
+    K = fields[0]
+    digits = [[rng.randrange(K.p) for _ in range(K.rf.f)] for _ in range(rng.randrange(1, 6))]
+    s = rng.randrange(-3, 4)
+    xs = []
+    for L in fields:
+        x = L.zero()
+        for i, coords in enumerate(digits):
+            x = x + L.mul(L.power(L.pi(), i), L.lift(L.rf.from_coords(coords)))
+        xs.append(L.shift(x, s))
+    if rng.random() < 0.5 and not xs[0].exact:
+        xs[0] = cut(K, xs[0], rng.randrange(K.prec // 2, xs[0].prec + 1))
+    return xs
+
+
+def op_chain(fields, seed, steps=200):
+    """A seeded chain of ``CHAIN_OPS`` run alike in each of ``fields``,
+    yielding (op, results); a step whose op raises ArithmeticError (an
+    inverse of zero, or digits run out) yields nothing."""
+    K = fields[0]
+    rng = random.Random(seed)
+    pool = [chain_fresh(rng, fields) for _ in range(4)]
+    for _ in range(steps):
+        op, k = rng.choice(CHAIN_OPS), rng.choice((-3, -2, -1, 1, 2, 3))
+        xs, ys = rng.choice(pool), rng.choice(pool)
+        try:
+            rs = [chain_op(L, op, x, y, k) for L, x, y in zip(fields, xs, ys)]
+        except ArithmeticError:
+            pool[rng.randrange(len(pool))] = chain_fresh(rng, fields)
+            continue
+        yield op, rs
+        # keep the pool away from exhausted or far-off elements
+        r = rs[0]
+        if r.exact or r.prec < K.prec // 4 or abs(K.val_lower(r)) > K.prec // 2:
+            rs = chain_fresh(rng, fields)
+        pool[rng.randrange(len(pool))] = rs
+
+
+@pytest.mark.parametrize("p,e,f,d", SOUNDNESS_CASES, ids=case_id)
 def test_precision_claims_hold_at_double_precision(p, e, f, d):
     # seeded chains of ops run on the same values at the default
     # precision P and at 2P; the 2P inputs know all their digits, the P
     # inputs are sometimes cut short.  Every digit a P result claims
     # must be the 2P result's, and 2P must claim at least as many.
-    K = LocalField(p, e, f)
-    K2 = LocalField(p, e, f, prec=2 * K.prec)
-    if d is not None:
-        K, K2 = quad_extend(K, K.from_int(d)), quad_extend(K2, K2.from_int(d))
+    K = soundness_field(p, e, f, d)
+    K2 = soundness_field(p, e, f, d, prec=2 * LocalField(p, e, f).prec)
     for seed in range(3):
-        rng = random.Random(seed)
-
-        def fresh():
-            x, x2 = K.zero(), K2.zero()
-            for i in range(rng.randrange(1, 6)):
-                coords = [rng.randrange(p) for _ in range(K.rf.f)]
-                x = x + K.mul(K.power(K.pi(), i), K.lift(K.rf.from_coords(coords)))
-                x2 = x2 + K2.mul(K2.power(K2.pi(), i), K2.lift(K2.rf.from_coords(coords)))
-            s = rng.randrange(-3, 4)
-            x, x2 = K.shift(x, s), K2.shift(x2, s)
-            if rng.random() < 0.5 and not x.exact:
-                x = cut(K, x, rng.randrange(K.prec // 2, x.prec + 1))
-            return x, x2
-
-        pool = [fresh() for _ in range(4)]
-        for _ in range(200):
-            op, k = rng.choice(CHAIN_OPS), rng.choice((-3, -2, -1, 1, 2, 3))
-            (x, x2), (y, y2) = rng.choice(pool), rng.choice(pool)
-            try:
-                r, r2 = chain_op(K, op, x, y, k), chain_op(K2, op, x2, y2, k)
-            except ArithmeticError:  # an inverse of zero, or digits run out
-                pool[rng.randrange(len(pool))] = fresh()
-                continue
+        for op, (r, r2) in op_chain([K, K2], seed):
             assert agrees(K2, r2, lift_to(K2, r)), (K, seed, op)
-            # keep the pool away from exhausted or far-off elements
-            if r.exact or r.prec < K.prec // 4 or abs(K.val_lower(r)) > K.prec // 2:
-                r, r2 = fresh()
-            pool[rng.randrange(len(pool))] = (r, r2)
+
+
+def claim_text(x):
+    """An element's payload, precision, exactness and valuation bound,
+    down to the base field."""
+    K = x.field
+    head = f"{x.prec},{x.exact},{K.val_lower(x)}"
+    if K.base is None:
+        vec, s = x.data
+        return f"{head}:{s}:{','.join(map(str, vec))}"
+    x0, x1 = x.data
+    return f"{head}({claim_text(x0)};{claim_text(x1)})"
+
+
+# sha256 prefixes of every claim of the op chains below
+PINNED_CLAIMS = {
+    (2, 1, 1, None): "6c7288c858815403",
+    (2, 3, 1, None): "7fee5e25a1d2a681",
+    (2, 6, 1, None): "2f05cec6eb42cc33",
+    (3, 2, 2, None): "bc6f6e9ddd3c0f8f",
+    (5, 1, 1, None): "eb4108f427ed505d",
+    (2, 2, 2, None): "0d7ecc9a14bab8e6",
+    (3, 3, 1, None): "7ac2ea5a6c9c98ba",
+    (2, 1, 1, 3): "5584098a70bef463",
+    (2, 1, 1, 5): "c95a0e38ca2308cd",
+    (2, 1, 1, 2): "dd929e6bfe2a593d",
+    (2, 1, 1, (3, (1, 1))): "4f1d6c6e555d9fb5",
+    (2, 1, 1, (3, (-1, 0))): "12b98ad73837ef7c",
+}
+
+
+@pytest.mark.parametrize("p,e,f,d", SOUNDNESS_CASES, ids=case_id)
+def test_kernel_claims_are_pinned(p, e, f, d):
+    # every payload, precision, exactness and valuation bound the kernel
+    # ops produce on seeded chains, pinned bit for bit
+    K = soundness_field(p, e, f, d)
+    h = hashlib.sha256()
+    for seed in range(3):
+        for op, (r,) in op_chain([K], seed):
+            h.update(f"{op}|{claim_text(r)}\n".encode())
+    assert h.hexdigest()[:16] == PINNED_CLAIMS[(p, e, f, d)]
+
+
+def test_arithmetic_refuses_elements_of_two_fields():
+    F, G = LocalField(2, 1, 1), LocalField(2, 1, 1)
+    E, E2 = quad_extend(F, F.from_int(5)), quad_extend(F, F.from_int(3))
+    for K, L in ((F, G), (E, E2)):
+        x, y = K.from_int(3), L.from_int(3)
+        for op in ("add", "sub", "mul"):
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(ValueError, match="different fields"):
+                    getattr(K, op)(a, b)
