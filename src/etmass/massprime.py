@@ -67,10 +67,6 @@ class SplittingSymbol:
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
 
     @property
-    def d_sigma(self) -> int:
-        return sum(f * (e - 1) for e, f in self.pairs)
-
-    @property
     def aut(self) -> int:
         n = 1
         for mult in Counter(self.pairs).values():
@@ -114,28 +110,6 @@ def parse_symbol(text: str) -> SplittingSymbol:
     if not pairs:
         raise ValueError(f"bad symbol {text!r}")
     return SplittingSymbol(tuple(pairs))
-
-
-def all_symbols(n: int):
-    """All splitting symbols of degree n, each exactly once."""
-
-    def rec(remaining, minimum):
-        if remaining == 0:
-            yield ()
-            return
-        for e in range(1, remaining + 1):
-            for f in range(1, remaining // e + 1):
-                if (e, f) < minimum:
-                    continue
-                for rest in rec(remaining - e * f, (e, f)):
-                    yield ((e, f),) + rest
-
-    return [SplittingSymbol(p) for p in rec(n, (1, 1))]
-
-
-def symbol_premass(sigma: SplittingSymbol, q: int) -> Fraction:
-    """Pre-mass of the algebras with splitting symbol sigma: 1/(q^d #Aut)."""
-    return Fraction(1, q**sigma.d_sigma * sigma.aut)
 
 
 def disc_layer_premass(n: int, d: int, q: int) -> Fraction:

@@ -7,7 +7,9 @@ element is a flat vector of e*f integers modulo p^K, its coefficients
 on the monomials u^j * pi^i, over a power of p; every element carries
 its own known absolute precision in v_F units.  Each field builds a
 product table for these monomials once, so a product is a single pass
-over the table, and each element caches its valuation bound.
+over the table.  The kernel rule: an op builds its result's ``Elt``
+once, with the precision cap worked out inline, and an element of
+either field kind caches its valuation bound, which ops read first.
 
 Precision is decided here and nowhere above: ``val`` and ``digit`` raise
 :class:`PrecisionError` at or past an element's known precision, so a
@@ -437,11 +439,6 @@ class Elt:
         return f"<{self.field!r} elt v>={self.field.val_lower(self)} prec={self.prec}>"
 
 
-def _check_same_field(x, y):
-    if x.field is not y.field:
-        raise ValueError("elements of different fields")
-
-
 class PadicField:
     """Methods shared by :class:`LocalField` and :class:`QuadExt`.
 
@@ -544,6 +541,7 @@ class LocalField(PadicField):
         self.seed = seed
         self.K = 2 * (-(-prec // e)) + 10
         self.pK = p**self.K
+        self._eK = e * self.K  # the precision cap of a p-integral element
         self.rf = ResidueField(p, f)
         self._wred = [
             tuple(int(c) for c in row) for row in (_reduction_rows(self.rf.modulus, self.pK) if f > 1 else [])
@@ -653,8 +651,8 @@ class LocalField(PadicField):
     # ---- element construction ----
 
     def _mk(self, vec, pshift, prec, exact=False):
-        cap = self.e * (self.K - pshift)
-        return Elt(self, (vec, pshift), min(prec, cap), exact)
+        cap = self._eK - self.e * pshift
+        return Elt(self, (vec, pshift), prec if prec < cap else cap, exact)
 
     def _from_w(self, w):
         """The element with constant pi-digit w (f ints)."""
@@ -702,42 +700,53 @@ class LocalField(PadicField):
     # ---- arithmetic ----
 
     def add(self, x, y):
-        _check_same_field(x, y)
+        if x.field is not y.field:
+            raise ValueError("elements of different fields")
         (xv, xs), (yv, ys) = x.data, y.data
-        pK, s = self.pK, max(xs, ys)
+        pK = self.pK
         if xs == ys:
-            vec = tuple([(a + b) % pK for a, b in zip(xv, yv)])
+            s, vec = xs, tuple([(a + b) % pK for a, b in zip(xv, yv)])
         else:  # bring both over the larger p-denominator
+            s = xs if xs > ys else ys
             mx, my = self.p ** (s - xs), self.p ** (s - ys)
             vec = tuple([(a * mx + b * my) % pK for a, b in zip(xv, yv)])
-        return self._mk(vec, s, min(x.prec, y.prec), exact=x.exact and y.exact)
+        prec, cap = x.prec if x.prec < y.prec else y.prec, self._eK - self.e * s
+        return Elt(self, (vec, s), prec if prec < cap else cap, x.exact and y.exact)
 
     def sub(self, x, y):
-        _check_same_field(x, y)
+        if x.field is not y.field:
+            raise ValueError("elements of different fields")
         (xv, xs), (yv, ys) = x.data, y.data
-        pK, s = self.pK, max(xs, ys)
+        pK = self.pK
         if xs == ys:
-            vec = tuple([(a - b) % pK for a, b in zip(xv, yv)])
+            s, vec = xs, tuple([(a - b) % pK for a, b in zip(xv, yv)])
         else:
+            s = xs if xs > ys else ys
             mx, my = self.p ** (s - xs), self.p ** (s - ys)
             vec = tuple([(a * mx - b * my) % pK for a, b in zip(xv, yv)])
-        return self._mk(vec, s, min(x.prec, y.prec), exact=x.exact and y.exact)
+        prec, cap = x.prec if x.prec < y.prec else y.prec, self._eK - self.e * s
+        return Elt(self, (vec, s), prec if prec < cap else cap, x.exact and y.exact)
 
     def neg(self, x):
         vec, s = x.data
-        pK = self.pK
-        return self._mk(tuple([-a % pK for a in vec]), s, x.prec, x.exact)
+        pK, prec, cap = self.pK, x.prec, self._eK - self.e * s
+        return Elt(self, (tuple([-a % pK for a in vec]), s), prec if prec < cap else cap, x.exact)
 
     def minus_one(self, x):
         """x - 1, changing only the constant coefficient."""
         vec, s = x.data
-        return self._mk(((vec[0] - self.p**s) % self.pK,) + vec[1:], s, x.prec)
+        prec, cap = x.prec, self._eK - self.e * s
+        return Elt(self, (((vec[0] - self.p**s) % self.pK,) + vec[1:], s), prec if prec < cap else cap)
 
     def mul(self, x, y):
-        _check_same_field(x, y)
+        if x.field is not y.field:
+            raise ValueError("elements of different fields")
         (xv, xs), (yv, ys) = x.data, y.data
-        prec = min(x.prec + self.val_lower(y), y.prec + self.val_lower(x))
-        return self._mk(self._vec_mul(xv, yv), xs + ys, prec, x.exact or y.exact)
+        px = x.prec + (self.val_lower(y) if y.vlow is None else y.vlow)
+        py = y.prec + (self.val_lower(x) if x.vlow is None else x.vlow)
+        s = xs + ys
+        prec, cap = px if px < py else py, self._eK - self.e * s
+        return Elt(self, (self._vec_mul(xv, yv), s), prec if prec < cap else cap, x.exact or y.exact)
 
     def val_lower(self, x):
         """A lower bound for the valuation (exact unless digits exhausted)."""
@@ -749,13 +758,13 @@ class LocalField(PadicField):
         else:
             vec, s = x.data
             e, f = self.e, self.f
-            v = e * self.K
+            v = self._eK
             for i in range(e):
                 if v <= i:
                     break
                 g = vec[i] if f == 1 else gcd(*vec[i * f : (i + 1) * f])
-                if g:
-                    v = min(v, e * self._vp(g) + i)
+                if g and (w := e * self._vp(g) + i) < v:
+                    v = w
             v -= e * s
         x.vlow = v
         return v
@@ -767,13 +776,14 @@ class LocalField(PadicField):
         pi^k = pi^(k + e*ds) / (p*u0)^ds with k + e*ds >= 0; for k > 0 it
         falls by one per pi^e = p*u0 while it is positive.  A larger
         p-denominator would cost e digits of precision per unit, since
-        ``_mk`` caps the precision at e*(K - pshift).
+        every element's precision is capped at e*(K - pshift).
         """
         if k == 0 or x.exact:
             return x
         vec, s = x.data
-        ds = -min(k // self.e, s) if k > 0 else -(k // self.e)
-        return self._mk(self._vec_mul(vec, self._shift_vec(k, ds)), s + ds, x.prec + k)
+        ds = -(k // self.e) if k < 0 or k // self.e < s else -s
+        prec, cap = x.prec + k, self._eK - self.e * (s + ds)
+        return Elt(self, (self._vec_mul(vec, self._shift_vec(k, ds)), s + ds), prec if prec < cap else cap)
 
     def normalize_pshift(self, x):
         """Clear the p-denominator when the element is p-integral."""
@@ -841,6 +851,7 @@ class QuadExt(PadicField):
     def __init__(self, base, kind, a, b, d, disc_val):
         self.base = base
         self.kind = kind  # "ramified" | "unramified"
+        self._ram = kind == "ramified"
         self.a = a
         self.b = b
         self.d = d
@@ -864,15 +875,9 @@ class QuadExt(PadicField):
     def __repr__(self):
         return f"{self.base!r}[sqrt,{self.kind[:3]}]"
 
-    # scale from base valuation units to E valuation units
-    @property
-    def ramdeg(self):
-        return 2 if self.kind == "ramified" else 1
-
     def _mk(self, x, y):
-        r = self.ramdeg
-        prec = min(r * x.prec, r * y.prec + (1 if self.kind == "ramified" else 0))
-        return Elt(self, (x, y), prec, x.exact and y.exact)
+        a, b = (2 * x.prec, 2 * y.prec + 1) if self._ram else (x.prec, y.prec)
+        return Elt(self, (x, y), a if a <= b else b, x.exact and y.exact)
 
     def zero(self):
         return self._mk(self.base.zero(), self.base.zero())
@@ -920,12 +925,14 @@ class QuadExt(PadicField):
     # ---- arithmetic on pairs ----
 
     def add(self, x, y):
-        _check_same_field(x, y)
+        if x.field is not y.field:
+            raise ValueError("elements of different fields")
         (x0, x1), (y0, y1) = x.data, y.data
-        return self._mk(x0 + y0, x1 + y1)
+        return self._mk(self.base.add(x0, y0), self.base.add(x1, y1))
 
     def sub(self, x, y):
-        _check_same_field(x, y)
+        if x.field is not y.field:
+            raise ValueError("elements of different fields")
         (x0, x1), (y0, y1) = x.data, y.data
         B = self.base
         return self._mk(B.sub(x0, y0), B.sub(x1, y1))
@@ -946,7 +953,8 @@ class QuadExt(PadicField):
     # same, and the precision can only be higher.
 
     def mul(self, x, y):
-        _check_same_field(x, y)
+        if x.field is not y.field:
+            raise ValueError("elements of different fields")
         (x0, x1), (y0, y1) = x.data, y.data
         B = self.base
         # an embedded operand (second half exact zero) needs two base
@@ -991,11 +999,12 @@ class QuadExt(PadicField):
         return self._mk(B.mul(c0, ninv), B.mul(c1, ninv))
 
     def val_lower(self, x):
-        x0, x1 = x.data
-        B = self.base
-        if self.kind == "ramified":
-            return min(2 * B.val_lower(x0), 2 * B.val_lower(x1) + 1)
-        return min(B.val_lower(x0), B.val_lower(x1))
+        if x.vlow is None:  # cached on the element, as over the base
+            x0, x1 = x.data
+            a, b = self.base.val_lower(x0), self.base.val_lower(x1)
+            a, b = (2 * a, 2 * b + 1) if self._ram else (a, b)
+            x.vlow = a if a <= b else b
+        return x.vlow
 
     def shift(self, x, k):
         """Multiply by pi^k: pi^k of the base on each half when E/F is

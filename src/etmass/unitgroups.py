@@ -535,13 +535,6 @@ def norm_class_matrix(E) -> Span:
 norm_class_matrix.cache_info = _norm_image.cache_info
 
 
-def norm_class_contains(E, alpha) -> bool:
-    """Whether alpha in F^x is a norm from the quadratic extension E."""
-    F = E.base
-    v = class_vec(F, F.coerce(alpha), 2)
-    return norm_class_matrix(E).reduce(v)[0] is None
-
-
 def solve_norm_equation(E, alpha):
     """An element beta of E with N_{E/F}(beta) = alpha, or None.
 

@@ -21,6 +21,7 @@ from etmass import unitgroups as ug
 from etmass.padic import GuardError, LocalField, disc_val_quadratic, quad_extend
 
 import omega_reference as ref
+from test_massprime import all_symbols, symbol_premass
 from test_padic import congruent, random_unit
 
 Q2 = LocalField(2, 1, 1)
@@ -114,12 +115,12 @@ def test_03_totally_ramified_premass():
 
 def test_04_epimorphic_symbol_identity():
     constrained = {"(4)", "(2 2)", "(1^2 1^2)", "(2^2)", "(1^4)"}
-    epi = [s for s in mp.all_symbols(4) if str(s) not in constrained]
+    epi = [s for s in all_symbols(4) if str(s) not in constrained]
     assert len(epi) == 6
     qs = sorted({p**k for p in dens.primes_up_to(100) for k in (1, 2, 3, 4)})[:50]
     assert len(qs) == 50
     for q in qs:
-        total = sum(mp.symbol_premass(s, q) for s in epi)
+        total = sum(symbol_premass(s, q) for s in epi)
         assert total == Fraction(5 * q * q + 8 * q + 8, 8 * q * q), q
 
 

@@ -36,6 +36,12 @@ def premass4_wild(F, gens=(), symbol="(1^4)"):
     return mq._wild(F, mq._classes4(F, gens), symbol, "subspace")
 
 
+def norm_class_contains(E, alpha):
+    """Whether alpha in F^x is a norm from the quadratic extension E."""
+    F = E.base
+    return ug.norm_class_matrix(E).reduce(ug.class_vec(F, F.coerce(alpha), 2))[0] is None
+
+
 def square_class_reps(F, nontrivial_only=True):
     """One representative per square class of F (p = 2)."""
     basis = ug.unit_basis(F)
@@ -104,7 +110,7 @@ def test_hilbert2_matches_norm_definition(F):
         E = quad_extend(F, b)
         for _ in range(4):
             a = random_element(F, rng)
-            want = 1 if ug.norm_class_contains(E, a) else -1
+            want = 1 if norm_class_contains(E, a) else -1
             assert mq.hilbert2(F, a, b) == want
 
 
@@ -364,7 +370,7 @@ def test_tower_symbol_matches_tower_norms(e, f):
         for beta in betas:
             if beta is None:
                 continue
-            want = ug.norm_class_contains(M, beta)
+            want = norm_class_contains(M, beta)
             assert (ref._tower_symbol(E, beta, w) == 0) == want, (e, f, E.kind, E.disc_val)
             assert ref.omega_norm_signs(E, w, (E.norm(beta),)) == (want,)
             checked += 1

@@ -221,13 +221,10 @@ def unnamed_definitions():
 # it stays
 UNNAMED_ALLOWED = {
     "fplinalg.backend_name": "perfbench/worker.py records it with each run",
-    "massprime.all_symbols": "ROADMAP item 4 must settle it (tests call it)",
     "massprime.closed_form_alpha": "ROADMAP item 4 must settle it (tests call it)",
-    "massprime.symbol_premass": "ROADMAP item 4 must settle it (tests call it)",
     "massquartic.hilbert2": "ROADMAP item 4 must settle it; perfbench's tracer names it",
     "oracle.enum_tame": "ROADMAP item 4 must settle it (tests call it)",
     "oracle.quartic_premass": "ROADMAP item 4 must settle it (tests call it)",
-    "unitgroups.norm_class_contains": "ROADMAP item 4 must settle it (tests call it)",
 }
 
 

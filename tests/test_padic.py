@@ -74,7 +74,7 @@ def cut(F, x, prec):
     """x as known only modulo pi^prec of its own field."""
     if F.base is None:
         return Elt(F, x.data, prec)
-    r = F.ramdeg
+    r = 2 if F.kind == "ramified" else 1
     x0, x1 = x.data
     # QuadExt._mk gives min(r*prec0, r*prec1 + r - 1) = prec
     return F._mk(cut(F.base, x0, -(-prec // r)), cut(F.base, x1, -(-(prec - r + 1) // r)))
