@@ -210,39 +210,63 @@ class QuarticTower:
 
 
 @field_cache
-def _quadratics(F):
-    """The quadratic extensions of F the tower census has built, by the
-    class vector of d."""
-    return {}
+def _tower_pairs(F):
+    """(E, pairs) for each quadratic extension E = F(sqrt(d)), d the
+    product of F's unit-class basis elements that d's class vector
+    selects, and (w, group, symbol, disc) in ``pairs`` for each
+    nontrivial square class w of E.  None of it depends on the
+    generators, so F keeps it and a second census builds no field.
 
-
-def _quadratic(F, dvec):
-    """E = F(sqrt(d)), d the product of F's unit-class basis elements
-    that dvec selects, built once per (F, dvec) and kept on F with the
-    structure cached on it."""
-    table = _quadratics(F)
-    E = table.get(dvec)
-    if E is None:
-        E = table[dvec] = quad_extend(F, basis_product(F, unit_basis(F).elems, dvec))
-    return E
+    delta = prod b_j^(w_j) has class w.  The pair is V4 when w is a
+    class of F, C4 when N_{E/F}(delta) lies in d's class, and D4
+    otherwise; the norm is a homomorphism on square classes, so the
+    class of N(delta) is sum_j w_j class(N(b_j)), one read per b_j.
+    """
+    fb = unit_basis(F)
+    out = []
+    for dvec in _lines(2, fb.dim):
+        d_class = tuple(dvec)
+        E = quad_extend(F, basis_product(F, fb.elems, d_class))
+        eb = unit_basis(E)
+        im = Span(2, eb.dim)
+        for b in fb.elems:
+            im.insert(p_class_coords(E, E.embed(b)))
+        norms = [p_class_coords(F, E.norm(b)) for b in eb.elems]
+        e_EF = 2 if E.kind == "ramified" else 1
+        f_EF = 2 // e_EF
+        pairs = []
+        for wvec in _lines(2, eb.dim):
+            if im.reduce(wvec)[0] is None:
+                group = "V4"
+            elif tuple(sum(w * c for w, c in zip(wvec, col)) % 2 for col in zip(*norms)) == d_class:
+                group = "C4"
+            else:
+                group = "D4"
+            dl = disc_val_quadratic(E, basis_product(E, eb.elems, wvec))
+            symbol = {1: "(4)", 2: "(2^2)", 4: "(1^4)"}[e_EF * (2 if dl > 0 else 1)]
+            pairs.append((tuple(wvec), group, symbol, 2 * E.disc_val + f_EF * dl))
+        out.append((E, pairs))
+    return out
 
 
 @field_cache
 def _tower_norm_images(E):
-    """The norm-image spans of the towers L = E(sqrt(delta)) the
-    census has built, by the class vector of delta."""
+    """The norm-image spans of the quadratics E(sqrt(beta)) the census
+    has built, by the class vector of beta."""
     return {}
 
 
-def _tower_norm_image(E, wvec, delta):
-    """:func:`norm_class_matrix` of L = E(sqrt(delta)), delta of class
-    wvec, with L built once per (E, wvec).  Only the span is kept:
-    keeping every L with its own cached structure alive until F dies
-    raised the peak RSS of a census benchmark by 5%."""
+def _tower_norm_image(E, bvec):
+    """:func:`norm_class_matrix` of E(sqrt(beta)), beta the product of
+    E's unit-class basis elements that bvec selects, built once per
+    (E, bvec).  Only the span is kept: keeping every tower with its own
+    cached structure alive until F dies raised the peak RSS of a census
+    benchmark by 5%."""
     table = _tower_norm_images(E)
-    M = table.get(wvec)
+    M = table.get(bvec)
     if M is None:
-        M = table[wvec] = norm_class_matrix(quad_extend(E, delta))
+        beta = basis_product(E, unit_basis(E).elems, bvec)
+        M = table[bvec] = norm_class_matrix(quad_extend(E, beta))
     return M
 
 
@@ -255,23 +279,22 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
 
     Iterates over pairs (E, delta): E runs through the quadratic
     extensions of F (one per nontrivial square class), delta through
-    the nontrivial square classes of E.  d and delta are products of
-    unit-class basis elements, so their classes are the exponent
-    vectors that built them.  Each E and each L is built at most once
-    per base: F keeps E, and E keeps the norm image of L
-    (:func:`_quadratic`, :func:`_tower_norm_image`).  L is built when a
-    norm flag reads its norm image, that is, when some generator has a
-    norm preimage beta in E; otherwise every flag is False without it.
-    The field L = E(sqrt(delta)) has Galois
-    closure group V4 when delta comes from F, C4 when N_{E/F}(delta)
-    falls in the square class defining E, and D4 otherwise.
-    Discriminants follow the tower law
+    the nontrivial square classes of E.  Everything but the norm flags
+    is read off :func:`_tower_pairs`, built once per base.  The field
+    L = E(sqrt(delta)) has Galois closure group V4 when delta comes
+    from F, C4 when N_{E/F}(delta) falls in the square class defining
+    E, and D4 otherwise.  Discriminants follow the tower law
     v_F(d_L) = 2 v_F(d_E) + f(E/F) v_E(d_{L/E}).
 
     Norm membership of alpha in F: for D4 the norm group of L equals
     that of its unique quadratic subfield E; for the Galois groups,
     alpha is a norm from L exactly when some beta in E with
-    N_{E/F}(beta) = alpha is itself a norm from L/E.
+    N_{E/F}(beta) = alpha is itself a norm from L/E, that is when the
+    Hilbert symbol (beta, delta)_E is 1.  The symbol is symmetric, so
+    this is read as "delta is a norm from E(sqrt(beta))": one quadratic
+    per (E, class of beta), kept on E (:func:`_tower_norm_image`), in
+    place of one L per (E, delta).  A beta of trivial class is a square,
+    a norm from every L, and needs no field.
     """
     if F.p != 2:
         raise ValueError("quartic tower enumeration needs a 2-adic base")
@@ -280,38 +303,20 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
             f"base degree {F.e * F.f} exceeds tower guard {max_degree}"
         )
     gens = [F.coerce(g) for g in gens]
-    fb = unit_basis(F)
     out = []
-    for dvec in _lines(2, fb.dim):
-        d_class = tuple(dvec)
-        E = _quadratic(F, d_class)
-        eb = unit_basis(E)
-        im = Span(2, eb.dim)
-        for b in fb.elems:
-            im.insert(p_class_coords(E, E.embed(b)))
-        e_EF = 2 if E.kind == "ramified" else 1
-        f_EF = 2 // e_EF
+    for E, pairs in _tower_pairs(F):
         betas = [solve_norm_equation(E, g) for g in gens]
-        beta_vecs = [None if beta is None else class_vec(E, beta, 2) for beta in betas]
-        for wvec in _lines(2, eb.dim):
-            delta = basis_product(E, eb.elems, wvec)
-            if im.reduce(wvec)[0] is None:
-                group = "V4"
-            elif p_class_coords(F, E.norm(delta)) == d_class:
-                group = "C4"
-            else:
-                group = "D4"
-            dl = disc_val_quadratic(E, delta)
-            e_LF = e_EF * (2 if dl > 0 else 1)
-            symbol = {1: "(4)", 2: "(2^2)", 4: "(1^4)"}[e_LF]
-            disc = 2 * E.disc_val + f_EF * dl
-            if group != "D4" and any(vec is not None for vec in beta_vecs):
-                M_L = _tower_norm_image(E, tuple(wvec), delta)
-                flags = tuple(
-                    vec is not None and M_L.reduce(vec)[0] is None for vec in beta_vecs
-                )
-            else:
-                flags = tuple(vec is not None for vec in beta_vecs)
+        bvecs = [None if beta is None else class_vec(E, beta, 2) for beta in betas]
+        # a beta of trivial class is a square: a norm from every L
+        images = [
+            None if vec is None or not any(vec) else _tower_norm_image(E, vec)
+            for vec in bvecs
+        ]
+        for wvec, group, symbol, disc in pairs:
+            flags = tuple(
+                vec is not None and (group == "D4" or M is None or M.reduce(wvec)[0] is None)
+                for vec, M in zip(bvecs, images)
+            )
             out.append(
                 QuarticTower(
                     symbol=symbol,
@@ -344,16 +349,6 @@ def tally_towers(records, pred=None):
             raise ArithmeticError(f"inconsistent pair multiplicities at {k}")
         out[k] = int(v)
     return out
-
-
-def quartic_premass(records, pred=None, q=None):
-    """Sum of 1/(#Aut * q^disc) over the enumerated quartic fields."""
-    total = Fraction(0)
-    for r in records:
-        if pred is not None and not pred(r):
-            continue
-        total += Fraction(1, r.aut * q**r.disc_val * r.pair_multiplicity)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from etmass.padic import (
 )
 
 import omega_reference as ref
+import tower_reference as tr
 from test_padic import congruent, random_unit
 
 Q2 = LocalField(2, 1, 1)
@@ -545,7 +546,7 @@ def test_wild_premass_matches_oracle(tower_data, base, name):
     for sym in ("(2^2)", "(1^4)"):
         rep = premass4_wild(F, gens, sym)
         for grp in ("C4", "V4", "D4"):
-            pm = orc.quartic_premass(
+            pm = tr.quartic_premass(
                 recs,
                 pred=lambda r: r.symbol == sym
                 and r.group == grp

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 
 from etmass import oracle as orc
 from etmass import unitgroups as ug
+from etmass.cli import parse_local_gens
 from etmass.padic import GuardError, LocalField, quad_extend
 
+import tower_reference as tr
 from test_padic import random_unit
 
 
@@ -254,7 +257,7 @@ def test_tower_premasses_22(q2_towers):
     q = F.q
 
     def pm(grp):
-        return orc.quartic_premass(
+        return tr.quartic_premass(
             recs, pred=lambda r: r.symbol == "(2^2)" and r.group == grp, q=q
         )
 
@@ -290,9 +293,9 @@ def test_tower_odd_valuation_generator_kills_22(q2_towers):
 
 
 def test_second_census_builds_no_field(monkeypatch):
-    # F keeps every E, and E the norm image of every L = E(sqrt(delta))
-    # a census has read, so a second census on F, with the same
-    # generators or with some of them, builds no field
+    # F keeps every E with its pairs, and E the norm image of every
+    # E(sqrt(beta)) a census has read, so a second census on F, with the
+    # same generators or with some of them, builds no field
     F, G = LocalField(2, 1, 1), LocalField(2, 1, 1)
     first = orc.enum_quartic_towers(F, gens=[F.from_int(a) for a in (-1, 2, 5)])
     want = orc.enum_quartic_towers(G, gens=[G.from_int(2), G.from_int(5)])
@@ -301,6 +304,70 @@ def test_second_census_builds_no_field(monkeypatch):
     assert orc.enum_quartic_towers(F, gens=[F.from_int(a) for a in (-1, 2, 5)]) == first
     assert orc.enum_quartic_towers(F, gens=[F.from_int(2), F.from_int(5)]) == want
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "base,sets",
+    [
+        ((2, 1, 1), [(), ("-1",), ("2",), ("5",), ("-1", "2"), ("-1", "2", "5"), ("pi", "u"), ("1",)]),
+        ((2, 1, 2), [("-1", "2"), ("u", "5")]),
+        ((2, 2, 1), [("-1", "2"), ("pi", "5")]),
+        ("Q2(sqrt(-1))", [("-1", "2")]),
+    ],
+    ids=["Q2", "Q2F2", "F22", "Q2(i)"],
+)
+def test_towers_match_per_delta_route(monkeypatch, base, sets):
+    # the census reads each Galois pair's flags as "delta is a norm from
+    # E(sqrt(beta))"; the reference builds L = E(sqrt(delta)) and asks
+    # whether beta is a norm from L.  Flags are per generator, so one
+    # reference run on the union of the sets serves every set
+    if base == "Q2(sqrt(-1))":
+        Q2 = LocalField(2, 1, 1)
+        F = quad_extend(Q2, Q2.from_int(-1))
+    else:
+        F = LocalField(*base)
+    union = sorted({g for s in sets for g in s})
+    want = tr.enum_quartic_towers_per_delta(F, parse_local_gens(F, ",".join(union)))
+    built = []
+    monkeypatch.setattr(orc, "quad_extend", lambda K, x: built.append(K) or quad_extend(K, x))
+    for s in sets:
+        got = orc.enum_quartic_towers(F, gens=parse_local_gens(F, ",".join(s)))
+        idx = [union.index(g) for g in s]
+        assert got == [replace(r, norm_flags=tuple(r.norm_flags[i] for i in idx)) for r in want], (base, s)
+        if s == ("1",):
+            # beta is a square on every E, so the census took the square
+            # branch: it built no field for it, and 1 is a norm from all
+            assert built == []
+            assert all(r.norm_flags == (True,) for r in got)
+        built.clear()
+
+
+def test_hilbert_symbol_is_symmetric_over_quadratics_of_q2():
+    # a is a norm from E(sqrt(b)) exactly when b is one from E(sqrt(a)),
+    # for every pair of nontrivial square classes of each quadratic E of
+    # Q_2; the census's flag rule rests on this
+    F = LocalField(2, 1, 1)
+    fb = ug.unit_basis(F)
+    for dvec in itertools.product((0, 1), repeat=fb.dim):
+        if not any(dvec):
+            continue
+        E = quad_extend(F, ug.basis_product(F, fb.elems, dvec))
+        eb = ug.unit_basis(E)
+        classes = [w for w in itertools.product((0, 1), repeat=eb.dim) if any(w)]
+        M = {w: ug.norm_class_matrix(quad_extend(E, ug.basis_product(E, eb.elems, w))) for w in classes}
+        for a, b in itertools.combinations(classes, 2):
+            assert (M[b].reduce(a)[0] is None) == (M[a].reduce(b)[0] is None), (dvec, a, b)
+
+
+def test_census_builds_one_quadratic_per_beta_class(monkeypatch):
+    # a fresh census on Q_2 builds its 7 quadratics E and at most one
+    # E(sqrt(beta)) per (E, generator), not one L per (E, delta)
+    F = LocalField(2, 1, 1)
+    built = []
+    monkeypatch.setattr(orc, "quad_extend", lambda K, x: built.append(K) or quad_extend(K, x))
+    orc.enum_quartic_towers(F, gens=[F.from_int(a) for a in (-1, 2, 5)])
+    assert sum(K is F for K in built) == 7
+    assert len(built) <= 7 + 21
 
 
 def test_tower_guards():

@@ -224,7 +224,6 @@ UNNAMED_ALLOWED = {
     "massprime.closed_form_alpha": "ROADMAP item 4 must settle it (tests call it)",
     "massquartic.hilbert2": "ROADMAP item 4 must settle it; perfbench's tracer names it",
     "oracle.enum_tame": "ROADMAP item 4 must settle it (tests call it)",
-    "oracle.quartic_premass": "ROADMAP item 4 must settle it (tests call it)",
 }
 
 
