@@ -217,7 +217,8 @@ def _tower_pairs(F):
     nontrivial square class w of E.  None of it depends on the
     generators, so F keeps it and a second census builds no field.
 
-    delta = prod b_j^(w_j) has class w.  The pair is V4 when w is a
+    delta = prod b_j^(w_j) has class w, one product on the delta of w
+    without its top bit.  The pair is V4 when w is a
     class of F, C4 when N_{E/F}(delta) lies in d's class, and D4
     otherwise; the norm is a homomorphism on square classes, so the
     class of N(delta) is sum_j w_j class(N(b_j)), one read per b_j.
@@ -235,14 +236,17 @@ def _tower_pairs(F):
         e_EF = 2 if E.kind == "ramified" else 1
         f_EF = 2 // e_EF
         pairs = []
-        for wvec in _lines(2, eb.dim):
+        deltas = [E.one()]  # by _lines index, which for p = 2 is every idx
+        for idx, wvec in enumerate(_lines(2, eb.dim), 1):
+            top = idx.bit_length() - 1
+            deltas.append(E.mul(deltas[idx - (1 << top)], eb.elems[top]))
             if im.reduce(wvec)[0] is None:
                 group = "V4"
             elif tuple(sum(w * c for w, c in zip(wvec, col)) % 2 for col in zip(*norms)) == d_class:
                 group = "C4"
             else:
                 group = "D4"
-            dl = disc_val_quadratic(E, basis_product(E, eb.elems, wvec))
+            dl = disc_val_quadratic(E, deltas[idx])
             symbol = {1: "(4)", 2: "(2^2)", 4: "(1^4)"}[e_EF * (2 if dl > 0 else 1)]
             pairs.append((tuple(wvec), group, symbol, 2 * E.disc_val + f_EF * dl))
         out.append((E, pairs))

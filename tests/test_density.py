@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from etmass import density as dens
 from etmass.massprime import premass_ell_total
 from etmass.massquartic import premass4
-from etmass.padic import LocalField, QuadExt
+from etmass.padic import LocalField, QuadExt, is_prime
+
+import tame_reference
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,63 @@ def test_tame_local_mass_matches_local_field_path(n):
             assert dens.tame_local_mass(n, p, gens) == dens.local_mass(n, p, gens), (p, gens)
 
 
+def _primes_above(start, count, mod=1, res=0):
+    """The first ``count`` primes above ``start`` that are res mod ``mod``."""
+    out = []
+    m = start + 1
+    while len(out) < count:
+        if m % mod == res and is_prime(m):
+            out.append(m)
+        m += 1
+    return out
+
+
+# above 2^31: the first primes, and one that is 1 mod 3, 4 and 5 at once
+_BIG_PRIMES = _primes_above(2**31, 6) + _primes_above(2**31, 1, 60, 1)
+
+
+def _reference_draws(rng, n, p):
+    """Generator tuples for the tame reference at p: p in the numerator
+    with v = 0 and v != 0 mod n, p in the denominator only, negative
+    generators, +-1, n-th powers and numerators near 10^40."""
+    a, b = rng.randrange(1, 10**6), rng.randrange(1, 10**6)
+    big = 10**40 + rng.randrange(-(10**6), 10**6)
+    k = rng.randrange(1, 7)
+    one = [
+        Fraction(p**n * a, b),
+        Fraction(p**k * a, b),
+        Fraction(-a, p**k),
+        Fraction(a, p ** rng.randrange(1, 3) * b),
+        Fraction(-a, b),
+        Fraction(1),
+        Fraction(-1),
+        Fraction(a, b) ** n,
+        -Fraction(a, b) ** n,
+        Fraction(big, b),
+        Fraction(-big * p**k, a),
+        Fraction(big, b * p),
+    ]
+    draws = [(g,) for g in one]
+    draws += [tuple(rng.sample(one, rng.randrange(2, 4))) for _ in range(6)]
+    return draws
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tame_numerator_matches_reference(n):
+    # the one-pow route against the strip-and-invert reference, at every
+    # tame p <= 3000 and at primes above 2^31
+    rng = random.Random(30 + n)
+    scale = dens._tame_scale(n)
+    for p in list(dens.primes_up_to(3000)) + _BIG_PRIMES:
+        if n % p == 0:
+            continue
+        for gens in _reference_draws(rng, n, p):
+            want = tame_reference.tame_numerator(n, p, [(g.numerator, g.denominator) for g in gens])
+            got = dens._tame_numerator(n, p, dens._tame_gens(n, gens))
+            assert got == want, (n, p, gens)
+            assert dens.tame_local_mass(n, p, gens) == Fraction(want, scale * p**n)
+
+
 def test_tame_local_mass_validation():
     assert dens.tame_local_mass(4, 7, ()) == dens.full_local_factor(4, 7)
     with pytest.raises(ValueError):
@@ -390,6 +449,54 @@ def test_exact_product_short_lists():
     assert dens.exact_product([]) == 1
     assert dens.exact_product(iter(_triples([Fraction(3, 4)]))) == Fraction(3, 4)
     assert dens.exact_product(_triples([Fraction(2, 3), Fraction(3, 2), Fraction(0)])) == 0
+
+
+def _run_leaves(rng, count):
+    """``count`` reduced (fraction, triple) leaves, each with the exact
+    radical of its denominator, from small primes and big numerators."""
+    leaves = []
+    for _ in range(count):
+        den = 1
+        for q in (2, 3, 5, 7, 11):
+            den *= q ** rng.randrange(3)
+        x = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10**12), den)
+        rad = math.prod(q for q in (2, 3, 5, 7, 11) if x.denominator % q == 0)
+        leaves.append((x, (x.numerator, x.denominator, rad)))
+    return leaves
+
+
+def _check_product(leaves):
+    want = Fraction(1)
+    for x, _ in leaves:
+        want *= x
+    got = dens.exact_product([t for _, t in leaves])
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_exact_product_run_boundaries():
+    # the lengths and slots where one run of leaves ends and the next starts
+    R = dens._RUN
+    rng = random.Random(64)
+    for count in (0, 1, R - 1, R, R + 1, 2 * R, 3 * R + 1):
+        _check_product(_run_leaves(rng, count))
+    zero = (Fraction(0), (0, 1, 1))
+    for slot in (0, R - 1, R, 2 * R - 1, 3 * R):
+        leaves = _run_leaves(rng, 3 * R + 1)
+        leaves[slot] = zero
+        _check_product(leaves)
+    # cancellation across a run boundary: x ends one run, 1/x starts the
+    # next, and a list that multiplies to 1 with its halves in two runs
+    x = Fraction(7**5 * 11**3, 2**9 * 3**4 * 5)
+    inv = (1 / x, ((1 / x).numerator, (1 / x).denominator, 7 * 11))
+    for slot in (R - 1, 2 * R - 1):
+        leaves = _run_leaves(rng, 3 * R + 1)
+        leaves[slot] = (x, (x.numerator, x.denominator, 30))
+        leaves[slot + 1] = inv
+        _check_product(leaves)
+    half = _run_leaves(rng, R)
+    _check_product(half + [(1 / y, ((1 / y).numerator, (1 / y).denominator, (1 / y).denominator))
+                           for y, _ in reversed(half)])
 
 
 _POOL = (2, 3, 5, 7, 11, 13)
