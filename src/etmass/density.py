@@ -24,9 +24,12 @@ per-prime ratios m_{A,p}/m_p, each of which lies in (0, 1].
 The local masses come from two paths.  At a tame prime p, one not
 dividing n, ``tame_local_mass`` evaluates the closed forms from
 integers alone: each generator's valuation, p mod n and the
-power-residue symbols of its unit part.  Only at the wild primes p | n
-(3 for n = 3, 2 for n = 4, 5 for n = 5) does ``local_mass`` build Q_p
-and run the local pre-mass machinery.
+power-residue symbols of its unit part give the key of the coefficient
+table (``massprime.tame_rows`` with its rank rule ``tame_ram``, or
+``massquartic.tame_rows4``), and the memoised sum of its rows is
+evaluated at p.  Only at the wild primes p | n (3 for n = 3, 2 for
+n = 4, 5 for n = 5) does ``local_mass`` build Q_p and run the local
+pre-mass machinery.
 
 The finite products are exact: ``exact_product`` multiplies the
 factors in runs of 64 and the runs in a balanced tree, so the big gcds
@@ -58,11 +61,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import islice
 from math import factorial, gcd, prod
 
-from .massprime import partition_count, premass_ell_total
-from .massquartic import premass4, tame_coefficients
+from .massprime import horner, partition_count, premass_ell_total, tame_ram, tame_rows
+from .massquartic import premass4, tame_rows4
 from .padic import LocalField, PrecisionError, is_prime, trial_divide
 
 
@@ -336,26 +339,6 @@ def local_mass(n: int, p: int, gens=()) -> Fraction:
     return Fraction(p - 1, p) * pre
 
 
-def _tame_rank_case(pairs, p: int) -> int:
-    """How <gens> sits in Q_p^x / Q_p^{x ell}, for a prime ell | p - 1.
-
-    ``pairs`` holds one (a, chi) per generator: a = v mod ell and chi
-    the ell-th power residue symbol u^((p-1)/ell) mod p of its unit part
-    u, so its class is the vector (a, log chi).  Two classes are
-    dependent exactly when chi_j^(a_i) == chi_i^(a_j) mod p.  Returns 0
-    when every class is trivial, 1 when the classes span one line
-    through a class of valuation prime to ell (the filtration profile
-    has group size ell and a trivial level 0), and 2 otherwise.
-    """
-    if all(a == 0 and chi == 1 for a, chi in pairs):
-        return 0
-    if any(a for a, _ in pairs) and all(
-        pow(cj, ai, p) == pow(ci, aj, p) for (ai, ci), (aj, cj) in combinations(pairs, 2)
-    ):
-        return 1
-    return 2
-
-
 def tame_local_mass(n: int, p: int, gens=()) -> Fraction:
     """The local mass m_{A,p} at a prime p not dividing n, from integers.
 
@@ -390,17 +373,20 @@ def _tame_gens(n: int, gens) -> list:
 
 
 @lru_cache(maxsize=None)
-def _tame_layers(ell: int) -> tuple:
-    """Coefficients of q^(ell-1) .. q^0 in the epimorphism and layer terms of
-    the tame numerator: ell - 1, ell * Part(d, ell-d) for 0 < d < ell-1, 0."""
-    return (ell - 1, *(ell * partition_count(d, ell - d) for d in range(1, ell - 1)), 0)
+def _tame_sum(n: int, *key) -> tuple:
+    """The coefficients of the sum of the rows of ``tame_rows4(*key)`` (n
+    = 4) or ``tame_rows(n, *key)``: the tame pre-mass over scale * q^(n-1)."""
+    rows = tame_rows4(*key) if n == 4 else tame_rows(n, *key)
+    return tuple(map(sum, zip(*(c for _, c in rows))))
 
 
 def _tame_numerator(n: int, q: int, gens) -> int:
     """``tame_local_mass`` times ``_tame_scale(n) * q^n``, an integer, for a
     prime q not dividing n, on ``_tame_gens`` integers G = q^v * u, whose
     v mod n and symbol of u are the generator's (see ``euler_density``):
-    one ``pow`` each, none when gcd(n, q - 1) = 1."""
+    one ``pow`` each, none when gcd(n, q - 1) = 1.  The mass is
+    (q - 1)/q times the pre-mass, the memoised row sum of the tame table
+    at q."""
     h = gcd(n, q - 1)
     e = (q - 1) // h
     classes = []  # (v mod n, symbol)
@@ -417,26 +403,11 @@ def _tame_numerator(n: int, q: int, gens) -> int:
             (a, 0 if chi == 1 else h // 2 if chi == q - 1 else 1 if chi < q - chi else 3)
             for a, chi in classes
         )
-        k1212, k22, k14 = tame_coefficients(images, h)
-        # over 8 q^3: epi, (4), (2 2), (1^2 1^2), (2^2), (1^4)
-        total = (
-            q * (5 * q * q + 8 * q + 8)
-            + (2 * q**3 if all(a == 0 for a, _ in images) else 0)
-            + (q**3 if all(a % 2 == 0 for a, _ in images) else 0)
-            + (k1212 + k22) * q
-            + k14
-        )
-        return (q - 1) * total
-    ell = n
-    total = 0
-    for c in _tame_layers(ell):
-        total = total * q + c
-    # totally ramified: when h = 1 every unit is an ell-th power,
-    # q^(1-ell); else the rank case gives q^(1-ell), q^(1-ell)/ell or 0
-    total += ell if h == 1 else (ell, 1, 0)[_tame_rank_case(classes, q)]
-    if not any(a for a, _ in classes):
-        total += q ** (ell - 1)  # unramified
-    return (q - 1) * total
+        coeffs = _tame_sum(4, images, h)
+    else:
+        unram = not any(a for a, _ in classes)
+        coeffs = _tame_sum(n, unram, tame_ram(n, q, classes, lambda x, k: pow(x, k, q), 1))
+    return (q - 1) * horner(coeffs, q)
 
 
 @lru_cache(maxsize=None)

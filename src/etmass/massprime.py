@@ -8,6 +8,14 @@ valuation with an optional norm constraint, and the assembled total for
 a prime degree: the sum of an unramified part, a totally ramified part,
 a surjective-reduction constant, and the middle discriminant layers.
 
+Those four parts are written once, as the rows of :func:`tame_rows`:
+integer coefficients of q^(ell-1) .. q^0 over ell * q^(ell-1), keyed
+on whether every generator's valuation is divisible by ell and on the
+totally ramified key of the rank rule :func:`tame_ram`.
+:func:`premass_ell_total` evaluates them at q, with the wild term in
+place of the totally ramified row when ell = p, and
+``density._tame_numerator`` sums them for its tame Euler factors.
+
 All arithmetic is exact: counts are integers and every mass is a
 ``Fraction``.
 """
@@ -18,11 +26,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 from .unitgroups import (
     FiltrationProfile,
-    c_alpha,
     ceil_frac,
     contains_mu_p,
     filtration_profile,
@@ -110,11 +118,6 @@ def parse_symbol(text: str) -> SplittingSymbol:
     if not pairs:
         raise ValueError(f"bad symbol {text!r}")
     return SplittingSymbol(tuple(pairs))
-
-
-def disc_layer_premass(n: int, d: int, q: int) -> Fraction:
-    """Pre-mass of all degree-n algebras with discriminant exponent d."""
-    return Fraction(partition_count(d, n - d), q**d)
 
 
 # ---------------------------------------------------------------------------
@@ -243,53 +246,6 @@ def premass_Cp_wild(F, profile: FiltrationProfile | None = None) -> Fraction:
     return total
 
 
-def closed_form_alpha(F, alpha) -> Fraction:
-    """Constrained wild pre-mass for a single generator, in closed form.
-
-    Returns the pre-mass of the cyclic totally ramified degree-p
-    extensions admitting alpha as a norm, evaluated without summing over
-    discriminant layers.  A p-th power constrains nothing; an element of
-    valuation prime to p cuts the unconstrained value by p.
-
-    This is the paper's single-generator closed form.  The library sums
-    layers with :func:`premass_Cp_wild` instead, and the tests
-    cross-check the two on seeded generators over several wild bases.
-    """
-    p, e = F.p, F.e
-    q = Fraction(F.q)
-    alpha = F.coerce(alpha)
-    c, _ = c_alpha(F, alpha)
-    if c == -1:
-        return premass_Cp_wild(F) / p
-    if c is INF:
-        return premass_Cp_wild(F)
-    bound = Fraction(p * e, p - 1)
-    t = ceil_frac(p * e, p - 1)
-    lead = Fraction(F.q - 1, p - 1) / q**2
-    total = Fraction(0)
-    if c >= p:
-        total += lead * helper_AB(p, q, c)[0]
-    if c % p not in (0, 1):
-        total += lead * helper_AB(p, q, c)[1]
-    if c < bound:
-        total += (
-            Fraction(F.q - p, p - 1)
-            / p
-            * q ** (-2 - (p - 2) * (c + 1) - c // p)
-        )
-    if c < bound - 1:
-        a_top = helper_AB(p, q, t)[0] if e >= p - 1 else Fraction(0)
-        a_c = helper_AB(p, q, c + 1)[0] if c >= p - 1 else Fraction(0)
-        total += lead / p * (a_top - a_c)
-        if e % (p - 1):
-            total += lead / p * helper_AB(p, q, t)[1]
-        if c % p not in (0, p - 1):
-            total -= lead / p * helper_AB(p, q, c + 1)[1]
-    if c < bound and contains_mu_p(F):
-        total += q ** (-(p - 1) * (e + 1)) / p
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the total pre-mass in prime degree
 # ---------------------------------------------------------------------------
@@ -312,38 +268,92 @@ class MassReport:
         raise KeyError(label)
 
 
+def horner(coeffs, q: int) -> int:
+    """The integer polynomial with ``coeffs`` (highest power first) at q."""
+    total = 0
+    for c in coeffs:
+        total = total * q + c
+    return total
+
+
+def tame_ram(ell: int, q: int, pairs, power, one) -> int:
+    """The (1^ell) key of :func:`tame_rows` for a prime ell != p: ell, 1
+    or 0 for a totally ramified pre-mass of q^(1-ell), q^(1-ell)/ell or 0.
+
+    ``pairs`` holds one (a, chi) per generator: a = v mod ell and chi
+    the ell-th power residue symbol of its unit part, a residue that
+    ``power(chi, k)`` raises to the k-th power, with identity ``one``.
+    When ell does not divide q - 1 the one totally ramified field is not
+    Galois and has no proper abelian subfield, so its norm group is
+    F^x.  Otherwise there are ell cyclic ones, one per line of
+    F^x/F^{x ell} = (Z/ell)^2 other than the units' line, each with
+    norm group that line and pre-mass q^(1-ell)/ell.  All ell contain
+    Abar when Abar is trivial, one when Abar is one line through a
+    class of valuation prime to ell, none otherwise.  The class of a
+    generator is (a, log chi), and two classes are dependent exactly
+    when chi_j^(a_i) == chi_i^(a_j).
+    """
+    if (q - 1) % ell or all(a == 0 and chi == one for a, chi in pairs):
+        return ell
+    if any(a for a, _ in pairs) and all(
+        power(cj, ai) == power(ci, aj) for (ai, ci), (aj, cj) in combinations(pairs, 2)
+    ):
+        return 1
+    return 0
+
+
+@lru_cache(maxsize=None)
+def tame_rows(ell: int, unram: bool, ram: int) -> tuple:
+    """The pre-mass of degree-ell etale algebras, ell a prime, as labelled
+    rows over ell * q^(ell-1): (label, coefficients of q^(ell-1) .. q^0).
+
+    - (ell): the unramified field, 1/ell when ``unram`` (every
+      generator's valuation is divisible by ell), else 0;
+    - (1^ell): the totally ramified fields, ram/(ell q^(ell-1)), ram from
+      :func:`tame_ram` when ell != p;
+    - epi: the algebras with a surjective reduction map, (ell - 1)/ell;
+    - layers: the middle discriminant layers, Part(d, ell-d)/q^d for
+      0 < d < ell - 1, unconstrained since those algebras split enough
+      to have full norm groups.
+    """
+    zeros = (0,) * (ell - 1)
+    return (
+        (f"({ell})", (int(unram), *zeros)),
+        (f"(1^{ell})", (*zeros, ram)),
+        ("epi", (ell - 1, *zeros)),
+        ("layers", (0, *(ell * partition_count(d, ell - d) for d in range(1, ell - 1)), 0)),
+    )
+
+
 def premass_ell_total(F, ell: int, gens=()) -> MassReport:
     """Pre-mass of degree-ell etale algebras whose norms contain <gens>.
 
-    Four labeled summands: the unramified field, the totally ramified
-    fields, the algebras with a surjective reduction map (a constant
-    1 - 1/ell), and the middle discriminant layers (unconstrained, since
-    those algebras split enough to have full norm groups).
+    The four rows of :func:`tame_rows` at q.  When ell = p the (1^ell)
+    row is wild: Serre's unconstrained q^(1-ell), less the cyclic
+    extensions :func:`premass_Cp_wild` counts, plus those of them whose
+    norm groups contain every generator.
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    q = Fraction(F.q)
-    prof = filtration_profile(F, gens, ell)
-    # a class of valuation prime to ell (size_at(0) < group_size) is a
-    # norm from no unramified field
-    part_unram = Fraction(1, ell) if prof.size_at(0) == prof.group_size else Fraction(0)
+    q = F.q
     if ell == F.p:
-        part_ram = q ** (1 - ell) - premass_Cp_wild(F) + premass_Cp_wild(F, prof)
-    elif (F.q - 1) % ell != 0 or prof.is_trivial():
-        part_ram = q ** (1 - ell)
-    elif prof.group_size == ell and prof.size_at(0) == 1:
-        # Abar is one line, through a class of valuation prime to ell
-        part_ram = q ** (1 - ell) / ell
+        prof = filtration_profile(F, gens, ell)
+        unram, ram = prof.size_at(0) == prof.group_size, ell
     else:
-        part_ram = Fraction(0)
-    layers = sum(
-        (disc_layer_premass(ell, d, F.q) for d in range(1, ell - 1)), Fraction(0)
-    )
-    return MassReport(
-        parts=(
-            (f"({ell})", part_unram),
-            (f"(1^{ell})", part_ram),
-            ("epi", Fraction(ell - 1, ell)),
-            ("layers", layers),
-        )
-    )
+        k, r = divmod(q - 1, ell)
+        pairs = []
+        for g in gens:
+            g = F.coerce(g)
+            v = F.val(g)
+            if v is INF:
+                raise ValueError("alpha must be nonzero")
+            u = F.shift(g, -v) if v else g
+            pairs.append((v % ell, F.rf.one if r else F.rf.pow(F.residue(u), k)))
+        unram = not any(a for a, _ in pairs)
+        ram = tame_ram(ell, q, pairs, F.rf.pow, F.rf.one)
+    den = ell * q ** (ell - 1)
+    parts = [(label, Fraction(horner(c, q), den)) for label, c in tame_rows(ell, unram, ram)]
+    if ell == F.p:
+        label, serre = parts[1]
+        parts[1] = (label, serre - premass_Cp_wild(F) + premass_Cp_wild(F, prof))
+    return MassReport(tuple(parts))

@@ -4,9 +4,13 @@ For an odd residue characteristic every quartic etale algebra is tame
 and the five constrained splitting symbols have short closed forms:
 (4) and (2 2) read the generators' valuations, and (1^2 1^2), (2^2)
 and (1^4) count the characters of F^x/F^{x4} that kill the image of
-the constraint group A there (:func:`tame_coefficients`).  Over a
-2-adic field the three wild symbols (1^2 1^2), (2^2) and (1^4) are
-weighed per Galois closure group from counts by discriminant valuation.
+the constraint group A there (:func:`tame_coefficients`).  All six
+tame rows (the five symbols and the unconstrained epimorphic part) are
+written once, as integer coefficients over 8 q^3 in :func:`tame_rows4`,
+which both :func:`premass4_tame` and ``density._tame_numerator`` read.
+Over a 2-adic field the first three rows still hold, and the three wild
+symbols (1^2 1^2), (2^2) and (1^4) are weighed per Galois closure group
+from counts by discriminant valuation.
 
 The cyclic (C4) layers come from F alone, by local class field theory
 (Serre, *Local Fields*, GTM 67, ch. VI and chs. XIII-XV): a cyclic
@@ -34,7 +38,7 @@ from functools import lru_cache
 from math import gcd
 
 from .fplinalg import Span
-from .massprime import MassReport, count_Cp
+from .massprime import MassReport, count_Cp, horner
 from .padic import GuardError, field_cache, quad_extend
 from .unitgroups import (
     basis_product,
@@ -55,6 +59,7 @@ __all__ = [
     "counts_14",
     "premass4_tame",
     "tame_coefficients",
+    "tame_rows4",
     "premass4",
 ]
 
@@ -446,7 +451,6 @@ def _counts_14(F, classes, algo):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
 def tame_coefficients(images: frozenset, g4: int) -> tuple:
     """The integers (k1212, k22, k14) of the tame quartic closed forms.
 
@@ -475,7 +479,6 @@ def tame_coefficients(images: frozenset, g4: int) -> tuple:
       g4 = 2 the quartics are not Galois and each counts through its
       ramified quadratic subfield, so k14 = 4 r2.
 
-    The result depends on nothing else, so it is memoised on that key.
     b may be read against either primitive g4-th root of unity: the
     other maps b to -b, which fixes b mod 2 and 2b mod 4 and swaps
     t = 1 with t = 3, so it fixes each count.
@@ -493,6 +496,33 @@ def tame_coefficients(images: frozenset, g4: int) -> tuple:
     return 2 + r2, k22, k14
 
 
+@lru_cache(maxsize=1024)
+def tame_rows4(images: frozenset, g4: int) -> tuple:
+    """The tame quartic pre-mass as labelled rows over 8 q^3: (label,
+    coefficients of q^3 .. q^0), for the ``images`` and g4 of
+    :func:`tame_coefficients`.
+
+    - epi: the six symbols with an unramified-split factor,
+      unconstrained, (5 q^2 + 8 q + 8)/(8 q^2);
+    - (4): 1/4 when every a is 0, else 0;
+    - (2 2): 1/8 when every a is even, else 0;
+    - (1^2 1^2), (2^2), (1^4): k1212/(8 q^2), k22/(8 q^2), k14/(8 q^3).
+
+    The first three rows read only the valuations and hold over every
+    base; the last three are tame only for odd residue characteristic.
+    The rows depend on nothing else, so they are memoised on that key.
+    """
+    k1212, k22, k14 = tame_coefficients(images, g4)
+    return (
+        ("epi", (5, 8, 8, 0)),
+        ("(4)", (2 * all(a == 0 for a, _ in images), 0, 0, 0)),
+        ("(2 2)", (int(all(a % 2 == 0 for a, _ in images)), 0, 0, 0)),
+        ("(1^2 1^2)", (0, 0, k1212, 0)),
+        ("(2^2)", (0, 0, k22, 0)),
+        ("(1^4)", (0, 0, 0, k14)),
+    )
+
+
 def _tame_images(F, gens_c, g4):
     """The classes (v mod 4, residue dlog mod g4) of the generators in
     F^x/F^{x4}, as :func:`tame_coefficients` reads them."""
@@ -500,33 +530,22 @@ def _tame_images(F, gens_c, g4):
     for g in gens_c:
         v = F.val(g)
         u = F.shift(g, -v) if v else g
-        out.append((v % 4, dlog_mod(F, F.residue(u), g4)))
+        out.append((v % 4, dlog_mod(F, F.residue(u), g4) if g4 > 1 else 0))
     return frozenset(out)
 
 
 def premass4_tame(F, gens=()) -> MassReport:
-    """The tame part of the constrained quartic pre-mass of F.
-
-    Always contains the unconstrained epimorphic part (the six symbols
-    with an unramified-split factor) and the two valuation-condition
-    symbols (4) and (2 2); for odd residue characteristic the three
-    remaining symbols are tame as well and are included here.
+    """The tame part of the constrained quartic pre-mass of F: the rows of
+    :func:`tame_rows4` at q, the first three only when p = 2, where the
+    other three symbols are wild.
     """
     q = F.q
-    gens_c = tuple(F.coerce(g) for g in gens)
-    vals = [F.val(g) for g in gens_c]
-    parts = [
-        ("epi", Fraction(5 * q * q + 8 * q + 8, 8 * q * q)),
-        ("(4)", Fraction(1, 4) if all(v % 4 == 0 for v in vals) else Fraction(0)),
-        ("(2 2)", Fraction(1, 8) if all(v % 2 == 0 for v in vals) else Fraction(0)),
-    ]
-    if F.p != 2:
-        g4 = gcd(4, q - 1)
-        k1212, k22, k14 = tame_coefficients(_tame_images(F, gens_c, g4), g4)
-        parts.append(("(1^2 1^2)", Fraction(k1212, 8 * q * q)))
-        parts.append(("(2^2)", Fraction(k22, 8 * q * q)))
-        parts.append(("(1^4)", Fraction(k14, 8 * q**3)))
-    return MassReport(tuple(parts))
+    g4 = gcd(4, q - 1)
+    rows = tame_rows4(_tame_images(F, [F.coerce(g) for g in gens], g4), g4)
+    den = 8 * q**3
+    return MassReport(
+        tuple((label, Fraction(horner(c, q), den)) for label, c in rows[: 3 if F.p == 2 else 6])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -635,9 +635,6 @@ class FiltrationProfile:
             return self.sizes[t]
         return 1
 
-    def is_trivial(self) -> bool:
-        return self.group_size == 1
-
 
 def filtration_profile(F, gens, n: int) -> FiltrationProfile:
     """Filtration data for the subgroup generated by ``gens`` mod n-th powers.

@@ -4,12 +4,13 @@ and denominator and inverting the denominator mod p.
 The library reads each generator num/den once as num * den^(n-1) and
 takes one modular power per prime (``density._tame_numerator``); this
 module keeps the direct route, one unit u = num * den^-1 mod p per
-generator and prime, as the reference the tests compare it with.
+generator and prime, as the reference the tests compare it with.  In
+prime degree it counts the totally ramified fields whose norm groups
+contain every generator one by one, without the library's rank rule.
 """
 
 from math import gcd
 
-from etmass.density import _tame_rank_case
 from etmass.massprime import partition_count
 from etmass.massquartic import tame_coefficients
 
@@ -52,11 +53,21 @@ def tame_numerator(n: int, p: int, fracs) -> int:
     top = q ** (ell - 1)
     vals = [v % ell for v, _ in units]
     if (q - 1) % ell:
-        ram = ell  # every unit is an ell-th power: q^(1-ell)
+        # one totally ramified field, not Galois and with no proper
+        # abelian subfield, so with norm group Q_p^x: q^(1-ell)
+        ram = ell
     else:
+        # the ell cyclic fields Q_p((c_j p)^(1/ell)), c_j = g^j for a
+        # non-residue g, each q^(1-ell)/ell; its root has norm
+        # (-1)^(ell+1) c_j p, so p^v u is a norm from it exactly when
+        # u ((-1)^(ell+1) c_j)^(-v) is an ell-th power residue
         k = (q - 1) // ell
-        case = _tame_rank_case([(a, pow(u, k, q)) for a, (_, u) in zip(vals, units)], q)
-        ram = (ell, 1, 0)[case]  # q^(1-ell), q^(1-ell)/ell or 0
+        g = next(g for g in range(2, q) if pow(g, k, q) != 1)
+        sign = (-1) ** (ell + 1)
+        ram = sum(
+            all(pow(u * pow(sign * pow(g, j, q), -v, q), k, q) == 1 for v, u in units)
+            for j in range(ell)
+        )
     # over ell q^(ell-1): unramified, totally ramified, epi, layers
     total = (
         (0 if any(vals) else top)

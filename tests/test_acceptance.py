@@ -21,6 +21,7 @@ from etmass import unitgroups as ug
 from etmass.padic import GuardError, LocalField, disc_val_quadratic, quad_extend
 
 import omega_reference as ref
+from alpha_reference import closed_form_alpha
 from test_massprime import all_symbols, symbol_premass
 from test_padic import congruent, random_unit
 
@@ -152,7 +153,7 @@ def test_06_q2_minus_one_three_ways():
     alpha = Q2.from_int(-1)
     prof = ug.filtration_profile(Q2, [alpha], 2)
     by_layers = mp.premass_Cp_wild(Q2, prof)
-    by_closed_form = mp.closed_form_alpha(Q2, alpha)
+    by_closed_form = closed_form_alpha(Q2, alpha)
     by_characters = sum(
         (
             Fraction(1, 2 * Q2.q**r.disc_val)

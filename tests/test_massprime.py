@@ -13,6 +13,8 @@ from etmass import oracle as orc
 from etmass import unitgroups as ug
 from etmass.padic import LocalField, quad_extend
 
+from alpha_reference import closed_form_alpha
+
 
 def ramified_quadratic(p, seed=0):
     F0 = LocalField(p, 1, 1)
@@ -118,12 +120,12 @@ def test_symbol_premass_sums_to_disc_layers(n, q):
     for s in all_symbols(n):
         by_d[d_sigma(s)] += symbol_premass(s, q)
     for d in range(n):
-        assert by_d[d] == mp.disc_layer_premass(n, d, q), (n, d)
+        assert by_d[d] == Fraction(mp.partition_count(d, n - d), q**d), (n, d)
 
 
 def test_disc_layer_table():
     q = 7
-    assert [mp.disc_layer_premass(4, d, q) for d in range(4)] == [
+    assert [Fraction(mp.partition_count(d, 4 - d), q**d) for d in range(4)] == [
         Fraction(1),
         Fraction(1, q),
         Fraction(2, q**2),
@@ -254,17 +256,17 @@ def test_premass_Cp_wild_constrained_vs_oracle(F):
 
 def test_closed_form_alpha_q2():
     Q2 = LocalField(2, 1, 1)
-    assert mp.closed_form_alpha(Q2, Q2.from_int(2)) == Fraction(1, 4)
-    assert mp.closed_form_alpha(Q2, Q2.from_int(-1)) == Fraction(1, 8)
+    assert closed_form_alpha(Q2, Q2.from_int(2)) == Fraction(1, 4)
+    assert closed_form_alpha(Q2, Q2.from_int(-1)) == Fraction(1, 8)
     # squares constrain nothing
-    assert mp.closed_form_alpha(Q2, Q2.from_int(17)) == Fraction(1, 2)
+    assert closed_form_alpha(Q2, Q2.from_int(17)) == Fraction(1, 2)
 
 
 def test_closed_form_alpha_q3_example():
     Q3 = LocalField(3, 1, 1)
     alpha = Q3.from_int(10)
     prof = ug.filtration_profile(Q3, [alpha], 3)
-    assert mp.closed_form_alpha(Q3, alpha) == mp.premass_Cp_wild(Q3, prof)
+    assert closed_form_alpha(Q3, alpha) == mp.premass_Cp_wild(Q3, prof)
 
 
 @pytest.mark.parametrize("F", WILD_BASES, ids=lambda F: f"p{F.p}e{F.e}f{F.f}")
@@ -277,7 +279,7 @@ def test_closed_form_alpha_matches_series(F):
         v = int(rng.integers(0, 2 * F.p + 1))
         alpha = F.mul(u, F.power(F.pi(), v)) if v else u
         prof = ug.filtration_profile(F, [alpha], F.p)
-        assert mp.closed_form_alpha(F, alpha) == mp.premass_Cp_wild(F, prof)
+        assert closed_form_alpha(F, alpha) == mp.premass_Cp_wild(F, prof)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,7 @@ def test_total_q5_quadratic_uniformizer():
 def test_total_trivial_is_full_mass(F, ell):
     rep = mp.premass_ell_total(F, ell)
     want = sum(
-        (mp.disc_layer_premass(ell, d, F.q) for d in range(ell)), Fraction(0)
+        (Fraction(mp.partition_count(d, ell - d), F.q**d) for d in range(ell)), Fraction(0)
     )
     assert rep.total == want
 
@@ -320,28 +322,34 @@ def test_total_trivial_is_full_mass(F, ell):
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_total_tame_matches_oracle(p, ell):
+    # over Q_p, a ramified and an unramified quadratic base: the residue
+    # symbols are read through rf.pow over F_q, which the oracle's
+    # discrete logs check independently
     if ell == p:
         return
-    F = LocalField(p, 1, 1)
-    pool = [F.from_int(n) for n in (2, 3, -1, p, 2 * p, -p)]
-    rng = np.random.default_rng(53)
-    for r in range(3):
-        idx = list(rng.choice(len(pool), size=r, replace=False))
-        gens = [pool[i] for i in idx]
-        recs = orc.enum_tame(F, ell, gens=gens)
-        unram = sum(
-            Fraction(1, rec.aut)
-            for rec in recs
-            if rec.disc_val == 0 and all(rec.norm_flags)
-        )
-        ram = sum(
-            Fraction(1, rec.aut * F.q**rec.disc_val)
-            for rec in recs
-            if rec.disc_val > 0 and all(rec.norm_flags)
-        )
-        rep = mp.premass_ell_total(F, ell, gens)
-        assert rep.part(f"({ell})") == unram, (p, ell, r)
-        assert rep.part(f"(1^{ell})") == ram, (p, ell, r)
+    for e, f in [(1, 1), (2, 1), (1, 2)]:
+        F = LocalField(p, e, f)
+        pool = [F.from_int(n) for n in (2, 3, -1, p, 2 * p, -p)]
+        pool += [F.pi(), F.ugen(), F.mul(F.pi(), F.ugen())]
+        rng = np.random.default_rng(53)
+        for r in range(4):
+            for _ in range(3 if r else 1):
+                idx = list(rng.choice(len(pool), size=r, replace=False))
+                gens = [pool[i] for i in idx]
+                recs = orc.enum_tame(F, ell, gens=gens)
+                unram = sum(
+                    Fraction(1, rec.aut)
+                    for rec in recs
+                    if rec.disc_val == 0 and all(rec.norm_flags)
+                )
+                ram = sum(
+                    Fraction(1, rec.aut * F.q**rec.disc_val)
+                    for rec in recs
+                    if rec.disc_val > 0 and all(rec.norm_flags)
+                )
+                rep = mp.premass_ell_total(F, ell, gens)
+                assert rep.part(f"({ell})") == unram, (p, e, f, ell, idx)
+                assert rep.part(f"(1^{ell})") == ram, (p, e, f, ell, idx)
 
 
 def test_total_monotone_in_generators():

@@ -221,9 +221,8 @@ def unnamed_definitions():
 # it stays
 UNNAMED_ALLOWED = {
     "fplinalg.backend_name": "perfbench/worker.py records it with each run",
-    "massprime.closed_form_alpha": "ROADMAP item 4 must settle it (tests call it)",
     "massquartic.hilbert2": "ROADMAP item 4 must settle it; perfbench's tracer names it",
-    "oracle.enum_tame": "ROADMAP item 4 must settle it (tests call it)",
+    "oracle.enum_tame": "the independent oracle of the tame ell rule",
 }
 
 
