@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import csv
 import json
+import math
 import random
 import sys
 from decimal import Decimal
@@ -141,17 +142,20 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def decimal_str(x: Fraction, digits: int) -> str:
-    """``x`` rounded to ``digits`` decimal places, half to even, printed
-    as ``Decimal`` prints a number with that exponent.
+def decimal_str(x: Fraction, digits: int, up: bool) -> str:
+    """``x`` rounded to ``digits`` decimal places, down (toward -inf) or,
+    with ``up``, up (toward +inf), printed as ``Decimal`` prints a
+    number with that exponent.
 
-    The rounding is one ``divmod`` of x * 10^digits, in time linear in
+    The interval ends are printed this way, the lower end down and the
+    upper end up, so the printed pair contains the exact interval.  The
+    rounding is one floor division of x * 10^digits, in time linear in
     the size of x; only the rounded integer becomes a ``Decimal``, so
     the process-wide Decimal context is neither read nor changed.
     """
-    q = round(abs(x) * Fraction(10) ** digits)
-    sign = "-" if x < 0 and q else ""
-    return str(Decimal(f"{sign}{q}E{-digits}"))
+    scaled = x * Fraction(10) ** digits
+    q = math.ceil(scaled) if up else math.floor(scaled)
+    return str(Decimal(f"{q}E{-digits}"))
 
 
 _GROUP_NAMES = {"C4", "V4", "D4", "C2", "A4/S4"}
@@ -260,14 +264,14 @@ def density(n, gens, bound, digits, fmt):
             "coefficient": {
                 "lo": frac_str(di.coeff_lo),
                 "hi": frac_str(di.coeff_hi),
-                "lo_decimal": decimal_str(di.coeff_lo, digits),
-                "hi_decimal": decimal_str(di.coeff_hi, digits),
+                "lo_decimal": decimal_str(di.coeff_lo, digits, up=False),
+                "hi_decimal": decimal_str(di.coeff_hi, digits, up=True),
             },
             "proportion": {
                 "lo": frac_str(di.prop_lo),
                 "hi": frac_str(di.prop_hi),
-                "lo_decimal": decimal_str(di.prop_lo, digits),
-                "hi_decimal": decimal_str(di.prop_hi, digits),
+                "lo_decimal": decimal_str(di.prop_lo, digits, up=False),
+                "hi_decimal": decimal_str(di.prop_hi, digits, up=True),
             },
             "per_prime": [
                 {"p": p, "mass": frac_str(m)} for p, m in di.per_prime

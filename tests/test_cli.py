@@ -87,26 +87,31 @@ def test_split_label():
 
 
 def test_decimal_str():
-    assert cli.decimal_str(Fraction(1, 3), 4) == "0.3333"
-    assert cli.decimal_str(Fraction(1, 2), 2) == "0.50"
+    assert cli.decimal_str(Fraction(1, 3), 4, up=False) == "0.3333"
+    assert cli.decimal_str(Fraction(1, 3), 4, up=True) == "0.3334"
+    assert cli.decimal_str(Fraction(1, 2), 2, up=False) == "0.50"
+    assert cli.decimal_str(Fraction(1, 2), 2, up=True) == "0.50"
 
 
 def test_decimal_str_keeps_context_precision():
     with decimal.localcontext() as ctx:
         ctx.prec = 28
-        assert cli.decimal_str(Fraction(1, 7), 40) == "0.1428571428571428571428571428571428571429"
+        assert cli.decimal_str(Fraction(1, 7), 40, up=False) == "0.1428571428571428571428571428571428571428"
+        assert cli.decimal_str(Fraction(1, 7), 40, up=True) == "0.1428571428571428571428571428571428571429"
         assert decimal.getcontext().prec == 28
 
 
-def _decimal_reference(x, digits):
-    """x rounded half to even at ``digits`` places by ``Decimal``.
+def _decimal_reference(x, digits, up):
+    """x rounded at ``digits`` places by ``Decimal``, toward +inf with
+    ``up``, else toward -inf.
 
-    A tie point t of that rounding differs from x = a/b, when not equal
-    to it, by at least 1/(2b * 10^digits); the quotient is rounded at
-    more places than that, so quantizing it rounds once, as x would."""
+    The quotient is rounded in the same direction at more places than
+    the quantum 10^-digits, and rounding it again in that direction at
+    the coarser quantum gives what rounding x once would."""
+    rounding = decimal.ROUND_CEILING if up else decimal.ROUND_FLOOR
     with decimal.localcontext() as ctx:
         ctx.prec = digits + len(str(x.numerator)) + 2 * len(str(x.denominator)) + 10
-        ctx.rounding = decimal.ROUND_HALF_EVEN
+        ctx.rounding = rounding
         d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
         return str(+d.quantize(decimal.Decimal(1).scaleb(-digits)))
 
@@ -139,7 +144,32 @@ def _decimal_reference(x, digits):
     ],
 )
 def test_decimal_str_edge_values(x, digits, want):
-    assert cli.decimal_str(x, digits) == _decimal_reference(x, digits) == want
+    # ``want`` is x rounded half to even: the directed roundings bracket
+    # x, one quantum apart unless x is on the grid, and the nearest
+    # rounding is one of them
+    down = cli.decimal_str(x, digits, up=False)
+    up = cli.decimal_str(x, digits, up=True)
+    assert down == _decimal_reference(x, digits, up=False)
+    assert up == _decimal_reference(x, digits, up=True)
+    assert Fraction(down) <= x <= Fraction(up)
+    assert Fraction(up) - Fraction(down) == (0 if Fraction(down) == x else Fraction(10) ** -digits)
+    assert want in (down, up)
+
+
+@pytest.mark.parametrize(
+    "x,digits,down,up",
+    [
+        (Fraction(1, 2), 0, "0", "1"),
+        (Fraction(-5, 2), 0, "-3", "-2"),
+        (Fraction(3, 8), 2, "0.37", "0.38"),
+        (Fraction(-1, 10**7), 6, "-0.000001", "0.000000"),
+        (Fraction(-1, 3 * 10**40), 30, "-1E-30", "0E-30"),
+        (Fraction(12345, 100), -2, "1E+2", "2E+2"),
+    ],
+)
+def test_decimal_str_directed(x, digits, down, up):
+    assert cli.decimal_str(x, digits, up=False) == down
+    assert cli.decimal_str(x, digits, up=True) == up
 
 
 _tie = st.builds(
@@ -168,8 +198,8 @@ def test_decimal_str_matches_a_decimal_reference(case):
         # the result reads nothing from the ambient context
         ctx.prec = 3
         ctx.rounding = decimal.ROUND_DOWN
-        got = cli.decimal_str(x, digits)
-    assert got == _decimal_reference(x, digits)
+        got = [cli.decimal_str(x, digits, up=up) for up in (False, True)]
+    assert got == [_decimal_reference(x, digits, up=up) for up in (False, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +417,41 @@ def test_density_huge_valuations(runner, n, gens, reduced):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("--n", "3", "--gens", "", "--prime-bound", "20000"),
+        ("--n", "5", "--gens", "-2/3,11/7", "--prime-bound", "3000"),
+        ("--n", "3", "--gens", "", "--prime-bound", "30011"),
+        ("--n", "3", "--gens", "", "--prime-bound", "50"),
+        ("--n", "4", "--prime-bound", "30", "--digits", "3"),
+        ("--n", "4", "--gens", "-1", "--prime-bound", "1000", "--digits", "12"),
+        ("--n", "3", "--gens", str(7**60), "--prime-bound", "1000"),
+        ("--n", "4", "--gens", str(2**81), "--prime-bound", "1000", "--digits", "0"),
+    ],
+    ids=lambda args: "-".join(a for a in args if not a.startswith("--")) or "plain",
+)
+def test_density_decimals_contain_the_interval(runner, args):
+    # the lower end is printed rounded down and the upper end up, so the
+    # printed pair contains the exact interval
+    res = invoke(runner, "density", *args)
+    assert res.exit_code == 0, res.stderr
+    out = json.loads(res.stdout)
+    for key in ("coefficient", "proportion"):
+        block = out[key]
+        assert Fraction(block["lo_decimal"]) <= Fraction(block["lo"]), (key, block["lo_decimal"])
+        assert Fraction(block["hi_decimal"]) >= Fraction(block["hi"]), (key, block["hi_decimal"])
+
+
+@pytest.mark.parametrize(
     "args,digest",
     [
         (
             ("--n", "3", "--gens", "", "--prime-bound", "20000"),
-            "32ed505ed3f4f66d595a2b7695152bc38cd7b4b653bd97b79efddab4c78686c7",
+            "04d7db0e0c71f5c3e7c372a8ddd02190d2f73613baada4ba95668a36c61efac5",
         ),
         (
             ("--n", "5", "--gens", "-2/3,11/7", "--prime-bound", "3000"),
-            "e044fdb29a7890a56cfd59da1b0d9886891e2c0f15583483c1a17446bb8c4a55",
+            "af129b4d80fdca63ac4776e57ce94e1851c5d741fa8a6ae73abffe47a45b3b62",
         ),
     ],
     ids=["n3-plain", "n5-gens"],
