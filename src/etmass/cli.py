@@ -143,14 +143,13 @@ def frac_str(x: Fraction) -> str:
 
 
 def decimal_str(x: Fraction, digits: int, up: bool) -> str:
-    """``x`` rounded to ``digits`` decimal places, down (toward -inf) or,
-    with ``up``, up (toward +inf), printed as ``Decimal`` prints a
-    number with that exponent.
+    """``x`` rounded to ``digits`` decimal places, toward -inf, or toward
+    +inf with ``up``, printed as ``Decimal`` prints a number with that
+    exponent: a lower end rounded down and an upper end up contain the
+    exact interval.
 
-    The interval ends are printed this way, the lower end down and the
-    upper end up, so the printed pair contains the exact interval.  The
-    rounding is one floor division of x * 10^digits, in time linear in
-    the size of x; only the rounded integer becomes a ``Decimal``, so
+    The rounding is one floor division of x * 10^digits, in time linear
+    in the size of x; only the rounded integer becomes a ``Decimal``, so
     the process-wide Decimal context is neither read nor changed.
     """
     scaled = x * Fraction(10) ** digits

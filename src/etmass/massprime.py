@@ -281,17 +281,15 @@ def tame_ram(ell: int, q: int, pairs, power, one) -> int:
     or 0 for a totally ramified pre-mass of q^(1-ell), q^(1-ell)/ell or 0.
 
     ``pairs`` holds one (a, chi) per generator: a = v mod ell and chi
-    the ell-th power residue symbol of its unit part, a residue that
-    ``power(chi, k)`` raises to the k-th power, with identity ``one``.
-    When ell does not divide q - 1 the one totally ramified field is not
-    Galois and has no proper abelian subfield, so its norm group is
-    F^x.  Otherwise there are ell cyclic ones, one per line of
-    F^x/F^{x ell} = (Z/ell)^2 other than the units' line, each with
-    norm group that line and pre-mass q^(1-ell)/ell.  All ell contain
-    Abar when Abar is trivial, one when Abar is one line through a
-    class of valuation prime to ell, none otherwise.  The class of a
-    generator is (a, log chi), and two classes are dependent exactly
-    when chi_j^(a_i) == chi_i^(a_j).
+    the ell-th power residue symbol of its unit part, which
+    ``power(chi, k)`` raises to the k-th power; ``one`` is the trivial
+    symbol.  If ell does not divide q - 1 the one totally ramified field
+    has no proper abelian subfield, so its norm group is F^x.  Else
+    there are ell cyclic ones of pre-mass q^(1-ell)/ell each, their norm
+    groups the lines of F^x/F^{x ell} = (Z/ell)^2 other than the units'.
+    All contain Abar when it is trivial, one when it is one line through
+    a class of valuation prime to ell, none otherwise.  Classes are
+    (a, log chi): two are dependent exactly when chi_j^(a_i) == chi_i^(a_j).
     """
     if (q - 1) % ell or all(a == 0 and chi == one for a, chi in pairs):
         return ell
@@ -309,12 +307,10 @@ def tame_rows(ell: int, unram: bool, ram: int) -> tuple:
 
     - (ell): the unramified field, 1/ell when ``unram`` (every
       generator's valuation is divisible by ell), else 0;
-    - (1^ell): the totally ramified fields, ram/(ell q^(ell-1)), ram from
-      :func:`tame_ram` when ell != p;
+    - (1^ell): the totally ramified fields, ram/(ell q^(ell-1));
     - epi: the algebras with a surjective reduction map, (ell - 1)/ell;
-    - layers: the middle discriminant layers, Part(d, ell-d)/q^d for
-      0 < d < ell - 1, unconstrained since those algebras split enough
-      to have full norm groups.
+    - layers: Part(d, ell-d)/q^d for 0 < d < ell - 1, unconstrained,
+      since those algebras split enough to have full norm groups.
     """
     zeros = (0,) * (ell - 1)
     return (

@@ -500,17 +500,13 @@ def tame_coefficients(images: frozenset, g4: int) -> tuple:
 def tame_rows4(images: frozenset, g4: int) -> tuple:
     """The tame quartic pre-mass as labelled rows over 8 q^3: (label,
     coefficients of q^3 .. q^0), for the ``images`` and g4 of
-    :func:`tame_coefficients`.
+    :func:`tame_coefficients`, memoised on them.
 
     - epi: the six symbols with an unramified-split factor,
       unconstrained, (5 q^2 + 8 q + 8)/(8 q^2);
-    - (4): 1/4 when every a is 0, else 0;
-    - (2 2): 1/8 when every a is even, else 0;
-    - (1^2 1^2), (2^2), (1^4): k1212/(8 q^2), k22/(8 q^2), k14/(8 q^3).
-
-    The first three rows read only the valuations and hold over every
-    base; the last three are tame only for odd residue characteristic.
-    The rows depend on nothing else, so they are memoised on that key.
+    - (4) and (2 2): 1/4 when every a is 0, 1/8 when every a is even;
+    - (1^2 1^2), (2^2), (1^4): k1212/(8 q^2), k22/(8 q^2), k14/(8 q^3),
+      tame only for odd residue characteristic.
     """
     k1212, k22, k14 = tame_coefficients(images, g4)
     return (
