@@ -428,7 +428,7 @@ def test_density_huge_valuations(runner, n, gens, reduced):
         ("--n", "3", "--gens", str(7**60), "--prime-bound", "1000"),
         ("--n", "4", "--gens", str(2**81), "--prime-bound", "1000", "--digits", "0"),
     ],
-    ids=lambda args: "-".join(a for a in args if not a.startswith("--")) or "plain",
+    ids=lambda args: "-".join(a for a in args if not a.startswith("--")),
 )
 def test_density_decimals_contain_the_interval(runner, args):
     # the lower end is printed rounded down and the upper end up, so the
