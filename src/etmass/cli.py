@@ -218,7 +218,11 @@ def mass(p, e, f, n, gens, symbol, fmt):
             report = mp.premass_ell_total(F, n, elems)
         parts = report.parts
         if symbol is not None:
-            want = str(mp.parse_symbol(symbol)) if symbol.strip("()")[:1].isdigit() else symbol
+            # a printed symbol is matched as it stands: "(11)" is one
+            # field of residue degree 11, which parse_symbol reads as two
+            want = symbol
+            if symbol not in {split_label(k)[0] for k, _ in parts} and symbol.strip("()")[:1].isdigit():
+                want = str(mp.parse_symbol(symbol))
             parts = tuple(kv for kv in parts if split_label(kv[0])[0] == want)
             _validate(parts, f"no summand with symbol {symbol!r}")
         premass = sum((v for _, v in parts), Fraction(0))

@@ -93,8 +93,9 @@ class SplittingSymbol:
 def parse_symbol(text: str) -> SplittingSymbol:
     """Parse a symbol such as ``(1^2 2)``, ``1^3,1``, or ``22``.
 
-    Each token is a residue degree, optionally followed by ``^`` and a
-    ramification index; parentheses, commas, and spaces are cosmetic.
+    Each token is a one-digit residue degree, optionally followed by
+    ``^`` and a ramification index of any number of digits; parentheses,
+    commas, and spaces are cosmetic.
     """
     s = text.strip().strip("()").replace(",", " ")
     pairs = []
@@ -110,10 +111,13 @@ def parse_symbol(text: str) -> SplittingSymbol:
         i += 1
         e = 1
         if i < len(s) and s[i] == "^":
-            if i + 1 >= len(s) or not s[i + 1].isdigit():
+            j = i + 1
+            while j < len(s) and s[j].isdigit():
+                j += 1
+            if j == i + 1:
                 raise ValueError(f"bad symbol {text!r}")
-            e = int(s[i + 1])
-            i += 2
+            e = int(s[i + 1 : j])
+            i = j
         pairs.append((e, f))
     if not pairs:
         raise ValueError(f"bad symbol {text!r}")

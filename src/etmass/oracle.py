@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fplinalg import Span, colspan
-from .padic import GuardError, disc_val_quadratic, field_cache, quad_extend
+from .padic import GuardError, field_cache, quad_extend
 from .unitgroups import (
     basis_product,
     class_dim,
@@ -30,6 +30,7 @@ from .unitgroups import (
     dlog_mod,
     norm_class_matrix,
     p_class_coords,
+    quad_disc_val,
     solve_norm_equation,
     sqrt_exact,
     square_class_basis,
@@ -217,11 +218,12 @@ def _tower_pairs(F):
     nontrivial square class w of E.  None of it depends on the
     generators, so F keeps it and a second census builds no field.
 
-    delta = prod b_j^(w_j) has class w, one product on the delta of w
-    without its top bit.  The pair is V4 when w is a
-    class of F, C4 when N_{E/F}(delta) lies in d's class, and D4
-    otherwise; the norm is a homomorphism on square classes, so the
-    class of N(delta) is sum_j w_j class(N(b_j)), one read per b_j.
+    Every pair is read off w, with no product in E: delta = prod b_j^(w_j)
+    has class w.  The pair is V4 when w is a class of F, C4 when
+    N_{E/F}(delta) lies in d's class, and D4 otherwise; the norm is a
+    homomorphism on square classes, so the class of N(delta) is
+    sum_j w_j class(N(b_j)), one read per b_j.  The discriminant of
+    E(sqrt(delta))/E comes from w's levels (:func:`quad_disc_val`).
     """
     fb = unit_basis(F)
     out = []
@@ -236,17 +238,14 @@ def _tower_pairs(F):
         e_EF = 2 if E.kind == "ramified" else 1
         f_EF = 2 // e_EF
         pairs = []
-        deltas = [E.one()]  # by _lines index, which for p = 2 is every idx
-        for idx, wvec in enumerate(_lines(2, eb.dim), 1):
-            top = idx.bit_length() - 1
-            deltas.append(E.mul(deltas[idx - (1 << top)], eb.elems[top]))
+        for wvec in _lines(2, eb.dim):
             if im.reduce(wvec)[0] is None:
                 group = "V4"
             elif tuple(sum(w * c for w, c in zip(wvec, col)) % 2 for col in zip(*norms)) == d_class:
                 group = "C4"
             else:
                 group = "D4"
-            dl = disc_val_quadratic(E, deltas[idx])
+            dl = quad_disc_val(E, wvec)
             symbol = {1: "(4)", 2: "(2^2)", 4: "(1^4)"}[e_EF * (2 if dl > 0 else 1)]
             pairs.append((tuple(wvec), group, symbol, 2 * E.disc_val + f_EF * dl))
         out.append((E, pairs))

@@ -1120,20 +1120,3 @@ def quad_extend(F, d):
         return QuadExt(F, "ramified", a, b, d, 2 * F.e - c + 1)
     raise ValueError(f"unexpected square-class level c = {c}")
 
-
-def disc_val_quadratic(F, u):
-    """v_F of the discriminant of F(sqrt(u))/F, for p = 2."""
-    if F.p != 2:
-        raise ValueError("only defined for residue characteristic 2")
-    from .unitgroups import c_alpha
-
-    v = F.val(u)
-    if v % 2 == 1:
-        return 2 * F.e + 1
-    u0 = F.shift(u, -v)
-    c, _ = c_alpha(F, u0)
-    if c == INF:
-        raise ValueError("u is a square")
-    if c == 2 * F.e:
-        return 0
-    return 2 * F.e - c + 1

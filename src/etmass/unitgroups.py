@@ -10,22 +10,25 @@ because only the generic element interface is used.
 
 Field structure is built once per field and kept on the field itself
 (:func:`etmass.padic.field_cache`), so it dies with the field.  The
-unit-class basis (:class:`UnitClassBasis`) stores, besides its elements
-and their levels, the inverse of each level element 1 + pi^i u (made on
-first use), and for a field containing mu_p the column span of phi's
+unit-class basis (:class:`UnitClassBasis`) stores its elements, their
+levels and, for a field containing mu_p, the column span of phi's
 columns followed by u*, u* the residue outside the image of phi.  Each
 field also keeps the column span of phi (:func:`phi_matrix`) and, when
 it is a quadratic E, the span of its norm image
 (:func:`norm_class_matrix`), so a later solve on either only reduces a
-vector.  The root 1 + pi^(i/p) y and the strip factor
-1/(1 + pi^(i/p) y)^p of each wild level i and residue y are kept too,
-made on first use and shared by class coordinates and :func:`c_alpha`,
-with the root's square class once :func:`class4_vec` has read it.
-Reading the class coordinates of an element then costs no product per
-digit, since a digit is read off the stored coefficients (``F.digit``)
-of m - 1, which ``F.minus_one`` forms in place without a negation and a
-sum, and a fixed number of products per level to strip it with stored
-factors.
+vector.  The root u = 1 + pi^k y and the strip factor 1/u^p of each
+shift k and residue y are kept too, made on first use, with the root's
+square class once :func:`class4_vec` has read it.
+
+One walk of the unit levels (:func:`_class_walk`) reads every class.
+A digit is read off the stored coefficients (``F.digit``) of m - 1,
+which ``F.minus_one`` forms in place without a negation and a sum, and
+is cleared by products with stored basis elements and strip factors;
+no element is inverted per read.  :func:`p_class_coords` is its
+coordinates, :func:`c_alpha` its least nonzero level and the roots it
+strips below that level, :func:`quad_disc_val` a discriminant read off
+a class vector, and :func:`class4_vec` (p = 2) the walk continued past
+the top level to 3e.
 
 A constraint group A = <gens> enters the mass formulas only through its
 :class:`FiltrationProfile`: the order of its image Abar in F^x/F^{x n}
@@ -33,11 +36,8 @@ and the orders of its intersections with the images of U^(t), which
 :func:`filtration_profile` reads as ranks of the generators' class
 vectors, forming no element of A.
 
-For p = 2 the class of an element modulo fourth powers
-(:func:`class4_vec`) takes one walk of the class coordinates and an
-inverse-free Newton root of what is left in U^(2e+1), and the classes
-that span the images of the unit levels in F^x/F^{x4}
-(:func:`level_classes4`) are kept on the field.
+For p = 2 the classes that span the images of the unit levels in
+F^x/F^{x4} (:func:`level_classes4`) are kept on the field.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fplinalg import Span, colspan
-from .padic import INF, PrecisionError, field_cache, is_prime
+from .padic import INF, field_cache, is_prime
 
 
 def ceil_frac(a: int, b: int) -> int:
@@ -86,14 +86,6 @@ def phi_matrix(F) -> Span:
     return colspan(F.p, _phi_columns(F), F.rf.f)
 
 
-def phi_preimage(F, r):
-    """A residue element y with phi(y) = r, or None if r is not a value."""
-    sol = phi_matrix(F).solve(F.rf.coords(r))
-    if sol is None:
-        return None
-    return F.rf.from_coords(sol)
-
-
 @field_cache
 def contains_mu_p(F) -> bool:
     """Whether F contains the p-th roots of unity."""
@@ -106,70 +98,6 @@ def contains_mu_p(F) -> bool:
     rf = F.rf
     x = rf.neg(_pi_e_over_p_residue(F))
     return rf.pow(x, (F.q - 1) // (p - 1)) == rf.one
-
-
-# ---------------------------------------------------------------------------
-# the level c_alpha of a class modulo p-th powers
-# ---------------------------------------------------------------------------
-
-
-def c_alpha(F, alpha):
-    """The level c of [alpha] in F^x / F^{x p}, with a p-th-root witness.
-
-    Returns a pair (c, lam).  For a unit alpha, c is the largest i such
-    that alpha lies in U^(i) F^{x p} (infinity when alpha is a p-th
-    power), and lam satisfies alpha = lam^p modulo pi^c.  When the
-    valuation of alpha is not a multiple of p the level is -1 by
-    convention.
-    """
-    p = F.p
-    v = F.val(alpha)
-    if v is INF:
-        raise ValueError("alpha must be nonzero")
-    if v % p != 0:
-        return -1, F.one()
-    if v == 0:
-        return _c_alpha_unit(F, alpha)
-    m = F.shift(alpha, -v)
-    c, lam = _c_alpha_unit(F, m)
-    return c, F.mul(lam, F.power(F.pi(), v // p))
-
-
-def _c_alpha_unit(F, m):
-    p, e = F.p, F.e
-    T = (p * e) // (p - 1)
-    top_exact = e % (p - 1) == 0
-    lam = F.one()
-    m1 = F.minus_one(m)
-    for i in range(T + 1):
-        if i % p != 0:
-            # whether m = 1 mod pi^(i+1), which the precision must decide
-            if m.prec <= i:
-                raise PrecisionError(f"precision below congruence level {i + 1}")
-            if F.val_lower(m1) > i:
-                continue
-            return i, lam
-        if top_exact and i == T:
-            y = phi_preimage(F, _top_digit(F, m1))
-            if y is None:
-                return T, lam
-        else:
-            # p | i and i < pe/(p-1): strip one wild digit by a p-th root
-            y = F.rf.pth_root(F.digit(m1, i))
-        if not F.rf.is_zero(y):
-            root, strip, _ = _strip(F, i, y)
-            lam = F.mul(lam, root)
-            m = F.mul(m, strip)
-            m1 = F.minus_one(m)
-    return INF, lam
-
-
-def _top_digit(F, m1):
-    """Residue of m1 / (pi^{e/(p-1)} p), for m1 = m - 1 with
-    m = 1 mod pi^{pe/(p-1)}: the digit of m1 at pe/(p-1) times the
-    residue of pi^e / p."""
-    r = F.digit(m1, (F.p * F.e) // (F.p - 1))
-    return F.rf.mul(r, _pi_e_over_p_residue(F))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +114,6 @@ class UnitClassBasis:
     mu_p is contained in F there is a final element at the top level
     pe/(p-1).  ``levels`` records the level of each basis element.
 
-    ``inverses`` maps j to the inverse of ``elems[j]``; :meth:`inverse`
-    fills it on first use, since most fields never strip every level.
     When mu_p is in F, ``top_aug`` is the column span over F_p of phi's
     columns followed by the residue u* of the top element, built once
     for the solves of :func:`p_class_coords`; otherwise it is None.
@@ -196,43 +122,35 @@ class UnitClassBasis:
     field: object
     elems: tuple
     levels: tuple
-    inverses: dict
     top_aug: Span | None
 
     @property
     def dim(self) -> int:
         return len(self.elems)
 
-    def inverse(self, j):
-        """The inverse of ``elems[j]``, computed once."""
-        inv = self.inverses.get(j)
-        if inv is None:
-            inv = self.inverses[j] = self.field.inv(self.elems[j])
-        return inv
-
 
 @field_cache
 def _strip_factors(F):
-    """The strip factors of F made so far, by (level, residue)."""
+    """The strip factors of F made so far, by (shift, residue)."""
     return {}
 
 
-def _strip(F, i, y):
-    """[u, 1/u^p, class of u or None] for u = 1 + pi^(i/p) lift(y), a level
-    i divisible by p and a residue y, computed once per (F, i, y): there
-    are at most (levels x q) of them, shared by :func:`p_class_coords` and
-    :func:`c_alpha`; :func:`_root_class` fills in the class."""
+def _strip(F, k, y):
+    """[u, 1/u^p, class of u or None] for u = 1 + pi^k lift(y), computed
+    once per (F, k, y) and shared by :func:`p_class_coords`,
+    :func:`c_alpha` and :func:`class4_vec`; :func:`_root_class` fills in
+    the class."""
     strips = _strip_factors(F)
-    s = strips.get((i, y))
+    s = strips.get((k, y))
     if s is None:
-        u = F.one() + F.shift(F.lift(y), i // F.p)
-        s = strips[(i, y)] = [u, F.inv(F.power(u, F.p)), None]
+        u = F.one() + F.shift(F.lift(y), k)
+        s = strips[(k, y)] = [u, F.inv(F.power(u, F.p)), None]
     return s
 
 
-def _root_class(F, i, y):
-    """The class mod squares of the root u of ``_strip(F, i, y)``, read once."""
-    s = _strip(F, i, y)
+def _root_class(F, k, y):
+    """The class mod squares of the root u of ``_strip(F, k, y)``, read once."""
+    s = _strip(F, k, y)
     if s[2] is None:
         s[2] = class_vec(F, s[0], 2)
     return s[2]
@@ -268,7 +186,7 @@ def unit_basis(F) -> UnitClassBasis:
         levels.append((p * e) // (p - 1))
         top_aug = colspan(p, [*_phi_columns(F), F.rf.coords(ustar)], F.rf.f)
     assert p ** len(elems) == quotient_size(F, INF)
-    return UnitClassBasis(F, tuple(elems), tuple(levels), {}, top_aug)
+    return UnitClassBasis(F, tuple(elems), tuple(levels), top_aug)
 
 
 def _non_phi_value(F):
@@ -283,23 +201,44 @@ def _non_phi_value(F):
     raise ArithmeticError("phi is surjective; no such element")
 
 
-def p_class_coords(F, alpha) -> tuple:
-    """Coordinates of [alpha] in F^x / F^{x p} on the unit-class basis.
+def _top_digit(F, m1):
+    """Residue of m1 / (pi^{e/(p-1)} p), for m1 = m - 1 with
+    m = 1 mod pi^{pe/(p-1)}: the digit of m1 at pe/(p-1) times the
+    residue of pi^e / p."""
+    r = F.digit(m1, (F.p * F.e) // (F.p - 1))
+    return F.rf.mul(r, _pi_e_over_p_residue(F))
 
-    Each level's coordinate is a residue (U^(i)/U^(i+1) is the residue
-    field), read off the stored coefficients by ``F.digit`` with no
-    product.  Stripping a prime-to-p level then costs, per unit of each
-    digit coordinate, one product with a stored basis inverse, and
-    stripping a level divisible by p one product with a stored strip
-    factor (:func:`_strip`)."""
+
+def p_class_coords(F, alpha) -> tuple:
+    """Coordinates of [alpha] in F^x / F^{x p} on the unit-class basis,
+    read by the level walk :func:`_class_walk` with no inverse: a level
+    prime to p costs at most p - 1 products per residue coordinate, a
+    level divisible by p one product with a stored strip factor."""
     return _class_walk(F, alpha)[0]
 
 
 def _class_walk(F, alpha, roots=None):
-    """(coordinates, v, rest m of alpha / pi^v) of the level walk of
-    :func:`p_class_coords`.  Given a list ``roots`` (p = 2), it appends the
-    (level, residue) of each strip, and at the top level it divides out
-    the top element and strips the rest, a value of phi: m is in U^(2e+1)."""
+    """(coordinates, v, rest m) of the level walk of alpha = pi^v m0.
+
+    Each level's digit is a residue (U^(i)/U^(i+1) is the residue
+    field), read off the stored coefficients of m - 1 by ``F.digit``
+    with no product, and cleared by products with stored elements, none
+    of them inverted:
+
+    * at a level prime to p, each coordinate d of the digit by the
+      basis element b of its residue, taken (-d) mod p times: b^(-d)
+      would clear the digit too, and the two differ by a p-th power;
+    * at a level i = pk below pe/(p-1), a p-th root y of the digit by
+      the strip factor 1/u^p, u = 1 + pi^k lift(y) (:func:`_strip`);
+    * at the top level pe/(p-1), when (p-1) | e, the digit is
+      phi(y) + d u*, d the top coordinate (0 when mu_p is not in F).
+
+    Without ``roots`` the walk ends with the top coordinate.  Given a
+    list ``roots``, it appends the (k, y) of each strip, and at the top
+    level clears d with the top element and strips y, so that
+    m = m0 prod b^((-d) mod p) / prod u^p lies in U^(pe/(p-1)+1).
+    Either way it reads no digit past pe/(p-1).
+    """
     basis = unit_basis(F)
     p, e = F.p, F.e
     T = (p * e) // (p - 1)
@@ -316,32 +255,93 @@ def _class_walk(F, alpha, roots=None):
         if i % p != 0:
             lam = rf.coords(F.digit(F.minus_one(m), i))
             for j, lj in enumerate(lam):
-                for _ in range(lj):
-                    m = F.mul(m, basis.inverse(pos + j))
+                for _ in range(-lj % p):
+                    m = F.mul(m, basis.elems[pos + j])
             out[pos : pos + rf.f] = lam
             pos += rf.f
             continue
         if i == T and e % (p - 1) == 0:
-            if basis.top_aug is None:
+            top = basis.top_aug
+            if top is None and roots is None:
                 break
-            r = _top_digit(F, F.minus_one(m))
-            sol = basis.top_aug.solve(rf.coords(r))
-            if sol is None:  # pragma: no cover - phi + u* spans everything
-                raise ArithmeticError("top-level digit not decomposable")
-            out[pos] = sol[-1]
+            r = rf.coords(_top_digit(F, F.minus_one(m)))
+            if top is None:  # mu_p is not in F: phi is onto
+                *y, d = *phi_matrix(F).solve(r), 0
+            else:
+                *y, d = top.solve(r)
+                out[pos] = d
             if roots is None:
                 break
-            if sol[-1]:
-                m = F.mul(m, basis.inverse(pos))
-            y = rf.from_coords(sol[:-1])  # phi(y) = r - sol[-1] u*
+            for _ in range(-d % p):
+                m = F.mul(m, basis.elems[pos])
+            y = rf.from_coords(y)
         else:
             # p | i, i < pe/(p-1): invisible level, strip a p-th root
             y = rf.pth_root(F.digit(F.minus_one(m), i))
         if not rf.is_zero(y):
             if roots is not None:
-                roots.append((i, y))
-            m = F.mul(m, _strip(F, i, y)[1])
+                roots.append((i // p, y))
+            m = F.mul(m, _strip(F, i // p, y)[1])
     return tuple(out), v, m
+
+
+def _least_level(F, vec):
+    """The least level of a nonzero unit coordinate of the class vector
+    ``vec`` (:func:`p_class_coords`), or INF when there is none."""
+    return min((lv for lv, d in zip(unit_basis(F).levels[1:], vec[1:]) if d), default=INF)
+
+
+# ---------------------------------------------------------------------------
+# the level c_alpha of a class modulo p-th powers
+# ---------------------------------------------------------------------------
+
+
+def c_alpha(F, alpha):
+    """The level c of [alpha] in F^x / F^{x p}, with a p-th-root witness.
+
+    Returns a pair (c, lam).  For a unit alpha, c is the largest i such
+    that alpha lies in U^(i) F^{x p} (infinity when alpha is a p-th
+    power), and lam satisfies alpha = lam^p modulo pi^c.  When the
+    valuation of alpha is not a multiple of p the level is -1 by
+    convention.
+
+    Both are read off the walk of :func:`p_class_coords`: c is the least
+    level with a nonzero coordinate, and lam is pi^(v/p) times the roots
+    the walk strips below c.  The read needs the digits of alpha / pi^v
+    up to pe/(p-1).
+    """
+    p = F.p
+    v = F.val(alpha)
+    if v is INF:
+        raise ValueError("alpha must be nonzero")
+    if v % p != 0:
+        return -1, F.one()
+    roots = []
+    c = _least_level(F, _class_walk(F, alpha, roots)[0])
+    lam = F.one()
+    for k, y in roots:
+        if p * k < c:
+            lam = F.mul(lam, _strip(F, k, y)[0])
+    if v:
+        lam = F.mul(lam, F.power(F.pi(), v // p))
+    return c, lam
+
+
+def quad_disc_val(F, vec) -> int:
+    """v_F of the discriminant of F(sqrt(delta))/F, for a 2-adic F and a
+    non-square delta with square class ``vec`` (:func:`p_class_coords`).
+
+    An odd valuation gives 2e + 1.  Otherwise the unit part has level
+    c = :func:`c_alpha`, the least level with a nonzero coordinate: the
+    extension is unramified when c = 2e, and has discriminant valuation
+    2e - c + 1 when c < 2e.
+    """
+    if vec[0]:
+        return 2 * F.e + 1
+    c = _least_level(F, vec)
+    if c is INF:
+        raise ValueError("the class of a square has no quadratic extension")
+    return 0 if c == 2 * F.e else 2 * F.e - c + 1
 
 
 # ---------------------------------------------------------------------------
@@ -563,32 +563,31 @@ def solve_norm_equation(E, alpha):
 def class4_vec(F, x) -> tuple:
     """Coordinates over Z/4 of [x] in G = F^x/F^{x4}, for a 2-adic F.
 
-    With b_j the unit-class basis and c = ``class_vec(F, x, 2)``,
-    x prod b_j^(-c_j) is a square y^2, and y = prod b_j^(c(y)) w^2, so
-    x = prod b_j^(c + 2c(y)) w^4.  The basis elements generate G, and
-    G = (Z/4)^r / <2c(-1)>: the sign of y is the one relation, trivial
-    when -1 is a square.
+    The unit-class basis b_j generates G, and G = (Z/4)^r / <2c(-1)>,
+    c the square class: the sign of a square root is the one relation,
+    trivial when -1 is a square.
 
-    No square root is taken: the walk of :func:`p_class_coords` reads c
-    and strips squares u^2 down to a rest m in U^(2e+1), so y = pi^(v//2)
-    prod u / sqrt(m) (:func:`_root_class` keeps each class(u)).  Squaring
-    maps U^(i) onto U^(i+e) for i > e (Serre, *Local Fields*, ch. XIV), so
-    z = 1/sqrt(m) is in U^(e+1); Newton's z <- z + z t/2, t = 1 - m z^2,
-    takes no inverse (Brent-Zimmermann, ch. 4), and once v(t) > 3e is
-    known, z is known modulo U^(2e+1), which consists of squares.
+    No root is taken: the walk of :func:`p_class_coords` reads c = c(x)
+    and leaves m = x pi^(-v) prod b_j^(c_j) / prod u^2 in U^(2e+1), the
+    u being its strip roots.  Squaring maps U^(i) onto U^(i+e) for i > e
+    (Serre, *Local Fields*, ch. XIV), so the walk goes on: the digit d
+    of m at a level 2e < i <= 3e is that of u^2, u = 1 + pi^(i-e) y with
+    y = d res(pi^e/2), which strips it.  What is left lies in U^(3e+1),
+    which consists of fourth powers, so x = pi^v prod b_j^(-c_j) (prod u)^2
+    modulo fourth powers, and [x] = (v, -c_1, ..., -c_r) + 2 sum c(u)
+    mod 4, with each c(u) kept on F (:func:`_root_class`).  The read
+    takes no inverse and needs 3e + 1 known relative digits.
     """
     roots = []
     c, v, m = _class_walk(F, x, roots)
-    half = F.half()
-    mh = F.mul(m, half)
-    z, h = F.one(), half - mh  # h = t/2 = 1/2 - (m/2) z^2
-    while min(F.val_lower(h), h.prec) <= 2 * F.e:
-        F.val(h)  # raises PrecisionError when v(h) > 2e is not decided
-        z = F.normalize_pshift(z + F.mul(z, h))
-        h = half - F.mul(mh, F.mul(z, z))
-    ws = (_root_class(F, i, y) for i, y in roots)
-    cy = map(sum, zip([v // 2] + [0] * (len(c) - 1), class_vec(F, z, 2), *ws))
-    return tuple((a + 2 * b) % 4 for a, b in zip(c, cy))
+    e, rf = F.e, F.rf
+    for i in range(2 * e + 1, 3 * e + 1):
+        y = rf.mul(F.digit(F.minus_one(m), i), _pi_e_over_p_residue(F))
+        if not rf.is_zero(y):
+            roots.append((i - e, y))
+            m = F.mul(m, _strip(F, i - e, y)[1])
+    cu = [_root_class(F, k, y) for k, y in roots]
+    return tuple((a + 2 * sum(b)) % 4 for a, *b in zip((v, *(-a for a in c[1:])), *cu))
 
 
 @field_cache

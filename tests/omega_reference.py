@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from etmass.fplinalg import colspan
 from etmass.massquartic import _gram_apply, _half, _hilbert_exp, _quad_of_class, hilbert2
-from etmass.padic import GuardError, disc_val_quadratic, field_cache
+from etmass.padic import GuardError, field_cache
 from etmass.unitgroups import (
     c_alpha,
     class_vec,
@@ -26,6 +26,7 @@ from etmass.unitgroups import (
 )
 
 from test_padic import congruent
+from tower_reference import disc_val_quadratic
 
 
 def _bitmask(v) -> int:

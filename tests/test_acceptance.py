@@ -18,12 +18,13 @@ from etmass import massprime as mp
 from etmass import massquartic as mq
 from etmass import oracle as orc
 from etmass import unitgroups as ug
-from etmass.padic import GuardError, LocalField, disc_val_quadratic, quad_extend
+from etmass.padic import GuardError, LocalField, quad_extend
 
 import omega_reference as ref
 from alpha_reference import closed_form_alpha
 from test_massprime import all_symbols, symbol_premass
 from test_padic import congruent, random_unit
+from tower_reference import disc_val_quadratic
 
 Q2 = LocalField(2, 1, 1)
 F22 = LocalField(2, 2, 1)

@@ -102,6 +102,16 @@ def test_symbol_parse_and_invariants():
         mp.parse_symbol("(x)")
 
 
+def test_symbol_parse_reads_every_ramification_digit():
+    # every digit after "^" belongs to the ramification index; residue
+    # degrees stay one digit per token
+    assert mp.parse_symbol("(1^11)").pairs == ((11, 1),)
+    assert str(mp.parse_symbol("1^12 2^3")) == "(2^3 1^12)"
+    for bad in ("1^", "(1^ 2)", "^2"):
+        with pytest.raises(ValueError):
+            mp.parse_symbol(bad)
+
+
 def test_all_symbols_counts():
     # number of splitting symbols of degree n
     assert len(all_symbols(2)) == 3

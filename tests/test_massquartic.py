@@ -18,13 +18,13 @@ from etmass.padic import (
     LocalField,
     PrecisionError,
     QuadExt,
-    disc_val_quadratic,
     quad_extend,
 )
 
 import omega_reference as ref
 import tower_reference as tr
 from test_padic import congruent, random_unit
+from tower_reference import disc_val_quadratic
 
 Q2 = LocalField(2, 1, 1)
 F22 = LocalField(2, 2, 1)

@@ -14,6 +14,7 @@ from etmass.cli import parse_local_gens
 from etmass.padic import GuardError, LocalField, quad_extend
 
 import tower_reference as tr
+from tower_reference import disc_val_quadratic
 from test_padic import random_unit
 
 
@@ -101,8 +102,6 @@ def test_character_counts_match_quadratic_constructor():
     # the character conductors agree with the discriminants of the
     # explicitly constructed quadratic extensions of Q_2
     F = LocalField(2, 1, 1)
-    from etmass.padic import disc_val_quadratic
-
     seen = Counter()
     reps = set()
     for n in range(-20, 20):

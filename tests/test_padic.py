@@ -19,12 +19,13 @@ from etmass.padic import (
     LocalField,
     PrecisionError,
     ResidueField,
-    disc_val_quadratic,
     field_cache,
     is_prime,
     prime_factors,
     quad_extend,
 )
+
+from tower_reference import disc_val_quadratic
 
 FIELDS = [
     (2, 1, 1),

@@ -14,6 +14,7 @@ from etmass.padic import INF, Elt, LocalField, PrecisionError, quad_extend
 import strat_reference as ref_strat
 from omega_reference import choose_omega
 from test_padic import congruent, cut, random_unit
+from tower_reference import disc_val_quadratic
 
 
 def make_field(p, e, f, seed=0):
@@ -54,6 +55,26 @@ def test_c_alpha_even_valuation_reduces():
     assert F.val(lam) == 1
 
 
+def _quad_disc_fields():
+    Q2 = make_field(2, 1, 1)
+    towers = [quad_extend(Q2, Q2.from_int(d)) for d in (-1, 2)]
+    return [Q2, make_field(2, 2, 1), make_field(2, 1, 2), *towers]
+
+
+@pytest.mark.parametrize("F", _quad_disc_fields(), ids=["Q2", "F21", "F12", "Q2(i)", "Q2(sqrt2)"])
+def test_quad_disc_val_matches_c_alpha_route(F):
+    # the discriminant read off a class vector equals the one computed
+    # from c_alpha of a representative, on every nonzero square class
+    basis = ug.unit_basis(F)
+    for i in range(1, 2**basis.dim):
+        vec = tuple((i >> j) & 1 for j in range(basis.dim))
+        delta = ug.basis_product(F, basis.elems, vec)
+        assert ug.p_class_coords(F, delta) == vec
+        assert ug.quad_disc_val(F, vec) == disc_val_quadratic(F, delta), vec
+    with pytest.raises(ValueError):
+        ug.quad_disc_val(F, (0,) * basis.dim)
+
+
 def test_mu_p_membership():
     assert ug.contains_mu_p(make_field(2, 1, 1))
     assert ug.contains_mu_p(make_field(2, 3, 2))
@@ -84,6 +105,24 @@ def test_mu_p_forces_classification_bounds():
                 assert c % p != 0
             if c * (p - 1) == p * e:
                 assert ug.contains_mu_p(F)
+
+
+@pytest.mark.parametrize(
+    "p,e,f,seed", [(p, e, f, 0) for p, e, f in FIELDS] + [(3, 2, 1, 2), (5, 4, 1, 0), (5, 4, 1, 4)]
+)
+def test_c_alpha_root_witnesses_the_level(p, e, f, seed):
+    # alpha = lam^p modulo pi^c, and modulo pi^(T+1), T = pe/(p-1), for a
+    # p-th power; the fields with (p-1) | e test the top level with and
+    # without mu_p
+    F = make_field(p, e, f, seed=seed)
+    T = (p * e) // (p - 1)
+    rng = np.random.default_rng(23)
+    for k in range(12):
+        u = random_unit(F, rng)
+        alpha = F.power(u, p) if k % 2 else u
+        c, lam = ug.c_alpha(F, alpha)
+        assert c is INF or not k % 2
+        assert congruent(F, alpha, F.power(lam, p), T + 1 if c is INF else c), (k, c)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +219,13 @@ def test_valuation_coordinate():
     assert not any(v[1:])
 
 
-@pytest.mark.parametrize("e,f,d", [(1, 1, None), (2, 1, None), (1, 2, None), (1, 1, 2), (1, 1, 5)])
+@pytest.mark.parametrize(
+    "e,f,d", [(1, 1, None), (2, 1, None), (1, 2, None), (1, 1, 2), (1, 1, 5), (4, 1, None), (8, 1, None), (16, 1, None)]
+)
 def test_class_read_refuses_unknown_digits(e, f, d):
     # a square class is fixed by 2e + 1 known relative digits, a class mod
-    # fourth powers by 3e + 1, and a read from fewer must raise rather
-    # than guess
+    # fourth powers by 3e + 1: a read from fewer must raise rather than
+    # guess, and a read from that many or more must answer
     F = make_field(2, e, f)
     if d is not None:
         F = quad_extend(F, F.from_int(d))  # d = 2: ramified, 5: unramified
@@ -199,13 +240,9 @@ def test_class_read_refuses_unknown_digits(e, f, d):
         for r in range(1, 3 * F.e + 1):
             with pytest.raises(PrecisionError):
                 ug.class4_vec(F, cut(F, x, v + r))
-        # with more digits a read may still raise, but never guesses
         full = ug.class4_vec(F, x)
-        for r in range(3 * F.e + 1, 5 * F.e + 3):
-            try:
-                assert ug.class4_vec(F, cut(F, x, v + r)) == full, r
-            except PrecisionError:
-                pass
+        for r in range(3 * F.e + 1, min(5 * F.e + 3, x.prec - v + 1)):
+            assert ug.class4_vec(F, cut(F, x, v + r)) == full, r
 
 
 def test_class_read_of_three_mod_four():
@@ -493,11 +530,11 @@ def test_second_solves_insert_no_row(monkeypatch):
     alpha = E.norm(E.one() + E.rho())
     r = F.rf.from_coords([1])
     assert ug.solve_norm_equation(E, alpha) is not None
-    ug.phi_preimage(F, r)
+    ug.phi_matrix(F).solve(F.rf.coords(r))
     assert inserts
     inserts.clear()
     assert ug.solve_norm_equation(E, alpha) is not None
-    ug.phi_preimage(F, r)
+    ug.phi_matrix(F).solve(F.rf.coords(r))
     assert inserts == []
 
 
@@ -513,10 +550,10 @@ def test_phi_preimage_and_non_phi_value(p, e, f):
     rf = F.rf
     image = {_phi(F, y) for y in rf.elements()}
     for r in rf.elements():
-        y = ug.phi_preimage(F, r)
-        assert (y is None) == (r not in image), r
-        if y is not None:
-            assert _phi(F, y) == r
+        sol = ug.phi_matrix(F).solve(rf.coords(r))
+        assert (sol is None) == (r not in image), r
+        if sol is not None:
+            assert _phi(F, rf.from_coords(sol)) == r
     # phi misses a residue exactly when mu_p lies in F
     assert (len(image) < F.q) == ug.contains_mu_p(F)
     if ug.contains_mu_p(F):

@@ -13,9 +13,10 @@ from fractions import Fraction
 
 from etmass.fplinalg import Span
 from etmass.oracle import QuarticTower
-from etmass.padic import disc_val_quadratic, quad_extend
+from etmass.padic import INF, quad_extend
 from etmass.unitgroups import (
     basis_product,
+    c_alpha,
     class_vec,
     norm_class_matrix,
     p_class_coords,
@@ -25,6 +26,24 @@ from etmass.unitgroups import (
 
 GROUP_MULT = {"V4": 3, "C4": 1, "D4": 2}
 GROUP_AUT = {"V4": 4, "C4": 4, "D4": 2}
+
+
+def disc_val_quadratic(F, u):
+    """v_F of the discriminant of F(sqrt(u))/F, for p = 2, from the level
+    c_alpha of u's unit part; the census reads it off u's class vector
+    instead (``unitgroups.quad_disc_val``)."""
+    if F.p != 2:
+        raise ValueError("only defined for residue characteristic 2")
+    v = F.val(u)
+    if v % 2 == 1:
+        return 2 * F.e + 1
+    u0 = F.shift(u, -v)
+    c, _ = c_alpha(F, u0)
+    if c == INF:
+        raise ValueError("u is a square")
+    if c == 2 * F.e:
+        return 0
+    return 2 * F.e - c + 1
 
 
 def _lines2(d):
