@@ -218,10 +218,12 @@ def mass(p, e, f, n, gens, symbol, fmt):
             report = mp.premass_ell_total(F, n, elems)
         parts = report.parts
         if symbol is not None:
-            # a printed symbol is matched as it stands: "(11)" is one
-            # field of residue degree 11, which parse_symbol reads as two
-            want = symbol
-            if symbol not in {split_label(k)[0] for k, _ in parts} and symbol.strip("()")[:1].isdigit():
+            # a printed symbol is matched as it stands or in parentheses:
+            # "11" and "(11)" are one field of residue degree 11, which
+            # parse_symbol reads as two
+            printed = {split_label(k)[0] for k, _ in parts}
+            want = next((s for s in (symbol, f"({symbol.strip('()')})") if s in printed), symbol)
+            if want not in printed and symbol.strip("()")[:1].isdigit():
                 want = str(mp.parse_symbol(symbol))
             parts = tuple(kv for kv in parts if split_label(kv[0])[0] == want)
             _validate(parts, f"no summand with symbol {symbol!r}")

@@ -16,6 +16,13 @@ totally ramified key of the rank rule :func:`tame_ram`.
 place of the totally ramified row when ell = p, and
 ``density._tame_numerator`` sums them for its tame Euler factors.
 
+The cyclic counts are class-group indices.  By local class field theory
+the cyclic degree-p extensions of conductor at most c whose norm groups
+contain A are cut out by the characters of F^x/(A U^(c) F^{x p}), whose
+order is ``quotient_size(F, c)`` |Abar cap U^(c)| / |Abar|, read off
+A's filtration profile.  :func:`count_Cp` is a difference of two such
+indices at every level, and :func:`premass_Cp_wild` sums its counts.
+
 All arithmetic is exact: counts are integers and every mass is a
 ``Fraction``.
 """
@@ -29,12 +36,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .unitgroups import (
-    FiltrationProfile,
-    ceil_frac,
-    contains_mu_p,
-    filtration_profile,
-)
+from .unitgroups import FiltrationProfile, filtration_profile, quotient_size
 from .padic import INF, is_prime
 
 
@@ -177,77 +179,49 @@ def identity_check(p: int, q, t: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _char_count(F, c: int, profile: FiltrationProfile | None) -> int:
+    """N(c) = |F^x / (A U^(c) F^{x p})|: the characters of F^x/F^{x p}
+    of conductor at most c that are trivial on A, where the image of A
+    in F^x/U^(c)F^{x p} has order |Abar| / |Abar cap U^(c)|."""
+    if profile is None:
+        return quotient_size(F, c)
+    return quotient_size(F, c) * profile.size_at(c) // profile.group_size
+
+
 def count_Cp(F, m: int, profile: FiltrationProfile | None = None) -> int:
     """Number of cyclic degree-p extensions of F with v(disc) = m.
 
     With a ``profile`` (the filtration of a subgroup Abar of the p-th
     power classes), counts only the extensions whose norm group contains
-    every generator.  The count is supported on m = (p-1)c with c up to
-    pe/(p-1) + 1; the top value occurs only when F contains the p-th
-    roots of unity.
+    every generator; ``None`` is the trivial group.  By local class
+    field theory such an extension of conductor c has v(disc) = (p-1)c
+    and is cut out by the p - 1 characters of order p of F^x/F^{x p}
+    with conductor c that are trivial on A, so the count at m = (p-1)c
+    is (N(c) - N(c-1)) / (p-1), N the index of :func:`_char_count`.
+    It vanishes unless c <= pe/(p-1) with c != 1 mod p, or c is the top
+    value pe/(p-1) + 1 and F contains mu_p.
     """
-    p, q, e = F.p, F.q, F.e
+    p = F.p
     if profile is not None and profile.n != p:
         raise ValueError("profile must be a p-th power-class profile")
     if m <= 0 or m % (p - 1):
         return 0
     c = m // (p - 1)
-    if (p * e) % (p - 1) == 0 and c == (p * e) // (p - 1) + 1:
-        if not contains_mu_p(F):
-            return 0
-        if profile is None:
-            return p * q**e
-        if profile.size_at((p * e) // (p - 1)) != 1:
-            return 0
-        val = Fraction(p * q**e, profile.group_size)
-    else:
-        if c % p == 1 or c > ceil_frac(p * e, p - 1):
-            return 0
-        power = q ** (c - 2 - (c - 2) // p)
-        if profile is None:
-            val = Fraction(p * (q - 1), p - 1) * power
-        else:
-            layer = q * profile.size_at(c) - profile.size_at(c - 1)
-            val = Fraction(p, (p - 1) * profile.group_size) * power * layer
-    assert val.denominator == 1, (F, m, val)
-    return int(val)
+    count, rem = divmod(_char_count(F, c, profile) - _char_count(F, c - 1, profile), p - 1)
+    assert rem == 0, (F, m)
+    return count
 
 
 def premass_Cp_wild(F, profile: FiltrationProfile | None = None) -> Fraction:
-    """Pre-mass of the cyclic totally (wildly) ramified degree-p extensions.
-
-    Closed form via the A/B helpers; with a ``profile``, the constrained
-    version summing only extensions whose norms contain the subgroup.
-    Equals sum over m of count_Cp(F, m, profile) / (p q^m).
+    """Pre-mass of the cyclic totally (wildly) ramified degree-p extensions
+    whose norm groups contain Abar (every one when ``profile`` is None):
+    the sum over m of count_Cp(F, m, profile) / (p q^m), taken up to the
+    top conductor pe/(p-1) + 1 over one denominator.
     """
-    p, e = F.p, F.e
-    if profile is not None and profile.n != p:
-        raise ValueError("profile must be a p-th power-class profile")
-    q = Fraction(F.q)
-    t = ceil_frac(p * e, p - 1)
-    if profile is None:
-        A, B = helper_AB(p, q, t)
-        main = (
-            Fraction(F.q - 1, p - 1)
-            / q**2
-            * ((A if e >= p - 1 else 0) + (B if e % (p - 1) else 0))
-        )
-        mu = q ** (-(p - 1) * (e + 1)) if contains_mu_p(F) else Fraction(0)
-        return main + mu
-    total = Fraction(0)
-    if contains_mu_p(F) and profile.size_at((p * e) // (p - 1)) == 1:
-        total += q ** (-(p - 1) * (e + 1)) / profile.group_size
-    layer_sum = sum(
-        (
-            (F.q * profile.size_at(c) - profile.size_at(c - 1))
-            * q ** (-(p - 2) * c - (c - 2) // p)
-            for c in range(1, t + 1)
-            if c % p != 1
-        ),
-        Fraction(0),
-    )
-    total += layer_sum / ((p - 1) * profile.group_size * q**2)
-    return total
+    p, q = F.p, F.q
+    top = (p - 1) * (p * F.e // (p - 1) + 1)
+    num = sum(count_Cp(F, m, profile) * q ** (top - m) for m in range(p - 1, top + 1, p - 1))
+    return Fraction(num, p * q**top)
 
 
 # ---------------------------------------------------------------------------

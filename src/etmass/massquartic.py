@@ -324,7 +324,7 @@ def counts_1212(F, gens=()):
 
 def _counts_1212(F, classes):
     e, q = F.e, F.q
-    prof2 = class_profile(F, classes[:-1], 2)
+    prof2 = class_profile(F, classes[:-1])
     out = {}
     for m in range(4, 4 * e + 3, 2):
         n = count_Cp(F, m // 2, prof2)
@@ -347,7 +347,7 @@ def _counts_22(F, classes, algo):
     if any(v[0] % 2 for v in classes[:-1]):  # v[0] is the valuation mod 4
         return {}
     e, q = F.e, F.q
-    prof2 = class_profile(F, classes[:-1], 2)
+    prof2 = class_profile(F, classes[:-1])
     out = {}
     # biquadratic: compositum of the unramified quadratic with a
     # ramified one; the two members of each unramified twin pair give
@@ -380,7 +380,7 @@ def counts_14(F, gens=(), algo: str = "subspace"):
 
 def _counts_14(F, classes, algo):
     e, q = F.e, F.q
-    prof2 = class_profile(F, classes[:-1], 2)
+    prof2 = class_profile(F, classes[:-1])
     # count_Cp by index: the loops below read indices up to 4e + 1
     cp = [count_Cp(F, m, prof2) for m in range(4 * e + 2)]
     out = {}
@@ -411,7 +411,7 @@ def _counts_14(F, classes, algo):
     # neither cyclic nor biquadratic over F.  The cyclic subtraction
     # only concerns the E admitting a cyclic quartic extension, i.e.
     # those with -1 a norm, so it gets a -1-augmented constraint group
-    prof2x = class_profile(F, classes, 2)
+    prof2x = class_profile(F, classes)
     cpx = [count_Cp(F, m, prof2x) for m in range(4 * e + 2)]
     for m in range(6, 8 * e + 4):
         s = 0

@@ -30,11 +30,14 @@ strips below that level, :func:`quad_disc_val` a discriminant read off
 a class vector, and :func:`class4_vec` (p = 2) the walk continued past
 the top level to 3e.
 
-A constraint group A = <gens> enters the mass formulas only through its
-:class:`FiltrationProfile`: the order of its image Abar in F^x/F^{x n}
-and the orders of its intersections with the images of U^(t), which
-:func:`filtration_profile` reads as ranks of the generators' class
-vectors, forming no element of A.
+A constraint group A = <gens> enters the prime-degree mass formulas at
+ell = p only through its :class:`FiltrationProfile`: the order of its
+image Abar in F^x/F^{x p} and the orders of its intersections with the
+images of U^(t), which :func:`filtration_profile` reads as ranks of the
+generators' class vectors, forming no element of A.  With
+:func:`quotient_size` they give the index |F^x/(A U^(c) F^{x p})|, the
+number of characters of conductor at most c trivial on A, from which
+``massprime.count_Cp`` counts the cyclic degree-p extensions.
 
 For p = 2 the classes that span the images of the unit levels in
 F^x/F^{x4} (:func:`level_classes4`) are kept on the field.
@@ -45,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fplinalg import Span, colspan
-from .padic import INF, field_cache, is_prime
+from .padic import INF, field_cache
 
 
 def ceil_frac(a: int, b: int) -> int:
@@ -350,7 +353,15 @@ def quad_disc_val(F, vec) -> int:
 
 
 def quotient_size(F, c) -> int:
-    """Size of F^x / U^(c) F^{x p} (c = INF gives the full quotient)."""
+    """Size of F^x / U^(c) F^{x p} (c = INF gives the full quotient).
+
+    By local class field theory it is the number of characters of
+    F^x/F^{x p} of conductor at most c.  The steps
+    U^(i) F^{x p} / U^(i+1) F^{x p} have q elements for i < pe/(p-1)
+    prime to p, p at i = pe/(p-1) when F contains mu_p, and one
+    otherwise; the valuation adds a factor p, and U^(c) F^{x p} is
+    F^x for c < 0.
+    """
     p, q, e = F.p, F.q, F.e
     ceil_top = ceil_frac(p * e, p - 1)
     if c is INF or c > ceil_top:
@@ -614,13 +625,13 @@ def level_classes4(F) -> tuple:
 
 @dataclass(frozen=True)
 class FiltrationProfile:
-    """The filtration of a finitely generated subgroup of F^x / F^{x n}.
+    """The filtration of a finitely generated subgroup of F^x / F^{x p}.
 
-    ``group_size`` is the order of the subgroup Abar generated by the
-    given classes; ``sizes[t]`` is the order of its intersection with
-    the image of U^(t) F^{x n}, for t = 0 upward.  Beyond the stored
-    range every level-t subgroup is trivial, and level -1 is the whole
-    group (U^(-1) = F^x by convention).
+    ``n`` is p; ``group_size`` is the order of the subgroup Abar
+    generated by the given classes; ``sizes[t]`` is the order of its
+    intersection with the image of U^(t) F^{x p}, for t = 0 upward.
+    Beyond the stored range every level-t subgroup is trivial, and
+    level -1 is the whole group (U^(-1) = F^x by convention).
     """
 
     n: int
@@ -636,35 +647,31 @@ class FiltrationProfile:
 
 
 def filtration_profile(F, gens, n: int) -> FiltrationProfile:
-    """Filtration data for the subgroup generated by ``gens`` mod n-th powers.
+    """Filtration data for the subgroup generated by ``gens`` mod p-th
+    powers, n = p the residue characteristic (else ``ValueError``).
 
-    Supports prime n.  Each generator's class vector is read once; in
-    those coordinates the image of U^(t) F^{x n} is the coordinate
-    subspace of the levels >= t, so |Abar_t| is n to the corank, on the
-    span of the generators, of the rows below level t: the levels ascend,
-    so one echelon (:class:`Span`) takes the rows in turn and is read
-    after each level.  For n = p the levels are those of the unit-class
-    basis; for tame n the principal units are all n-th powers, so the
-    coordinates are the valuation (level -1) and, when n | q - 1, the
-    residue class (level 0).
+    Each generator's class vector is read once; in those coordinates the
+    image of U^(t) F^{x p} is the coordinate subspace of the unit-class
+    basis levels >= t, so |Abar_t| is p to the corank, on the span of
+    the generators, of the rows below level t: the levels ascend, so one
+    echelon (:class:`Span`) takes the rows in turn and is read after
+    each level.
     """
-    if not is_prime(n):
-        raise ValueError(f"n = {n} is not prime")
-    return class_profile(F, [class_vec(F, F.coerce(g), n) for g in gens], n)
+    if n != F.p:
+        raise ValueError(f"profiles are of p-th power classes: n = {n}, p = {F.p}")
+    return class_profile(F, [p_class_coords(F, F.coerce(g)) for g in gens])
 
 
-def class_profile(F, vecs, n: int) -> FiltrationProfile:
+def class_profile(F, vecs) -> FiltrationProfile:
     """:func:`filtration_profile` of the subgroup whose generators have
-    the class vectors ``vecs`` mod n-th powers (entries are read mod n)."""
-    if n == F.p:
-        levels, top = unit_basis(F).levels, ceil_frac(n * F.e, n - 1)
-    else:
-        levels, top = (-1, 0)[: class_dim(F, n)], 1
-    span, low = Span(n, len(vecs)), []
-    for i, lv in enumerate(levels):
+    the class vectors ``vecs`` mod p-th powers (entries are read mod p)."""
+    p = F.p
+    top = ceil_frac(p * F.e, p - 1)
+    span, low = Span(p, len(vecs)), []
+    for i, lv in enumerate(unit_basis(F).levels):
         while len(low) <= min(lv, top):
             low.append(span.log)
         span.insert([v[i] for v in vecs])
     low += [span.log] * (top + 1 - len(low))
     full = span.log
-    return FiltrationProfile(n, n**full, tuple(n ** (full - x) for x in low))
+    return FiltrationProfile(p, p**full, tuple(p ** (full - x) for x in low))

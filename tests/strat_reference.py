@@ -113,11 +113,8 @@ def abar_p_filtration_sizes(F, strat: StratGens):
     return sizes
 
 
-def profile_from_strata(F, gens, n: int) -> FiltrationProfile:
-    """The filtration profile of <gens> mod n-th powers, read off its
-    stratified generating set: |Abar| = n^(|A0| + |A1|), and for tame n
-    |Abar_0| = n^|A0|."""
-    s = strat_gens(F, gens, n)
-    if n == F.p:
-        return FiltrationProfile(n, s.group_size, tuple(abar_p_filtration_sizes(F, s)))
-    return FiltrationProfile(n, s.group_size, (n ** len(s.A0), 1))
+def profile_from_strata(F, gens, p: int) -> FiltrationProfile:
+    """The filtration profile of <gens> mod p-th powers, p the residue
+    characteristic, read off its stratified generating set."""
+    s = strat_gens(F, gens, p)
+    return FiltrationProfile(p, s.group_size, tuple(abar_p_filtration_sizes(F, s)))

@@ -231,13 +231,23 @@ def test_mass_symbol_filter(runner):
 
 def test_mass_symbol_filter_with_two_digit_numbers(runner):
     # the printed symbols of n = 11 select their own summands: "(11)" is
-    # matched as printed, and "1^11" parses with e = 11
-    cases = [("(11)", "(11)", "1/11"), ("(1^11)", "(1^11)", "1/1024"), ("1^11", "(1^11)", "1/1024")]
+    # matched as printed, "11" as printed once in parentheses, and "1^11"
+    # parses with e = 11
+    cases = [
+        ("(11)", "(11)", "1/11"),
+        ("11", "(11)", "1/11"),
+        ("(1^11)", "(1^11)", "1/1024"),
+        ("1^11", "(1^11)", "1/1024"),
+    ]
     for symbol, printed, value in cases:
         res = invoke(runner, "mass", "--p", "2", "--n", "11", "--symbol", symbol)
         assert res.exit_code == 0, symbol
         out = json.loads(res.output)
         assert out["breakdown"] == [{"symbol": printed, "group": "", "value": value}]
+    # text that is no printed symbol, even in parentheses, is parsed
+    res = invoke(runner, "mass", "--p", "2", "--n", "4", "--symbol", "22")
+    assert res.exit_code == 0
+    assert [row["symbol"] for row in json.loads(res.output)["breakdown"]] == ["(2 2)"]
 
 
 def test_mass_prime_degree_json(runner):

@@ -13,7 +13,7 @@ from etmass import oracle as orc
 from etmass import unitgroups as ug
 from etmass.padic import LocalField, quad_extend
 
-from alpha_reference import closed_form_alpha
+from alpha_reference import closed_form_alpha, premass_Cp_closed_form
 
 
 def ramified_quadratic(p, seed=0):
@@ -28,7 +28,12 @@ WILD_BASES = [
     LocalField(2, 2, 1),
     LocalField(2, 1, 2),
     LocalField(3, 2, 1),
+    LocalField(3, 2, 1, seed=2),  # Q_3(sqrt 6) = Q_3(zeta_3): the mu_3 top level
 ]
+
+
+def base_id(F):
+    return f"p{F.p}e{F.e}f{F.f}" + (f"s{F.seed}" if F.seed else "")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +196,7 @@ def test_count_Cp_spec_values():
     assert mp.count_Cp(Q2, 2, prof) == 0
 
 
-@pytest.mark.parametrize("F", WILD_BASES, ids=lambda F: f"p{F.p}e{F.e}f{F.f}")
+@pytest.mark.parametrize("F", WILD_BASES, ids=base_id)
 def test_count_Cp_matches_character_oracle(F):
     recs = orc.enum_cp_characters(F)
     seen = Counter(r.disc_val for r in recs if r.cond > 0)
@@ -200,7 +205,7 @@ def test_count_Cp_matches_character_oracle(F):
         assert mp.count_Cp(F, m) == seen.get(m, 0), (F.p, F.e, F.f, m)
 
 
-@pytest.mark.parametrize("F", WILD_BASES, ids=lambda F: f"p{F.p}e{F.e}f{F.f}")
+@pytest.mark.parametrize("F", WILD_BASES, ids=base_id)
 def test_count_Cp_constrained_matches_oracle(F):
     rng = np.random.default_rng(41)
     pool = [F.from_int(int(n)) for n in (-1, 2, 3, 5, -3) if n % F.p]
@@ -217,14 +222,16 @@ def test_count_Cp_constrained_matches_oracle(F):
             assert mp.count_Cp(F, m, prof) == seen.get(m, 0), (F.p, F.e, m)
 
 
-@pytest.mark.parametrize("F", WILD_BASES, ids=lambda F: f"p{F.p}e{F.e}f{F.f}")
+@pytest.mark.parametrize("F", WILD_BASES, ids=base_id)
 def test_premass_Cp_wild_closed_form_vs_sum(F):
     p = F.p
     top_m = (p - 1) * (p * F.e // (p - 1) + 1)
     series = sum(
         Fraction(mp.count_Cp(F, m), p * F.q**m) for m in range(top_m + 1)
     )
-    assert mp.premass_Cp_wild(F) == series
+    closed = premass_Cp_closed_form(F)
+    assert series == closed
+    assert mp.premass_Cp_wild(F) == closed
     assert mp.premass_Cp_wild(F) == orc.cp_premass_from_characters(F)
     trivial = ug.filtration_profile(F, [], p)
     assert mp.premass_Cp_wild(F, trivial) == mp.premass_Cp_wild(F)
@@ -237,7 +244,7 @@ def test_premass_Cp_wild_q2_values():
     assert mp.premass_Cp_wild(Q2, prof) == Fraction(1, 8)
 
 
-@pytest.mark.parametrize("F", WILD_BASES, ids=lambda F: f"p{F.p}e{F.e}f{F.f}")
+@pytest.mark.parametrize("F", WILD_BASES, ids=base_id)
 def test_premass_Cp_wild_constrained_vs_oracle(F):
     rng = np.random.default_rng(43)
     pool = [F.from_int(int(n)) for n in (-1, 2, 3, 5, 7, -3, 10) if n % F.p]
@@ -279,7 +286,7 @@ def test_closed_form_alpha_q3_example():
     assert closed_form_alpha(Q3, alpha) == mp.premass_Cp_wild(Q3, prof)
 
 
-@pytest.mark.parametrize("F", WILD_BASES, ids=lambda F: f"p{F.p}e{F.e}f{F.f}")
+@pytest.mark.parametrize("F", WILD_BASES, ids=base_id)
 def test_closed_form_alpha_matches_series(F):
     from test_padic import random_unit
 
@@ -319,7 +326,7 @@ def test_total_q5_quadratic_uniformizer():
     assert rep.part("(2)") == 0
 
 
-@pytest.mark.parametrize("F", WILD_BASES, ids=lambda F: f"p{F.p}e{F.e}f{F.f}")
+@pytest.mark.parametrize("F", WILD_BASES, ids=base_id)
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_total_trivial_is_full_mass(F, ell):
     rep = mp.premass_ell_total(F, ell)

@@ -322,14 +322,14 @@ def test_tame_class_vec():
     assert ug.class_vec(F, F.from_int(7), 5) == (1,)
 
 
-def strata_agree_with_profile(F, gens, ell):
+def strata_agree_with_profile(F, gens, p):
     """The reference's stratified set and the profile read off it match
     the library's profile; returns the set."""
-    s = ref_strat.strat_gens(F, gens, ell)
-    prof = ug.filtration_profile(F, gens, ell)
-    assert ref_strat.profile_from_strata(F, gens, ell) == prof
-    assert prof.group_size == ell ** (len(s.A0) + len(s.A1))
-    assert prof.size_at(0) == ell ** len(s.A0)
+    s = ref_strat.strat_gens(F, gens, p)
+    prof = ug.filtration_profile(F, gens, p)
+    assert ref_strat.profile_from_strata(F, gens, p) == prof
+    assert prof.group_size == p ** (len(s.A0) + len(s.A1))
+    assert prof.size_at(0) == p ** len(s.A0)
     return s
 
 
@@ -389,6 +389,14 @@ def test_filtration_sizes_q2():
         assert list(prof.sizes) == sizes, gens
 
 
+def test_filtration_profile_is_for_p_th_powers():
+    # profiles serve the wild degree ell = p only
+    F = make_field(3, 1, 1)
+    for n in (2, 5, 9):
+        with pytest.raises(ValueError):
+            ug.filtration_profile(F, [F.from_int(2)], n)
+
+
 def test_filtration_monotone_and_bounded():
     for p, e, f in FIELDS:
         F = make_field(p, e, f)
@@ -407,17 +415,16 @@ def test_filtration_monotone_and_bounded():
 def test_strat_gens_property(seed):
     rng = np.random.default_rng(seed)
     p, e, f = [(2, 1, 1), (2, 2, 1), (3, 1, 1), (5, 1, 1)][int(rng.integers(4))]
-    ell = [2, 3, p][int(rng.integers(3))]
     F = make_field(p, e, f)
     ints = [int(n) for n in rng.integers(-40, 40, size=3) if n != 0]
     gens = [F.from_int(n) for n in ints]
-    s = strata_agree_with_profile(F, gens, ell)
+    s = strata_agree_with_profile(F, gens, p)
     assert len(s.A1) <= 1
     for a in s.A0:
         assert F.val(a) == 0
     for a in s.A1:
         assert F.val(a) == 1
-    vecs = [tuple(ug.class_vec(F, a, ell)) for a in s.A0 + s.A1]
+    vecs = [tuple(ug.class_vec(F, a, p)) for a in s.A0 + s.A1]
     assert len(set(vecs)) == len(vecs)
     assert all(any(v) for v in vecs)
 
