@@ -21,7 +21,8 @@ the cyclic degree-p extensions of conductor at most c whose norm groups
 contain A are cut out by the characters of F^x/(A U^(c) F^{x p}), whose
 order is ``quotient_size(F, c)`` |Abar cap U^(c)| / |Abar|, read off
 A's filtration profile.  :func:`count_Cp` is a difference of two such
-indices at every level, and :func:`premass_Cp_wild` sums its counts.
+indices (:func:`char_count`) at every level, and :func:`premass_Cp_wild`
+sums its counts.
 
 All arithmetic is exact: counts are integers and every mass is a
 ``Fraction``.
@@ -179,12 +180,17 @@ def identity_check(p: int, q, t: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _char_count(F, c: int, profile: FiltrationProfile | None) -> int:
+def char_count(F, c: int, profile: FiltrationProfile | None = None) -> int:
     """N(c) = |F^x / (A U^(c) F^{x p})|: the characters of F^x/F^{x p}
     of conductor at most c that are trivial on A, where the image of A
-    in F^x/U^(c)F^{x p} has order |Abar| / |Abar cap U^(c)|."""
+    in F^x/U^(c)F^{x p} has order |Abar| / |Abar cap U^(c)|.  At p = 2
+    they are the quadratic characters that every quartic count reads.
+    ``profile`` is A's filtration (``ValueError`` unless n = p); ``None``
+    is A = 1."""
     if profile is None:
         return quotient_size(F, c)
+    if profile.n != F.p:
+        raise ValueError("profile must be a p-th power-class profile")
     return quotient_size(F, c) * profile.size_at(c) // profile.group_size
 
 
@@ -197,17 +203,15 @@ def count_Cp(F, m: int, profile: FiltrationProfile | None = None) -> int:
     field theory such an extension of conductor c has v(disc) = (p-1)c
     and is cut out by the p - 1 characters of order p of F^x/F^{x p}
     with conductor c that are trivial on A, so the count at m = (p-1)c
-    is (N(c) - N(c-1)) / (p-1), N the index of :func:`_char_count`.
+    is (N(c) - N(c-1)) / (p-1), N the index of :func:`char_count`.
     It vanishes unless c <= pe/(p-1) with c != 1 mod p, or c is the top
     value pe/(p-1) + 1 and F contains mu_p.
     """
     p = F.p
-    if profile is not None and profile.n != p:
-        raise ValueError("profile must be a p-th power-class profile")
     if m <= 0 or m % (p - 1):
         return 0
     c = m // (p - 1)
-    count, rem = divmod(_char_count(F, c, profile) - _char_count(F, c - 1, profile), p - 1)
+    count, rem = divmod(char_count(F, c, profile) - char_count(F, c - 1, profile), p - 1)
     assert rem == 0, (F, m)
     return count
 

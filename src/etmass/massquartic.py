@@ -10,7 +10,10 @@ written once, as integer coefficients over 8 q^3 in :func:`tame_rows4`,
 which both :func:`premass4_tame` and ``density._tame_numerator`` read.
 Over a 2-adic field the first three rows still hold, and the three wild
 symbols (1^2 1^2), (2^2) and (1^4) are weighed per Galois closure group
-from counts by discriminant valuation.
+from counts by discriminant valuation.  Those counts read the
+constraint group A in two places only: its quadratic characters, as
+``massprime.char_count`` and ``count_Cp`` count them, and the table of
+:func:`_char_table` for the characters of order 4.
 
 The cyclic (C4) layers come from F alone, by local class field theory
 (Serre, *Local Fields*, GTM 67, ch. VI and chs. XIII-XV): a cyclic
@@ -38,7 +41,7 @@ from functools import lru_cache
 from math import gcd
 
 from .fplinalg import Span
-from .massprime import MassReport, count_Cp, horner
+from .massprime import MassReport, char_count, count_Cp, horner
 from .padic import GuardError, field_cache, quad_extend
 from .unitgroups import (
     basis_product,
@@ -134,25 +137,6 @@ def hilbert2(F, a, b) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _h_nneq(q, e, m):
-    """Unordered pairs of distinct ramified quadratics with disc sum m."""
-    if m % 2 == 0 and 4 <= m <= 2 * e:
-        val = 2 * (q - 1) ** 2 * q ** (m // 2 - 2) * (m // 2 - 1)
-        if m % 4 == 0:
-            val -= (q - 1) * q ** (m // 4 - 1)
-        return val
-    if m % 2 == 0 and 2 * e + 2 <= m <= 4 * e:
-        val = 2 * (q - 1) ** 2 * q ** (m // 2 - 2) * (2 * e - m // 2 + 1)
-        if m % 4 == 0:
-            val -= (q - 1) * q ** (m // 4 - 1)
-        return val
-    if m % 2 == 1 and 2 * e + 3 <= m <= 4 * e + 1:
-        return 4 * (q - 1) * q ** ((m - 1) // 2 - 1)
-    if m == 4 * e + 2:
-        return q**e * (2 * q**e - 1)
-    return 0
-
-
 def _h_nc2(q, e, m2):
     """Ramified quadratic extensions of a ramified quadratic E, by disc."""
     if m2 <= 0:
@@ -213,19 +197,19 @@ def _classes4(F, gens) -> tuple:
 
 
 def _tables_subspace(F, rows, levels, top):
-    """:func:`_char_table` by elimination: S(c, c2) = |G/(A + U_c + 2U_c2)|
-    and T(c) = |G/(A + U_c + 2G)|, A given with the relation as ``rows``.
+    """:func:`_char_table` by elimination: S(c, c2) = |G/(A + U_c + 2U_c2)|,
+    A given with the relation as ``rows``.
 
     The spans only grow: one echelon over Z/4 (:class:`Span`) takes A and
     the levels as c falls from ``top``, a copy of it per c the rows 2v of
-    the levels below c as c2 falls and then 2G, each read after a level.
+    the levels below c as c2 falls, each read after a level.
     """
     r = unit_basis(F).dim
     by_level = [[v for j, v in levels if j == c] for c in range(top + 1)]
     span = Span(2, r, 2)
     for a in rows:
         span.insert(a)
-    S, T = {}, [0] * (top + 1)
+    S = {}
     for c in range(top, -1, -1):
         for v in by_level[c]:
             span.insert(v)
@@ -235,10 +219,7 @@ def _tables_subspace(F, rows, levels, top):
             for v in by_level[c2]:
                 low.insert([2 * x for x in v])
             S[c, c2] = 1 << (2 * r - low.log)
-        for k in range(r):
-            low.insert([2 * (i == k) for i in range(r)])
-        T[c] = 1 << (2 * r - low.log)
-    return S, tuple(T)
+    return S
 
 
 def _tables_brute(F, rows, levels, top):
@@ -257,16 +238,13 @@ def _tables_brute(F, rows, levels, top):
     tally = {}
     for x in itertools.product(range(4), repeat=unit_basis(F).dim):
         if all(kills(x, a) for a in rows):
-            x2 = tuple(2 * a % 4 for a in x)
-            key = (conductor(x), conductor(x2), not any(x2))
+            key = (conductor(x), conductor(tuple(2 * a % 4 for a in x)))
             tally[key] = tally.get(key, 0) + 1
-    S = {
-        (c, c2): sum(n for (f1, f2, _), n in tally.items() if f1 <= c and f2 <= c2)
+    return {
+        (c, c2): sum(n for (f1, f2), n in tally.items() if f1 <= c and f2 <= c2)
         for c in range(top + 1)
         for c2 in range(c + 1)
     }
-    T = tuple(sum(n for (f1, _, o2), n in tally.items() if o2 and f1 <= c) for c in range(top + 1))
-    return S, T
 
 
 @field_cache
@@ -276,14 +254,13 @@ def _char_tables(F):
 
 
 def _char_table(F, classes, algo):
-    """(S, T) for the characters chi of G = F^x/F^{x4} with chi(A) = 0, A
-    and the relation read as ``classes`` (:func:`_classes4`), for
-    0 <= c2 <= c <= 3e + 1.
+    """S[c, c2], 0 <= c2 <= c <= 3e + 1, the number of characters chi of
+    G = F^x/F^{x4} with chi(A) = 0, f(chi) <= c and f(2 chi) <= c2, A and
+    the relation read as ``classes`` (:func:`_classes4`).
 
-    S[c, c2] counts those with f(chi) <= c and f(2 chi) <= c2, T[c] those
-    of order at most 2 with f(chi) <= c.  A group of exponent 4 is its
-    own dual, so S[c, c2] = |G/(A + U_c + 2U_c2)| and T[c] =
-    |G/(A + U_c + 2G)|, U_c the image of U^(c).  ``algo`` is
+    A group of exponent 4 is its own dual, so S[c, c2] =
+    |G/(A + U_c + 2U_c2)|, U_c the image of U^(c).  Those of order at
+    most 2 are the quadratic characters of :func:`char_count`.  ``algo`` is
     ``subspace`` (elimination over Z/4) or ``brute`` (test every
     candidate character; guarded by the degree of F).  One table per
     (F, algo, generator classes) is kept on F.
@@ -317,21 +294,24 @@ def counts_1212(F, gens=()):
     The diagonal pairs L x L (closure C2) are constrained through the
     norm group of L; a product of two non-isomorphic ramified
     quadratics has full norm group, so those pairs (closure V4) are
-    never constrained.
+    never constrained; :func:`count_Cp` counts them by conductor.
     """
     return _counts_1212(F, _classes4(F, gens))
 
 
 def _counts_1212(F, classes):
-    e, q = F.e, F.q
+    e = F.e
     prof2 = class_profile(F, classes[:-1])
     out = {}
     for m in range(4, 4 * e + 3, 2):
         n = count_Cp(F, m // 2, prof2)
         if n:
             out[("C2", m)] = n
+    cp = [count_Cp(F, m) for m in range(4 * e + 3)]
     for m in range(4, 4 * e + 3):
-        n = _h_nneq(q, e, m)
+        # the ordered pairs, less the diagonal L x L
+        pairs = sum(cp[m1] * cp[m - m1] for m1 in range(m + 1))
+        n = _half(pairs - (0 if m % 2 else cp[m // 2]))
         if n:
             out[("V4", m)] = n
     return out
@@ -348,12 +328,13 @@ def _counts_22(F, classes, algo):
         return {}
     e, q = F.e, F.q
     prof2 = class_profile(F, classes[:-1])
+    cp = [count_Cp(F, c, prof2) for c in range(3 * e + 2)]
     out = {}
     # biquadratic: compositum of the unramified quadratic with a
     # ramified one; the two members of each unramified twin pair give
     # the same field
     for m in range(4, 4 * e + 3, 2):
-        n = count_Cp(F, m // 2, prof2)
+        n = cp[m // 2]
         if n:
             out[("V4", m)] = _half(n)
     # dihedral: the norm group is that of the unramified quadratic, so
@@ -362,10 +343,11 @@ def _counts_22(F, classes, algo):
         out[("D4", m)] = (q - 1) * ((q + 1) * q ** (m // 2 - 2) - q ** (m // 4 - 1))
     out[("D4", 4 * e + 2)] = q**e * (q**e - 1)
     # cyclic: the pairs {chi, -chi} of order 4 with 2 chi unramified,
-    # f(chi) = c and discriminant valuation 2c
-    S, T = _char_table(F, classes, algo)
+    # f(chi) = c and discriminant valuation 2c: those with f(chi) = c,
+    # less the quadratic ones
+    S = _char_table(F, classes, algo)
     for c in range(1, 3 * e + 2):
-        n = _half(S[c, 0] - T[c] - S[c - 1, 0] + T[c - 1])
+        n = _half(S[c, 0] - S[c - 1, 0] - cp[c])
         if n:
             out[("C4", 2 * c)] = n
     return out
@@ -385,27 +367,22 @@ def _counts_14(F, classes, algo):
     cp = [count_Cp(F, m, prof2) for m in range(4 * e + 2)]
     out = {}
 
-    # biquadratic: unordered pairs of distinct ramified quadratics,
-    # plus a correction for triples with pairwise equal discriminants
-    A = prof2.group_size
+    # biquadratic: the planes of quadratic characters that kill A, with
+    # conductors (m1, m2, m2) and discriminant valuation m1 + 2 m2.  For
+    # m1 < m2 a plane is its character of conductor m1 with either one of
+    # conductor m2; for m1 = m2 = k it has six ordered bases (x, y) with
+    # x, y and x + y all of conductor k (y outside H_(k-1) and x + H_(k-1),
+    # H_c the N(c) characters of conductor at most c)
     for m in range(6, 6 * e + 3, 2):
-        tot = Fraction(0)
-        for m2 in range(1, m):
-            m1 = m - 2 * m2
-            if 0 < m1 < m2:
-                tot += Fraction(cp[m1] * cp[m2], 2)
+        tot = sum(cp[m - 2 * m2] * cp[m2] for m2 in range(m // 3 + 1, (m + 1) // 2))
         if m % 3 == 0:
             k = m // 3
-            sz = prof2.size_at
-            tot += (
-                Fraction(2, 3 * A * A)
-                * q ** (k - 2)
-                * (q * sz(k) - sz(k - 1))
-                * (q * sz(k) - 2 * sz(k - 1))
-            )
-        assert tot.denominator == 1 and tot >= 0
+            third, rem = divmod(cp[k] * (cp[k] - char_count(F, k - 1, prof2)), 3)
+            assert rem == 0
+            tot += third
+        tot = _half(tot)
         if tot:
-            out[("V4", m)] = int(tot)
+            out[("V4", m)] = tot
 
     # dihedral: quadratic extensions of a constrained E that are
     # neither cyclic nor biquadratic over F.  The cyclic subtraction
@@ -436,7 +413,7 @@ def _counts_14(F, classes, algo):
     # f(2 chi) = c2 and discriminant valuation 2c + c2, the exact (c, c2)
     # by inclusion-exclusion (f(2 chi) <= f(chi), so S[c - 1, c] is
     # S[c - 1, c - 1])
-    S, _ = _char_table(F, classes, algo)
+    S = _char_table(F, classes, algo)
     for c in range(1, 3 * e + 2):
         for c2 in range(1, c + 1):
             n = S[c, c2] - S[c - 1, min(c2, c - 1)] - S[c, c2 - 1] + S[c - 1, c2 - 1]

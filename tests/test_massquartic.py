@@ -12,7 +12,7 @@ from etmass import massquartic as mq
 from etmass import padic
 from etmass import oracle as orc
 from etmass import unitgroups as ug
-from etmass.massprime import count_Cp, partition_count
+from etmass.massprime import char_count, count_Cp, partition_count
 from etmass.padic import (
     GuardError,
     LocalField,
@@ -131,11 +131,14 @@ def test_helper_nc2_matches_quadratic_counts(F):
 
 @pytest.mark.parametrize("F", [Q2, F22])
 def test_helper_nneq_matches_pair_enumeration(F):
+    # the V4 entries of counts_1212 are the unordered pairs of distinct
+    # ramified quadratics, here built and their discriminants read
     discs = []
     for d in square_class_reps(F):
         E = quad_extend(F, d)
         if E.kind == "ramified":
             discs.append(E.disc_val)
+    got = {m: n for (g, m), n in mq.counts_1212(F).items() if g == "V4"}
     for m in range(0, 4 * F.e + 4):
         want = sum(
             1
@@ -143,7 +146,7 @@ def test_helper_nneq_matches_pair_enumeration(F):
             for j in range(i + 1, len(discs))
             if discs[i] + discs[j] == m
         )
-        assert mq._h_nneq(F.q, F.e, m) == want, m
+        assert got.get(m, 0) == want, m
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +467,7 @@ GROUPS = {
     "<-1,2>": [0, 1],
 }
 GEN_VALUES = {"triv": (), "<-1>": (-1,), "<2>": (2,), "<5>": (5,), "<-1,2>": (-1, 2)}
-TOWER_BASES = {"Q2": Q2, "F22": F22, "Q2F2": Q2F2}
+TOWER_BASES = {"Q2": Q2, "F22": F22, "Q2F2": Q2F2, "F23": LocalField(2, 3, 1)}
 # one case per (base, constraint group); a Q2 case is named by its group
 # alone, the others by base and group
 TOWER_CASES = [
@@ -513,6 +516,18 @@ def test_unknown_algorithm_raises():
     for algo in ("auto", "gauss"):
         with pytest.raises(ValueError, match="unknown algorithm"):
             mq.premass4(LocalField(2, 1, 1), (-1,), algo=algo)
+
+
+@pytest.mark.parametrize("base,name", TOWER_CASES)
+def test_char_count_matches_character_census(tower_data, base, name):
+    # N(c) is the trivial character and the quadratic characters of
+    # conductor at most c whose kernels contain every generator
+    F, _, chars = tower_data(base)
+    js = GROUPS[name]
+    prof2 = ug.class_profile(F, mq._classes4(F, GEN_VALUES[name])[:-1])
+    for c in range(3 * F.e + 2):
+        want = 1 + sum(r.cond <= c and all(r.norm_flags[j] for j in js) for r in chars)
+        assert char_count(F, c, prof2) == want, c
 
 
 @pytest.mark.parametrize("base,name", TOWER_CASES)
@@ -903,12 +918,12 @@ def test_char_table_brute_equals_subspace(base):
     for k in range(10):
         gens = tuple(random_element(F, rng) for _ in range(k % 4))
         classes = mq._classes4(F, gens)
-        S, T = mq._char_table(F, classes, "subspace")
-        assert (S, T) == mq._char_table(F, classes, "brute"), gens
+        S = mq._char_table(F, classes, "subspace")
+        assert S == mq._char_table(F, classes, "brute"), gens
         if not gens:
             # every character: |F^x/F^x4| = 4 |mu_4(F)| q^(2e)
             assert S[top, top] == 4 ** r // (1 if trivial else 2) == 4 * (4 if trivial else 2) * F.q ** (2 * F.e)
-            assert T[top] == 2**r
+            assert char_count(F, top) == 2**r
 
 
 def test_char_table_brute_guard():
