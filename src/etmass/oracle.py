@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fplinalg import Span, colspan
-from .padic import GuardError, field_cache, quad_extend
+from .padic import GuardError, base_digits, field_cache, quad_extend
 from .unitgroups import (
     basis_product,
     class_dim,
@@ -38,17 +38,14 @@ from .unitgroups import (
 )
 
 DEFAULT_MAX_SIZE = 1 << 16
+TOWER_MAX_DEGREE = 3  # [F : Q_2] beyond which the tower census refuses
 
 
 def _lines(p, d):
     """One nonzero vector of F_p^d per line through 0, the one whose first
     nonzero coordinate is 1; least-significant coordinate first."""
     for idx in range(1, p**d):
-        v = []
-        t = idx
-        for _ in range(d):
-            v.append(t % p)
-            t //= p
+        v = base_digits(idx, p, d)
         if next(c for c in v if c) == 1:
             yield v
 
@@ -277,7 +274,7 @@ _GROUP_MULT = {"V4": 3, "C4": 1, "D4": 2}
 _GROUP_AUT = {"V4": 4, "C4": 4, "D4": 2}
 
 
-def enum_quartic_towers(F, gens=(), max_degree=3):
+def enum_quartic_towers(F, gens=()):
     """All quartic fields of a 2-adic F with a quadratic subfield.
 
     Iterates over pairs (E, delta): E runs through the quadratic
@@ -301,9 +298,9 @@ def enum_quartic_towers(F, gens=(), max_degree=3):
     """
     if F.p != 2:
         raise ValueError("quartic tower enumeration needs a 2-adic base")
-    if F.e * F.f > max_degree:
+    if F.e * F.f > TOWER_MAX_DEGREE:
         raise GuardError(
-            f"base degree {F.e * F.f} exceeds tower guard {max_degree}"
+            f"base degree {F.e * F.f} exceeds tower guard {TOWER_MAX_DEGREE}"
         )
     gens = [F.coerce(g) for g in gens]
     out = []

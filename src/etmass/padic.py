@@ -2,12 +2,16 @@
 
 A base field F is presented as an unramified extension of the p-adic
 rationals (generator ``u``, lexicographically-first irreducible
-modulus) extended by an Eisenstein binomial ``X^e - p*u0``.  An
-element is a flat vector of e*f integers modulo p^K, its coefficients
-on the monomials u^j * pi^i, over a power of p; every element carries
-its own known absolute precision in v_F units.  Each field builds a
-product table for these monomials once, so a product is a single pass
-over the table.  The kernel rule: an op builds its result's ``Elt``
+modulus) extended by an Eisenstein binomial ``X^e - p*u0``.  The
+modulus g is certified irreducible by X^q = X mod g and Berlekamp's
+rank test on :func:`etmass.fplinalg.colspan`.  An earlier divisor test
+passed reducible moduli at (p, f) = (3, 6), (11, 6) and (3, 12), which
+now read X^6+X+2, X^6+X+2 and X^12+X^2+2; every other modulus is as it
+was.  An element is a flat vector of e*f integers modulo p^K, its
+coefficients on the monomials u^j * pi^i, over a power of p; every
+element carries its own known absolute precision in v_F units.  Each
+field builds a product table for these monomials once, so a product is
+a single pass over the table.  The kernel rule: an op builds its result's ``Elt``
 once, with the precision cap worked out inline, and an element of
 either field kind caches its valuation bound, which ops read first.
 
@@ -34,6 +38,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from math import gcd
+
+from .fplinalg import colspan
 
 INF = float("inf")
 
@@ -162,48 +168,59 @@ def _poly_mulmod(x, y, mod_red, p, f):
     return tuple(out)
 
 
+def _pow(mul, one, x, n):
+    """x^n for n >= 0 by square-and-multiply, in the multiplication ``mul``."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = mul(acc, x)
+        x = mul(x, x)
+        n >>= 1
+    return acc
+
+
+def base_digits(n, p, d):
+    """The d lowest base-p digits of n >= 0, least significant first."""
+    out = []
+    for _ in range(d):
+        n, r = divmod(n, p)
+        out.append(r)
+    return tuple(out)
+
+
 def _first_irreducible(p, f):
     """Lexicographically first monic irreducible of degree f mod p."""
     if f == 1:
         return (0, 1)  # X
     # scan constant-first coefficient vectors (c0, ..., c_{f-1}, 1)
     for idx in range(p**f):
-        coeffs = []
-        t = idx
-        for _ in range(f):
-            coeffs.append(t % p)
-            t //= p
-        poly = tuple(coeffs) + (1,)
+        poly = base_digits(idx, p, f) + (1,)
         if _is_irreducible(poly, p, f):
             return poly
     raise RuntimeError("no irreducible polynomial found")
 
 
 def _is_irreducible(poly, p, f):
-    """Irreducibility test: X^(p^f) == X and X^(p^d) != X for d | f."""
-    f_deg = len(poly) - 1
+    """Whether the monic poly g of degree f > 1 is irreducible mod p:
+    X^(p^f) = X mod g makes g squarefree, and then g has one factor
+    exactly when Q - I has rank f - 1, Q the matrix of Frobenius with
+    columns X^(ip) (Berlekamp, Bell Syst. Tech. J. 46, 1967)."""
     red = _reduction_rows(poly, p)
-    x = tuple([0, 1] + [0] * (f_deg - 2)) if f_deg > 1 else (0,)
 
-    def frob(elt, times):
-        for _ in range(times):
-            r = elt
-            acc = tuple([1] + [0] * (f_deg - 1))
-            e = p
-            while e:
-                if e & 1:
-                    acc = _poly_mulmod(acc, r, red, p, f_deg)
-                r = _poly_mulmod(r, r, red, p, f_deg)
-                e >>= 1
-            elt = acc
-        return elt
+    def mul(x, y):
+        return _poly_mulmod(x, y, red, p, f)
 
-    if frob(x, f_deg) != x:
+    one, x = (1,) + (0,) * (f - 1), (0, 1) + (0,) * (f - 2)
+    xp = y = _pow(mul, one, x, p)
+    for _ in range(f - 1):
+        y = _pow(mul, one, y, p)
+    if y != x:
         return False
-    for d in range(1, f_deg):
-        if f_deg % d == 0 and frob(x, d) == x:
-            return False
-    return True
+    cols, xip = [], one
+    for i in range(f):
+        cols.append([c - (j == i) for j, c in enumerate(xip)])
+        xip = mul(xip, xp)
+    return colspan(p, cols, f).log == f - 1
 
 
 def _reduction_rows(poly, p):
@@ -232,11 +249,11 @@ class ResidueField:
 
     _generator = None
 
-    def __init__(self, p, f, modulus=None):
+    def __init__(self, p, f):
         self.p = p
         self.f = f
         self.q = p**f
-        self.modulus = modulus if modulus is not None else _first_irreducible(p, f)
+        self.modulus = _first_irreducible(p, f)
         self._red = _reduction_rows(self.modulus, p) if f > 1 else []
         self.zero = (0,) * f
         self.one = (1,) + (0,) * (f - 1)
@@ -261,16 +278,10 @@ class ResidueField:
         n %= self.q - 1
         if self.f == 1:
             return (pow(x[0], n, self.p),)
-        acc, r = self.one, x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, r)
-            r = self.mul(r, r)
-            n >>= 1
-        return acc
+        return _pow(self.mul, self.one, x, n)
 
     def inv(self, x):
-        if not any(x):
+        if self.is_zero(x):
             raise ZeroDivisionError
         return self.pow(x, self.q - 2)
 
@@ -304,12 +315,7 @@ class ResidueField:
 
     def elements(self):
         for idx in range(self.q):
-            coeffs = []
-            t = idx
-            for _ in range(self.f):
-                coeffs.append(t % self.p)
-                t //= self.p
-            yield tuple(coeffs)
+            yield base_digits(idx, self.p, self.f)
 
     def coords(self, x):
         return list(x)
@@ -353,14 +359,6 @@ class QuadResidueField(ResidueField):
         re = B.add(B.mul(x0, y0), B.mul(self.b, cross))
         im = B.add(B.add(B.mul(x0, y1), B.mul(x1, y0)), B.mul(self.a, cross))
         return (re, im)
-
-    def inv(self, x):
-        B = self.base
-        x0, x1 = x
-        conj = (B.add(x0, B.mul(self.a, x1)), B.neg(x1))
-        nrm = B.sub(B.add(B.mul(x0, x0), B.mul(self.a, B.mul(x0, x1))), B.mul(self.b, B.mul(x1, x1)))
-        ninv = B.inv(nrm)
-        return (B.mul(conj[0], ninv), B.mul(conj[1], ninv))
 
     def from_int(self, n):
         return (self.base.from_int(n), self.base.zero)
@@ -444,7 +442,7 @@ class PadicField:
 
     They use only the element interface each field supplies (``add``,
     ``sub``, ``neg``, ``mul``, ``inv``, ``shift``, ``val_lower``,
-    ``_digit``, ``residue``, ``one``, ``from_int``, ``from_rational``);
+    ``_digit``, ``residue``, ``from_int``, ``from_rational``);
     ``base`` is the field below, or None for a base field.
     """
 
@@ -463,16 +461,16 @@ class PadicField:
             return self.from_rational(x)
         raise TypeError(f"cannot coerce {x!r}")
 
+    def zero(self):
+        return self.from_int(0)
+
+    def one(self):
+        return self.from_int(1)
+
     def power(self, x, n):
         if n < 0:
             return self.power(self.inv(x), -n)
-        acc, r = self.one(), x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, r)
-            r = self.mul(r, r)
-            n >>= 1
-        return acc
+        return _pow(self.mul, self.one(), x, n)
 
     def val(self, x):
         if x.exact:
@@ -547,13 +545,8 @@ class LocalField(PadicField):
             tuple(int(c) for c in row) for row in (_reduction_rows(self.rf.modulus, self.pK) if f > 1 else [])
         ]
         # Eisenstein binomial X^e - p*u0 with a seed-determined unit u0
-        t = seed % self.q
-        coeffs = []
-        for _ in range(f):
-            coeffs.append(t % p)
-            t //= p
-        u0 = tuple(coeffs) if any(coeffs) else self.rf.one
-        self.u0 = tuple(int(c) for c in u0)
+        u0 = base_digits(seed % self.q, p, f)
+        self.u0 = u0 if any(u0) else self.rf.one
         self.kind = "base"
         self._n = e * f
         self._zero_vec = (0,) * self._n
@@ -572,15 +565,6 @@ class LocalField(PadicField):
         if self.f == 1:
             return ((x[0] * y[0]) % self.pK,)
         return _poly_mulmod(x, y, self._wred, self.pK, self.f)
-
-    def _w_pow(self, x, n):
-        acc = self._one_vec[: self.f]
-        while n:
-            if n & 1:
-                acc = self._w_mul(acc, x)
-            x = self._w_mul(x, x)
-            n >>= 1
-        return acc
 
     def _w_inv(self, x):
         if self.f == 1:
@@ -622,7 +606,7 @@ class LocalField(PadicField):
         if vec is None:
             q, r = divmod(k + self.e * ds, self.e)
             c = q - ds  # pi^(qe + r) = (p*u0)^q pi^r
-            w = self._w_pow(self.u0 if c >= 0 else self.u0_inv, abs(c))
+            w = _pow(self._w_mul, self._one_vec[: self.f], self.u0 if c >= 0 else self.u0_inv, abs(c))
             w = tuple(a * pow(self.p, q, self.pK) % self.pK for a in w)
             vec = self._zero_vec[: r * self.f] + w + self._zero_vec[(r + 1) * self.f :]
             self._shift_vecs[(k, ds)] = vec
@@ -657,12 +641,6 @@ class LocalField(PadicField):
     def _from_w(self, w):
         """The element with constant pi-digit w (f ints)."""
         return self._mk(tuple(w) + self._zero_vec[self.f :], 0, self.e * self.K)
-
-    def zero(self):
-        return self._mk(self._zero_vec, 0, self.e * self.K, exact=True)
-
-    def one(self):
-        return self.from_int(1)
 
     def from_int(self, n):
         vec = (n % self.pK,) + self._zero_vec[1:]
@@ -878,12 +856,6 @@ class QuadExt(PadicField):
     def _mk(self, x, y):
         a, b = (2 * x.prec, 2 * y.prec + 1) if self._ram else (x.prec, y.prec)
         return Elt(self, (x, y), a if a <= b else b, x.exact and y.exact)
-
-    def zero(self):
-        return self._mk(self.base.zero(), self.base.zero())
-
-    def one(self):
-        return self._mk(self.base.one(), self.base.zero())
 
     def rho(self):
         return self._mk(self.base.zero(), self.base.one())

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -117,7 +118,7 @@ def test_is_prime_refuses_beyond_proven_bound():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (3, 6)])
 def test_residue_field_axioms(p, f):
     rf = ResidueField(p, f)
     elems = list(rf.elements())
@@ -131,6 +132,48 @@ def test_residue_field_axioms(p, f):
             assert rf.mul(a, rf.inv(a)) == rf.one
         # Frobenius inverse really is the p-th root
         assert rf.pow(rf.pth_root(a), p) == a
+
+
+def _poly_rem(a, b, p):
+    """a mod the monic b over F_p, coefficients constant first."""
+    a, db = list(a), len(b) - 1
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] % p
+        if c:
+            for j in range(db + 1):
+                a[k - db + j] -= c * b[j]
+    return [x % p for x in a[:db]]
+
+
+@pytest.mark.parametrize("p,f", [(2, 6), (3, 6), (5, 6), (11, 6), (2, 12), (3, 12)])
+def test_residue_modulus_is_irreducible(p, f):
+    # trial division by every monic polynomial of degree <= f/2; a test
+    # of X^(p^d) != X for the proper divisors d of f alone accepted
+    # X^6+X+1 = (X+2)(...) over F_3
+    g = ResidueField(p, f).modulus
+    assert len(g) == f + 1 and g[-1] == 1
+    for d in range(1, f // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            assert any(_poly_rem(g, low + (1,), p)), (g, low)
+
+
+# the moduli for p <= 7 and f <= 5, constant coefficient first, recorded
+# before the irreducibility test was replaced: every field built on them
+# keeps its elements, generators and census orders
+PINNED_MODULI = {
+    (2, 1): (0, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1), (2, 5): (1, 0, 1, 0, 0, 1),
+    (3, 1): (0, 1), (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1), (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 1): (0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1), (5, 5): (1, 4, 0, 0, 0, 1),
+    (7, 1): (0, 1), (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1), (7, 5): (3, 1, 0, 0, 0, 1),
+}
+
+
+def test_residue_moduli_are_pinned():
+    assert {pf: ResidueField(*pf).modulus for pf in PINNED_MODULI} == PINNED_MODULI
 
 
 def test_residue_zero_powers():
