@@ -73,11 +73,6 @@ __all__ = [
 
 
 @field_cache
-def _quad_table(F):
-    """The quadratic extensions of F built so far, by square-class mask."""
-    return {}
-
-
 def _quad_of_class(F, mask):
     """E = F(sqrt(d)), d the product of the elements of
     :func:`square_class_basis` whose bits are set in ``mask``.
@@ -85,13 +80,8 @@ def _quad_of_class(F, mask):
     Each E is built once per (F, mask) and kept on F with its cached
     structure (norm image).
     """
-    table = _quad_table(F)
-    E = table.get(mask)
-    if E is None:
-        basis = square_class_basis(F)
-        d = basis_product(F, basis, [mask >> j & 1 for j in range(len(basis))])
-        E = table[mask] = quad_extend(F, d)
-    return E
+    basis = square_class_basis(F)
+    return quad_extend(F, basis_product(F, basis, [mask >> j & 1 for j in range(len(basis))]))
 
 
 @field_cache
@@ -247,12 +237,6 @@ def _tables_brute(F, rows, levels, top):
     }
 
 
-@field_cache
-def _char_tables(F):
-    """The character tables of F built so far, by (algo, generator classes)."""
-    return {}
-
-
 def _char_table(F, classes, algo):
     """S[c, c2], 0 <= c2 <= c <= 3e + 1, the number of characters chi of
     G = F^x/F^{x4} with chi(A) = 0, f(chi) <= c and f(2 chi) <= c2, A and
@@ -263,18 +247,23 @@ def _char_table(F, classes, algo):
     most 2 are the quadratic characters of :func:`char_count`.  ``algo`` is
     ``subspace`` (elimination over Z/4) or ``brute`` (test every
     candidate character; guarded by the degree of F).  One table per
-    (F, algo, generator classes) is kept on F.
+    (F, algo, set of generator classes) is kept on F
+    (:func:`_char_table_of`), so every ordering of the generators
+    shares it.
     """
+    *A, minus = classes
+    return _char_table_of(F, algo, frozenset(A), minus)
+
+
+@field_cache
+def _char_table_of(F, algo, A, minus):
+    """:func:`_char_table` for the set A of generator classes and the
+    class ``minus`` of -1."""
     if algo not in ("brute", "subspace"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    *A, minus = classes
-    key = (algo, frozenset(A))
-    tables = _char_tables(F)
-    if key not in tables:
-        relation = tuple(2 * a % 4 for a in minus)
-        build = _tables_brute if algo == "brute" else _tables_subspace
-        tables[key] = build(F, (relation, *A), level_classes4(F), 3 * F.e + 1)
-    return tables[key]
+    relation = tuple(2 * a % 4 for a in minus)
+    build = _tables_brute if algo == "brute" else _tables_subspace
+    return build(F, (relation, *A), level_classes4(F), 3 * F.e + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -250,24 +250,13 @@ def _tower_pairs(F):
 
 
 @field_cache
-def _tower_norm_images(E):
-    """The norm-image spans of the quadratics E(sqrt(beta)) the census
-    has built, by the class vector of beta."""
-    return {}
-
-
 def _tower_norm_image(E, bvec):
     """:func:`norm_class_matrix` of E(sqrt(beta)), beta the product of
     E's unit-class basis elements that bvec selects, built once per
     (E, bvec).  Only the span is kept: keeping every tower with its own
     cached structure alive until F dies raised the peak RSS of a census
     benchmark by 5%."""
-    table = _tower_norm_images(E)
-    M = table.get(bvec)
-    if M is None:
-        beta = basis_product(E, unit_basis(E).elems, bvec)
-        M = table[bvec] = norm_class_matrix(quad_extend(E, beta))
-    return M
+    return norm_class_matrix(quad_extend(E, basis_product(E, unit_basis(E).elems, bvec)))
 
 
 _GROUP_MULT = {"V4": 3, "C4": 1, "D4": 2}

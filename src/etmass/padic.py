@@ -30,6 +30,13 @@ fresh tower then paid for building its table, which cost the tower
 census more than it saved.  ``minus_one`` forms x - 1 by changing the
 constant coefficient alone, for the unit-level digits read by
 :mod:`etmass.unitgroups`.
+
+What a field computes about itself is memoised by :func:`field_cache`,
+which keeps ``fn(F, *key)`` in one dict per function on F, so that it
+dies with F: here the shift vectors of a base field, the powers of rho
+and res(pi_F / rho^2) of a ramified quadratic; in the modules above,
+the rest of the field's structure.  A base field of degree above
+``MAX_DEGREE`` is refused with :class:`GuardError`.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
+from itertools import count
 from math import gcd
 
 from .fplinalg import colspan
@@ -44,30 +52,42 @@ from .fplinalg import colspan
 INF = float("inf")
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")
+_cache_ids = count()
 
 
 def field_cache(fn):
-    """Memoise ``fn(F)`` in the field's own ``__dict__``.
+    """Memoise ``fn(F, *key)`` in the field's own ``__dict__``, in one
+    dict per function keyed on ``key``.
 
-    The value lives and dies with its field, unlike an ``lru_cache``
+    The values live and die with their field, unlike an ``lru_cache``
     keyed on the field, which keeps every field alive.  ``cache_info()``
-    counts hits and misses over all fields, as ``lru_cache`` does.
+    counts hits and misses over every (field, key), as ``lru_cache``
+    does.  ``fn`` may be a method; the field is then ``self``.
     """
-    key = f"_cache_{fn.__module__}.{fn.__qualname__}"
+    name = f"_cache_{next(_cache_ids)}_{fn.__qualname__}"  # unique per wrapper
     counts = [0, 0]  # hits, misses
 
     @wraps(fn)
-    def cached(F):
-        d = F.__dict__
-        if key in d:
+    def cached(F, *key):
+        memo = F.__dict__.get(name)
+        if memo is None:
+            memo = F.__dict__[name] = {}
+        elif key in memo:
             counts[0] += 1
-            return d[key]
+            return memo[key]
         counts[1] += 1
-        value = d[key] = fn(F)
+        value = memo[key] = fn(F, *key)
         return value
 
     cached.cache_info = lambda: CacheInfo(*counts)
     return cached
+
+
+# [F : Q_p] beyond which LocalField refuses: its product table has up to
+# (e*f)^2 entries.  At the bound, `etmass mass --n 4 --gens -1` took
+# 7.4 s at (p, e, f) = (2, 96, 1) and 28.8 s at (2, 12, 8) through the
+# CLI (one run each, 2-vCPU Xeon VM, Python 3.11.7).
+MAX_DEGREE = 96
 
 
 class PrecisionError(ArithmeticError):
@@ -247,8 +267,6 @@ class ResidueField:
     the generator (the basis used for all F_p-coordinate vectors).
     """
 
-    _generator = None
-
     def __init__(self, p, f):
         self.p = p
         self.f = f
@@ -284,17 +302,6 @@ class ResidueField:
         if self.is_zero(x):
             raise ZeroDivisionError
         return self.pow(x, self.q - 2)
-
-    def generator(self):
-        """A generator of the multiplicative group, found once per field."""
-        if self._generator is None:
-            primes = sorted(prime_factors(self.q - 1))
-            self._generator = next(
-                x
-                for x in self.elements()
-                if not self.is_zero(x) and all(self.pow(x, (self.q - 1) // r) != self.one for r in primes)
-            )
-        return self._generator
 
     def pth_root(self, x):
         # Frobenius is bijective; its inverse is y -> y^(q/p).
@@ -526,6 +533,8 @@ class LocalField(PadicField):
             raise ValueError(f"p = {p} is not prime")
         if e < 1 or f < 1:
             raise ValueError("e and f must be >= 1")
+        if e * f > MAX_DEGREE:
+            raise GuardError(f"degree e*f = {e * f} exceeds the field guard {MAX_DEGREE}")
         self.p = p
         self.e = e
         self.f = f
@@ -553,7 +562,6 @@ class LocalField(PadicField):
         self._one_vec = (1,) + self._zero_vec[1:]
         self.u0_inv = self._w_inv(self.u0)
         self._table = self._product_table()
-        self._shift_vecs = {}
 
     def __repr__(self):
         return f"Q_{self.p}({self.e},{self.f})"
@@ -600,17 +608,14 @@ class LocalField(PadicField):
                 table.extend((a, b, i * f + j, t) for j, t in enumerate(w) if t)
         return tuple(table)
 
+    @field_cache
     def _shift_vec(self, k, ds):
         """The integral vector of pi^k * p^ds, i.e. pi^(k + e*ds) * u0^-ds."""
-        vec = self._shift_vecs.get((k, ds))
-        if vec is None:
-            q, r = divmod(k + self.e * ds, self.e)
-            c = q - ds  # pi^(qe + r) = (p*u0)^q pi^r
-            w = _pow(self._w_mul, self._one_vec[: self.f], self.u0 if c >= 0 else self.u0_inv, abs(c))
-            w = tuple(a * pow(self.p, q, self.pK) % self.pK for a in w)
-            vec = self._zero_vec[: r * self.f] + w + self._zero_vec[(r + 1) * self.f :]
-            self._shift_vecs[(k, ds)] = vec
-        return vec
+        q, r = divmod(k + self.e * ds, self.e)
+        c = q - ds  # pi^(qe + r) = (p*u0)^q pi^r
+        w = _pow(self._w_mul, self._one_vec[: self.f], self.u0 if c >= 0 else self.u0_inv, abs(c))
+        w = tuple(a * pow(self.p, q, self.pK) % self.pK for a in w)
+        return self._zero_vec[: r * self.f] + w + self._zero_vec[(r + 1) * self.f :]
 
     def _vec_mul(self, xv, yv):
         """Product of two coefficient vectors in R."""
@@ -847,8 +852,6 @@ class QuadExt(PadicField):
             self.prec = base.prec
         self.q = self.p**self.f
         self.seed = getattr(base, "seed", 0)
-        self._rho_pows = {}  # k -> rho^k, for ramified shifts
-        self._c = None  # res(pi_F / rho^2), for ramified digits
 
     def __repr__(self):
         return f"{self.base!r}[sqrt,{self.kind[:3]}]"
@@ -988,23 +991,22 @@ class QuadExt(PadicField):
             return self._mk(self.base.shift(x0, k), self.base.shift(x1, k))
         return self.mul(x, self._rho_power(k))
 
+    @field_cache
     def _rho_power(self, k):
-        """rho^k with its p-denominators cleared, built once per k from
-        rho or rho^-1 = (rho - a)/b and kept on the field."""
-        pows = self._rho_pows
-        if k not in pows:
-            s = 1 if k > 0 else -1
-            if s not in pows:
-                if s == 1:
-                    pows[s] = self.rho()
-                else:
-                    B = self.base
-                    binv = B.inv(self.b)
-                    pows[s] = self.normalize_pshift(self._mk(B.mul(B.neg(self.a), binv), binv))
-            for j in range(2 * s, k + s, s):
-                if j not in pows:
-                    pows[j] = self.normalize_pshift(self.mul(pows[j - s], pows[s]))
-        return pows[k]
+        """rho^k with its p-denominators cleared, from rho or
+        rho^-1 = (rho - a)/b, built once per k and kept on the field.
+        The powers between are filled in a loop first, so that the
+        product below recurses one level only, whatever k is."""
+        s = 1 if k > 0 else -1
+        if k == 1:
+            return self.rho()
+        if k == -1:
+            B = self.base
+            binv = B.inv(self.b)
+            return self.normalize_pshift(self._mk(B.mul(B.neg(self.a), binv), binv))
+        for j in range(s, k, s):
+            self._rho_power(j)
+        return self.normalize_pshift(self.mul(self._rho_power(k - s), self._rho_power(s)))
 
     def normalize_pshift(self, x):
         x0, x1 = x.data
@@ -1036,12 +1038,16 @@ class QuadExt(PadicField):
             return (B.digit(x0, k), B.digit(x1, k))
         j, odd = divmod(k, 2)
         d = B.digit(x1 if odd else x0, j)
-        if self._c is None:
-            # rho^2 / pi_F = b / pi_F + (a / pi_F) rho, and v(a) >= 1
-            self._c = rf.inv(B.digit(self.b, 1))
-        if j and self._c != rf.one:
-            d = rf.mul(d, rf.pow(self._c, j))
+        c = self._pi_over_rho2()
+        if j and c != rf.one:
+            d = rf.mul(d, rf.pow(c, j))
         return d
+
+    @field_cache
+    def _pi_over_rho2(self):
+        """c = res(pi_F / rho^2), for a ramified E: rho^2 / pi_F =
+        b / pi_F + (a / pi_F) rho, and v(a) >= 1."""
+        return self.rf.inv(self.base.digit(self.b, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ columns followed by u*, u* the residue outside the image of phi.  Each
 field also keeps the column span of phi (:func:`phi_matrix`) and, when
 it is a quadratic E, the span of its norm image
 (:func:`norm_class_matrix`), so a later solve on either only reduces a
-vector.  The root u = 1 + pi^k y and the strip factor 1/u^p of each
-shift k and residue y are kept too, made on first use, with the root's
-square class once :func:`class4_vec` has read it.
+vector.  The strips are kept per (F, k, y), each made on first use:
+the root u = 1 + pi^k y, its strip factor 1/u^p and, once
+:func:`class4_vec` reads it, the root's square class.  A residue field
+keeps a generator of its ell-th roots of unity per ell, so a discrete
+log (:func:`dlog_mod`) factors ell, never q - 1.
 
 One walk of the unit levels (:func:`_class_walk`) reads every class.
 A digit is read off the stored coefficients (``F.digit``) of m - 1,
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fplinalg import Span, colspan
-from .padic import INF, field_cache
+from .padic import INF, field_cache, prime_factors
 
 
 def ceil_frac(a: int, b: int) -> int:
@@ -66,7 +68,8 @@ def _pi_e_over_p_residue(F):
     return F.rf.inv(F.digit(F.from_int(F.p), F.e))
 
 
-def _phi_columns(F) -> list:
+@field_cache
+def _phi_columns(F) -> tuple:
     """The images under y |-> y + (pi^e/p) * y^p of the F_p-coordinate
     basis of the residue field, as coordinate vectors.
 
@@ -80,7 +83,7 @@ def _phi_columns(F) -> list:
         v[j] = 1
         y = rf.from_coords(v)
         cols.append(rf.coords(rf.add(y, rf.mul(c0, rf.pow(y, F.p)))))
-    return cols
+    return tuple(cols)
 
 
 @field_cache
@@ -133,30 +136,22 @@ class UnitClassBasis:
 
 
 @field_cache
-def _strip_factors(F):
-    """The strip factors of F made so far, by (shift, residue)."""
-    return {}
+def _strip_root(F, k, y):
+    """The root u = 1 + pi^k lift(y) of a strip, shared by
+    :func:`p_class_coords`, :func:`c_alpha` and :func:`class4_vec`."""
+    return F.one() + F.shift(F.lift(y), k)
 
 
+@field_cache
 def _strip(F, k, y):
-    """[u, 1/u^p, class of u or None] for u = 1 + pi^k lift(y), computed
-    once per (F, k, y) and shared by :func:`p_class_coords`,
-    :func:`c_alpha` and :func:`class4_vec`; :func:`_root_class` fills in
-    the class."""
-    strips = _strip_factors(F)
-    s = strips.get((k, y))
-    if s is None:
-        u = F.one() + F.shift(F.lift(y), k)
-        s = strips[(k, y)] = [u, F.inv(F.power(u, F.p)), None]
-    return s
+    """The strip factor 1/u^p of the root u of :func:`_strip_root`."""
+    return F.inv(F.power(_strip_root(F, k, y), F.p))
 
 
+@field_cache
 def _root_class(F, k, y):
-    """The class mod squares of the root u of ``_strip(F, k, y)``, read once."""
-    s = _strip(F, k, y)
-    if s[2] is None:
-        s[2] = class_vec(F, s[0], 2)
-    return s[2]
+    """The class mod squares of the root u of :func:`_strip_root`."""
+    return class_vec(F, _strip_root(F, k, y), 2)
 
 
 def _level_reps(F):
@@ -284,7 +279,7 @@ def _class_walk(F, alpha, roots=None):
         if not rf.is_zero(y):
             if roots is not None:
                 roots.append((i // p, y))
-            m = F.mul(m, _strip(F, i // p, y)[1])
+            m = F.mul(m, _strip(F, i // p, y))
     return tuple(out), v, m
 
 
@@ -324,7 +319,7 @@ def c_alpha(F, alpha):
     lam = F.one()
     for k, y in roots:
         if p * k < c:
-            lam = F.mul(lam, _strip(F, k, y)[0])
+            lam = F.mul(lam, _strip_root(F, k, y))
     if v:
         lam = F.mul(lam, F.power(F.pi(), v // p))
     return c, lam
@@ -376,12 +371,22 @@ def quotient_size(F, c) -> int:
 # ---------------------------------------------------------------------------
 
 
+@field_cache
+def _root_of_unity(rf, ell: int):
+    """A generator of the ell-th roots of unity of the residue field rf,
+    for ell | q - 1: the first x^((q-1)/ell) of exact order ell.  Only
+    ell is factored, never q - 1."""
+    k, primes = (rf.q - 1) // ell, prime_factors(ell)
+    powers = (rf.pow(x, k) for x in rf.elements() if not rf.is_zero(x))
+    return next(z for z in powers if all(rf.pow(z, ell // r) != rf.one for r in primes))
+
+
 def dlog_mod(F, r, ell: int) -> int:
-    """Discrete log of a nonzero residue r modulo ell, for ell | q - 1."""
+    """Discrete log of a nonzero residue r modulo ell, for ell | q - 1,
+    to the base :func:`_root_of_unity`."""
     rf = F.rf
-    k = (F.q - 1) // ell
-    xi = rf.pow(r, k)
-    eta = rf.pow(rf.generator(), k)
+    xi = rf.pow(r, (F.q - 1) // ell)
+    eta = _root_of_unity(rf, ell)
     acc = rf.one
     for j in range(ell):
         if acc == xi:
@@ -424,7 +429,8 @@ def square_class_basis(F):
     """Elements whose classes form an F_2-basis of F^x / F^{x 2}."""
     if F.p == 2:
         return list(unit_basis(F).elems)
-    return [F.pi(), F.lift(F.rf.generator())]
+    rf = F.rf
+    return [F.pi(), F.lift(next(x for x in rf.elements() if not rf.is_square(x)))]
 
 
 def basis_product(K, elems, vec):
@@ -596,7 +602,7 @@ def class4_vec(F, x) -> tuple:
         y = rf.mul(F.digit(F.minus_one(m), i), _pi_e_over_p_residue(F))
         if not rf.is_zero(y):
             roots.append((i - e, y))
-            m = F.mul(m, _strip(F, i - e, y)[1])
+            m = F.mul(m, _strip(F, i - e, y))
     cu = [_root_class(F, k, y) for k, y in roots]
     return tuple((a + 2 * sum(b)) % 4 for a, *b in zip((v, *(-a for a in c[1:])), *cu))
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etmass import cli
-from etmass.padic import GuardError, LocalField
+from etmass.padic import MAX_DEGREE, GuardError, LocalField
 
 
 @pytest.fixture
@@ -353,6 +354,14 @@ def test_mass_quartic_over_large_ramified_bases(runner, args, premass):
 
 
 def test_mass_guard_maps_to_exit_3(runner, monkeypatch):
+    # a base one degree past the field guard is refused before its
+    # product table is built
+    for e, f in ((MAX_DEGREE + 1, 1), (1, MAX_DEGREE + 1)):
+        t0 = time.perf_counter()
+        res = invoke(runner, "mass", "--p", "2", "--e", str(e), "--f", str(f), "--n", "4")
+        assert res.exit_code == 3 and "field guard" in res.stderr
+        assert time.perf_counter() - t0 < 1
+
     def boom(*a, **k):
         raise GuardError("too big")
 

@@ -23,7 +23,7 @@ from etmass.padic import (
 
 import omega_reference as ref
 import tower_reference as tr
-from test_padic import congruent, random_unit
+from test_padic import congruent, random_unit, residue_generator
 from tower_reference import disc_val_quadratic
 
 Q2 = LocalField(2, 1, 1)
@@ -682,7 +682,7 @@ def test_tame_premasses_match_construction(p, f):
     # residue generates the residue field's units, is generated by a pair
     # pi^a zeta^b, pi^c zeta^d.  The bases cover gcd(4, q - 1) = 2
     # (q = 3, 7), q = 5 mod 8 (q = 5, 13) and q = 1 mod 8 (q = 9)
-    zeta = F.lift(F.rf.generator())
+    zeta = F.lift(residue_generator(F.rf))
     classes = [
         F.mul(F.power(F.pi(), a), F.power(zeta, b)) for a in range(4) for b in range(gcd(4, F.q - 1))
     ]
@@ -696,6 +696,24 @@ def test_tame_premasses_match_construction(p, f):
 
 def test_tame_epi_value():
     assert mq.premass4_tame(LocalField(3, 1, 1)).part("epi") == Fraction(77, 72)
+
+
+def test_tame_premass_factors_no_large_q_minus_1(monkeypatch):
+    # a discrete log mod ell needs a generator of mu_ell only, found by
+    # factoring ell: q - 1 = 2 * 5000000000002223 is never trial-divided
+    real = padic.trial_divide
+
+    def small_only(n, limit=None):
+        assert abs(n) <= 10**6, f"trial division of {n}"
+        return real(n, limit)
+
+    monkeypatch.setattr(padic, "trial_divide", small_only)
+    p = 10000000000004447
+    rep = mq.premass4(LocalField(p, 1, 1), (2,))
+    assert rep.total == Fraction(
+        1000000000001334200000000593363230000087962807327,
+        1000000000001334100000000593274270000087943022623,
+    )
 
 
 def test_tame_valuation_conditions():

@@ -1,6 +1,7 @@
 """Every import in the library is from the standard library or declared,
-every exported name resolves, and every definition is named somewhere
-in the library or listed with the reason it stays."""
+every exported name resolves, every definition is named somewhere in
+the library or listed with the reason it stays, and the README's
+examples print what they say."""
 
 import ast
 import importlib
@@ -230,3 +231,37 @@ def test_no_unnamed_library_code():
     # new library code that nothing in the library calls fails here; a
     # name that stays must be listed above with its reason
     assert unnamed_definitions() == set(UNNAMED_ALLOWED)
+
+
+def readme_value(comment):
+    """Whether a trailing README comment states a value: with each "..."
+    read as a digit, it parses as a Python expression."""
+    try:
+        ast.parse(comment.replace("...", "0"), mode="eval")
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_readme_examples_print_their_values():
+    # each ```python block of the README runs line by line in its own
+    # namespace; a line whose comment states a value must print it, "..."
+    # standing for further digits
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    checked = []
+    for block in blocks:
+        namespace = {}
+        for line in block.splitlines():
+            code, _, comment = line.partition("#")
+            comment = comment.strip()
+            if not readme_value(comment):
+                exec(line, namespace)
+                continue
+            got = repr(eval(code, namespace))
+            assert re.fullmatch(re.escape(comment).replace(r"\.\.\.", r"\d*"), got), (line, got)
+            checked.append(comment)
+    assert checked == [
+        "Fraction(12829, 8192)",
+        "(0.277080..., 0.277524...)",
+        "Fraction(48, 49)",
+    ]

@@ -726,6 +726,17 @@ class Token:
     """A weakly referenceable cached value."""
 
 
+def residue_generator(rf):
+    """The first generator of the residue field's multiplicative group,
+    found by testing x^((q-1)/r) != 1 for each prime r | q - 1."""
+    primes = sorted(prime_factors(rf.q - 1))
+    return next(
+        x
+        for x in rf.elements()
+        if not rf.is_zero(x) and all(rf.pow(x, (rf.q - 1) // r) != rf.one for r in primes)
+    )
+
+
 def test_field_cache_counts_like_lru_cache():
     def build(F):
         return Token()
@@ -756,6 +767,24 @@ def test_field_cache_dies_with_its_field():
     assert build.cache_info() == (0, 2)
 
 
+def test_keyed_field_cache_counts_like_lru_cache():
+    def build(F, *key):
+        return Token()
+
+    mine, ref = field_cache(build), lru_cache(maxsize=None)(build)
+    other = field_cache(build)
+    F, G = LocalField(2, 1, 1), LocalField(2, 1, 1)
+    calls = [(F, 1), (G, 1), (F, 2), (F, 1, 0), (F,), (F, 2), (G, 1), (F, 1, 0), (F,)]
+    for K, *key in calls:
+        assert mine(K, *key) is mine(K, *key)
+        ref(K, *key), ref(K, *key)
+    assert tuple(mine.cache_info()) == tuple(ref.cache_info())[:2] == (13, 5)
+    # two keys, two fields and two wrappers never share an entry
+    values = [mine(K, *key) for K, *key in calls[:5]]
+    assert len({id(v) for v in values}) == 5
+    assert other(F, 1) is not mine(F, 1) and other.cache_info() == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # digits read off the coefficients, and products with embedded operands
 # ---------------------------------------------------------------------------
@@ -774,7 +803,7 @@ def digit_fields():
         assert (F.u0 != F.rf.one) == (seed > 0)
         yield F
         # d = pi * (a residue generator) makes res(pi_F / rho^2) != 1 when q > 2
-        E = quad_extend(F, F.mul(F.pi(), F.lift(F.rf.generator())))
+        E = quad_extend(F, F.mul(F.pi(), F.lift(residue_generator(F.rf))))
         assert E.kind == "ramified"
         yield E
         E = quad_extend(F, square_class_basis(F)[-1])
